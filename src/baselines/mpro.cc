@@ -1,5 +1,6 @@
 #include "baselines/mpro.h"
 
+#include <span>
 #include <vector>
 
 #include "baselines/candidate_table.h"
@@ -55,9 +56,8 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     return Status::OK();
   };
 
-  std::vector<LazyBoundHeap::Entry> top;
   while (true) {
-    heap.PopTopK(k, bound_fn, &top);
+    const std::span<const LazyBoundHeap::Entry> top = heap.TopK(k, bound_fn);
     const Candidate* next_probe = nullptr;
     for (const LazyBoundHeap::Entry& e : top) {
       const Candidate* c = pool.Find(e.object);
@@ -71,7 +71,6 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       for (const LazyBoundHeap::Entry& e : top) {
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap.Reinsert(top);
       return Status::OK();
     }
     // Probe the next unevaluated predicate in global-schedule order.
@@ -79,14 +78,12 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     for (PredicateId i : order) {
       if (!c->IsEvaluated(i)) {
         if (BudgetBarred(*sources, i)) {
-          heap.Reinsert(top);
           return emit_certified(BudgetBarReason(sources, i));
         }
         c->SetScore(i, sources->RandomAccess(i, c->id));
         break;
       }
     }
-    heap.Reinsert(top);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "baselines/upper.h"
 
+#include <span>
 #include <vector>
 
 #include "baselines/candidate_table.h"
@@ -44,8 +45,8 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     }
   }
 
+  // Reads the ceilings the loop loads once per top-k derivation.
   const auto bound_fn = [&](ObjectId u) -> std::optional<Score> {
-    refresh_ceilings();
     if (u == kUnseenObject) {
       if (pool.size() >= n) return std::nullopt;
       return scoring.Evaluate(ceilings);
@@ -67,9 +68,9 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   };
 
   PredicateId rr_sorted = 0;
-  std::vector<LazyBoundHeap::Entry> top;
   while (true) {
-    heap.PopTopK(k, bound_fn, &top);
+    refresh_ceilings();
+    const std::span<const LazyBoundHeap::Entry> top = heap.TopK(k, bound_fn);
     ObjectId target = kUnseenObject;
     bool found = false;
     for (const LazyBoundHeap::Entry& e : top) {
@@ -89,7 +90,6 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       for (const LazyBoundHeap::Entry& e : top) {
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap.Reinsert(top);
       return Status::OK();
     }
 
@@ -100,7 +100,6 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         rr_sorted = (rr_sorted + 1) % m;
         if (!sources->has_sorted(i) || sources->exhausted(i)) continue;
         if (BudgetBarred(*sources, i)) {
-          heap.Reinsert(top);
           return emit_certified(BudgetBarReason(sources, i));
         }
         const std::optional<SortedHit> hit = sources->SortedAccess(i);
@@ -117,7 +116,6 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     } else {
       // Probe the predicate with the best expected bound-drop per cost.
       Candidate* c = pool.Find(target);
-      refresh_ceilings();
       PredicateId best = m;
       double best_rate = -1.0;
       for (PredicateId i = 0; i < m; ++i) {
@@ -132,12 +130,10 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       }
       NC_CHECK(best < m);
       if (BudgetBarred(*sources, best)) {
-        heap.Reinsert(top);
         return emit_certified(BudgetBarReason(sources, best));
       }
       c->SetScore(best, sources->RandomAccess(best, c->id));
     }
-    heap.Reinsert(top);
   }
 }
 

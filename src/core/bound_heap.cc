@@ -1,50 +1,27 @@
 #include "core/bound_heap.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-#include "core/rank_order.h"
-
 namespace nc {
 
-bool LazyBoundHeap::Before(const Entry& a, const Entry& b) {
-  // "Less" for a max-heap: true when a ranks strictly below b, under the
-  // library-wide rank order (core/rank_order.h).
-  return RanksAbove(b.bound, b.object, a.bound, a.object);
-}
-
 void LazyBoundHeap::Push(ObjectId object, Score bound) {
-  heap_.push_back(Entry{bound, object});
-  std::push_heap(heap_.begin(), heap_.end(), Before);
+  PushLazy(Entry{bound, object});
 }
 
-size_t LazyBoundHeap::PopTopK(size_t k, const BoundFn& bound_fn,
-                              std::vector<Entry>* out) {
-  NC_CHECK(out != nullptr);
-  out->clear();
-  while (out->size() < k && !heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Before);
-    Entry top = heap_.back();
-    heap_.pop_back();
-    const std::optional<Score> current = bound_fn(top.object);
-    if (!current.has_value()) continue;  // Entry retired.
-    NC_DCHECK(*current <= top.bound);
-    if (*current < top.bound) {
-      // Stale: refresh and keep searching.
-      top.bound = *current;
-      heap_.push_back(top);
-      std::push_heap(heap_.begin(), heap_.end(), Before);
-      continue;
-    }
-    out->push_back(top);
-  }
-  return out->size();
+std::vector<LazyBoundHeap::Entry> LazyBoundHeap::entries() const {
+  std::vector<Entry> all = held_;
+  all.insert(all.end(), heap_.begin(), heap_.end());
+  return all;
 }
 
-void LazyBoundHeap::Reinsert(std::span<const Entry> entries) {
-  for (const Entry& e : entries) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Before);
+void LazyBoundHeap::PushLazy(const Entry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), Below);
+}
+
+void LazyBoundHeap::Hold(const Entry& e, size_t k) {
+  held_.insert(std::upper_bound(held_.begin(), held_.end(), e, Above), e);
+  if (held_.size() > k) {
+    PushLazy(held_.back());
+    held_.pop_back();
   }
 }
 

@@ -1,28 +1,40 @@
-// Lazy max-heap over maximal-possible scores.
+// Lazy max-heap over maximal-possible scores, with the verified top-k held
+// beside it.
 //
 // Upper bounds in top-k processing only ever decrease (F is monotone, the
 // last-seen scores l_i fall, and an exact score never exceeds the bound it
 // replaces). The heap exploits this: cached priorities are stale-high, so
 // the entry at the root is the true maximum iff its recomputed bound
-// matches its cached one; otherwise it is reinserted with the fresh bound
-// and the search continues. This is MPro's queue trick and gives
-// O(log n) amortized top-k maintenance without global rescans.
+// matches its cached one; otherwise it goes back with the fresh bound and
+// the search continues. This is MPro's queue trick.
 //
-// Each live object has exactly one entry; ties order by descending
-// ObjectId (the library-wide deterministic tie-breaker), except that the
-// virtual unseen object (id = kUnseenObject) ranks below any seen object
-// with an equal bound - a hit object immediately surfaces above `unseen`
-// (the paper's Figure 10).
+// Framework NC re-derives its top-k before every access, and between two
+// accesses that top-k barely moves. So the entries the last TopK call
+// verified stay out of the heap, in a rank-ordered held set. Each call
+// re-checks every held member with one bound evaluation, then pops the
+// heap only while its root's cached bound ranks above the weakest member.
+// A popped entry that makes the cut displaces the weakest member into the
+// heap at its exact bound; one that does not goes back with its fresh
+// bound. An iteration costs k bound evaluations plus the heap operations
+// the moved bounds require, instead of popping and reinserting k entries.
+//
+// Each live object has exactly one entry, ordered by the library-wide
+// rank order (core/rank_order.h): ties by descending ObjectId, except that
+// the virtual unseen object (id = kUnseenObject) ranks below any seen
+// object with an equal bound - a hit object immediately surfaces above
+// `unseen` (the paper's Figure 10).
 
 #ifndef NC_CORE_BOUND_HEAP_H_
 #define NC_CORE_BOUND_HEAP_H_
 
-#include <functional>
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/score.h"
+#include "core/rank_order.h"
 
 namespace nc {
 
@@ -33,39 +45,91 @@ class LazyBoundHeap {
     ObjectId object = 0;
   };
 
-  // Recomputes the current bound of an object; nullopt retires the entry
-  // (used for the unseen sentinel once every object has been seen).
-  // Must never return a value above the entry's cached bound.
-  using BoundFn = std::function<std::optional<Score>(ObjectId)>;
-
-  // Adds an entry. The caller guarantees the object is not already in the
-  // heap.
+  // Adds an entry. The caller guarantees the object is not already
+  // present.
   void Push(ObjectId object, Score bound);
 
-  // Pops up to `k` entries in verified rank order (highest current bound
-  // first) into `out` (cleared first). Popped entries leave the heap; put
-  // them back with Reinsert. Returns the number of entries produced
-  // (fewer than k only when the heap ran out).
-  size_t PopTopK(size_t k, const BoundFn& bound_fn, std::vector<Entry>* out);
+  // Re-derives the top-k by current bound and returns it in rank order;
+  // fewer than k entries only when fewer are live. The span stays valid
+  // until the next TopK call or assignment (Push does not disturb it).
+  //
+  // `bound_fn(object)` returns the object's current bound as a
+  // std::optional<Score>, never above the bound the entry was pushed with
+  // or last given; nullopt retires the entry (the unseen sentinel once
+  // every object has been seen).
+  template <typename BoundFn>
+  std::span<const Entry> TopK(size_t k, BoundFn&& bound_fn);
 
-  // Returns previously popped entries to the heap.
-  void Reinsert(std::span<const Entry> entries);
+  size_t size() const { return held_.size() + heap_.size(); }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-
-  // The live entries in internal (heap-array) order, for checkpointing.
-  // Behavior depends only on the *multiset* of entries (the comparator is
-  // a strict total order), so re-Pushing these in any order reproduces
-  // identical pop sequences.
-  const std::vector<Entry>& entries() const { return heap_; }
+  // Every entry, held and lazy, at its recorded bound, in no particular
+  // order. TopK answers depend only on current bounds, so re-Pushing
+  // these in any order reproduces them.
+  std::vector<Entry> entries() const;
 
  private:
-  // std::push_heap/pop_heap over this comparator keep the max on top.
-  static bool Before(const Entry& a, const Entry& b);
+  static bool Above(const Entry& a, const Entry& b) {
+    return RanksAbove(a.bound, a.object, b.bound, b.object);
+  }
+  // "Less" for std::push_heap/pop_heap, keeping the top-ranked entry at
+  // the root.
+  static bool Below(const Entry& a, const Entry& b) { return Above(b, a); }
 
+  void PushLazy(const Entry& e);
+  // Inserts `e` into the held set at its rank; a member pushed past k
+  // moves to the heap.
+  void Hold(const Entry& e, size_t k);
+
+  // The last verified top-k, in rank order, at exact bounds as of the
+  // call that verified them.
+  std::vector<Entry> held_;
+  // Everything else, as a max-heap under Below.
   std::vector<Entry> heap_;
 };
+
+template <typename BoundFn>
+std::span<const LazyBoundHeap::Entry> LazyBoundHeap::TopK(
+    size_t k, BoundFn&& bound_fn) {
+  size_t live = 0;
+  for (const Entry& e : held_) {
+    const std::optional<Score> current = bound_fn(e.object);
+    if (!current.has_value()) continue;  // Retired.
+    NC_DCHECK(*current <= e.bound);
+    held_[live++] = Entry{*current, e.object};
+  }
+  held_.resize(live);
+  // Bounds fall a little between calls, so the members are nearly sorted.
+  for (size_t i = 1; i < held_.size(); ++i) {
+    for (size_t j = i; j > 0 && Above(held_[j], held_[j - 1]); --j) {
+      std::swap(held_[j], held_[j - 1]);
+    }
+  }
+  // A smaller k than last time (the certificate's k + 1, then k again)
+  // hands the tail back to the heap.
+  while (held_.size() > k) {
+    PushLazy(held_.back());
+    held_.pop_back();
+  }
+  // The root's cached bound caps every current bound in the heap, so once
+  // it ranks below the weakest member the held set is the top-k.
+  while (!heap_.empty() &&
+         (held_.size() < k ||
+          (!held_.empty() && Above(heap_.front(), held_.back())))) {
+    std::pop_heap(heap_.begin(), heap_.end(), Below);
+    Entry e = heap_.back();
+    heap_.pop_back();
+    const std::optional<Score> current = bound_fn(e.object);
+    if (!current.has_value()) continue;  // Retired.
+    NC_DCHECK(*current <= e.bound);
+    e.bound = *current;
+    if (held_.size() < k || Above(e, held_.back())) {
+      Hold(e, k);
+    } else {
+      PushLazy(e);  // Stale: back with its fresh bound.
+    }
+  }
+  return held_;
+}
 
 }  // namespace nc
 

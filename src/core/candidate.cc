@@ -3,27 +3,32 @@
 namespace nc {
 
 Candidate& CandidatePool::GetOrCreate(ObjectId u, bool* created) {
-  auto [it, inserted] = index_.try_emplace(u, candidates_.size());
+  NC_DCHECK(u != kUnseenObject);
+  const size_t page = u >> kIndexPageBits;
+  if (page >= directory_.size()) directory_.resize(page + 1, 0);
+  if (directory_[page] == 0) {
+    slots_.resize(slots_.size() + kIndexPage, 0);
+    directory_[page] = static_cast<uint32_t>(slots_.size() / kIndexPage);
+  }
+  uint32_t& slot =
+      slots_[(directory_[page] - 1) * kIndexPage + (u & (kIndexPage - 1))];
+  const bool inserted = slot == 0;
   if (inserted) {
-    candidates_.emplace_back();
-    Candidate& c = candidates_.back();
+    const size_t index = candidates_.size();
+    if (index % kBlockCandidates == 0) {
+      score_blocks_.push_back(
+          std::make_unique<Score[]>(kBlockCandidates * num_predicates_));
+    }
+    Candidate& c = candidates_.emplace_back();
     c.id = u;
-    c.scores.resize(num_predicates_, 0.0);
+    c.scores = std::span<Score>(
+        score_blocks_.back().get() +
+            (index % kBlockCandidates) * num_predicates_,
+        num_predicates_);
+    slot = static_cast<uint32_t>(index + 1);
   }
   if (created != nullptr) *created = inserted;
-  return candidates_[it->second];
-}
-
-Candidate* CandidatePool::Find(ObjectId u) {
-  auto it = index_.find(u);
-  if (it == index_.end()) return nullptr;
-  return &candidates_[it->second];
-}
-
-const Candidate* CandidatePool::Find(ObjectId u) const {
-  auto it = index_.find(u);
-  if (it == index_.end()) return nullptr;
-  return &candidates_[it->second];
+  return candidates_[slot - 1];
 }
 
 Score BoundEvaluator::Upper(const Candidate& c,

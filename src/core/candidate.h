@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -21,12 +21,13 @@
 
 namespace nc {
 
-// Score state of one seen object. Predicates with an unset bit in
-// `evaluated_mask` have undefined entries in `scores`.
+// Score state of one seen object. `scores` views the object's m predicate
+// scores in its pool's storage; entries whose bit in `evaluated_mask` is
+// unset are undefined.
 struct Candidate {
   ObjectId id = 0;
   uint64_t evaluated_mask = 0;
-  std::vector<Score> scores;
+  std::span<Score> scores;
 
   bool IsEvaluated(PredicateId i) const {
     return (evaluated_mask & (uint64_t{1} << i)) != 0;
@@ -51,7 +52,15 @@ struct Candidate {
   }
 };
 
-// Owns candidates with stable references; keyed by ObjectId.
+// Owns candidates with stable addresses, indexed densely by ObjectId.
+//
+// Creating a candidate allocates nothing of its own: records and scores
+// live in fixed-size blocks (the deque's, and kBlockCandidates * m scores
+// per score block), so growth never moves them. The index maps an
+// ObjectId to its slot through pages of kIndexPage consecutive ids,
+// allocated on first touch behind a directory of one word per page: a
+// lookup is two array reads, and memory follows the objects a query sees
+// rather than the size of the corpus.
 class CandidatePool {
  public:
   explicit CandidatePool(size_t num_predicates)
@@ -64,8 +73,14 @@ class CandidatePool {
   Candidate& GetOrCreate(ObjectId u, bool* created = nullptr);
 
   // Returns the candidate for `u`, or nullptr if it was never seen.
-  Candidate* Find(ObjectId u);
-  const Candidate* Find(ObjectId u) const;
+  Candidate* Find(ObjectId u) {
+    const uint32_t slot = SlotOf(u);
+    return slot == 0 ? nullptr : &candidates_[slot - 1];
+  }
+  const Candidate* Find(ObjectId u) const {
+    const uint32_t slot = SlotOf(u);
+    return slot == 0 ? nullptr : &candidates_[slot - 1];
+  }
 
   size_t size() const { return candidates_.size(); }
   size_t num_predicates() const { return num_predicates_; }
@@ -77,10 +92,26 @@ class CandidatePool {
   auto end() const { return candidates_.end(); }
 
  private:
+  static constexpr size_t kIndexPageBits = 4;
+  static constexpr size_t kIndexPage = size_t{1} << kIndexPageBits;
+  static constexpr size_t kBlockCandidates = 64;
+
+  // Slot of `u` plus one; 0 when `u` was never seen.
+  uint32_t SlotOf(ObjectId u) const {
+    const size_t page = u >> kIndexPageBits;
+    if (page >= directory_.size() || directory_[page] == 0) return 0;
+    return slots_[(directory_[page] - 1) * kIndexPage +
+                  (u & (kIndexPage - 1))];
+  }
+
   size_t num_predicates_;
   // deque: stable element addresses across growth.
   std::deque<Candidate> candidates_;
-  std::unordered_map<ObjectId, size_t> index_;
+  std::vector<std::unique_ptr<Score[]>> score_blocks_;
+  // Per page of ids: its page number plus one, 0 while none was seen.
+  std::vector<uint32_t> directory_;
+  // Per id, page after page: its slot plus one, 0 when never seen.
+  std::vector<uint32_t> slots_;
 };
 
 // Evaluates F-bounds for candidates; owns the scratch buffer so hot loops

@@ -72,7 +72,8 @@ struct EngineCheckpoint {
   // --- Candidate pool in creation order ---------------------------------
   std::vector<CandidateCheckpoint> pool;
 
-  // --- Heap entries (order-insensitive; see LazyBoundHeap::entries) ----
+  // --- Heap entries: written at current bounds in rank order; Resume
+  // accepts any order and any bound no lower than the current one -----
   std::vector<LazyBoundHeap::Entry> heap;
 
   // --- Opaque per-run policy state (SelectPolicy::SaveState) -----------

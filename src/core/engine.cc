@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "core/checkpoint.h"
+#include "core/rank_order.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
@@ -24,19 +25,29 @@ NCEngine::NCEngine(SourceSet* sources, const ScoringFunction* scoring,
   NC_CHECK(policy_ != nullptr);
 }
 
-std::optional<Score> NCEngine::CurrentBound(ObjectId u) {
-  const size_t m = sources_->num_predicates();
+std::optional<Score> NCEngine::BoundOf(ObjectId u,
+                                       std::span<const Score> ceilings,
+                                       BoundEvaluator* bounds) const {
   if (u == kUnseenObject) {
     // The sentinel dies once every object has been seen.
     if (pool_.size() >= sources_->num_objects()) return std::nullopt;
-    for (PredicateId i = 0; i < m; ++i) ceilings_[i] = sources_->last_seen(i);
-    return scoring_->Evaluate(ceilings_);
+    return scoring_->Evaluate(ceilings);
   }
   const Candidate* c = pool_.Find(u);
   NC_CHECK(c != nullptr);
-  if (c->IsComplete(m)) return bounds_.Exact(*c);
+  if (c->IsComplete(sources_->num_predicates())) return bounds->Exact(*c);
+  return bounds->Upper(*c, ceilings);
+}
+
+void NCEngine::LoadCeilings() {
+  const size_t m = sources_->num_predicates();
   for (PredicateId i = 0; i < m; ++i) ceilings_[i] = sources_->last_seen(i);
-  return bounds_.Upper(*c, ceilings_);
+}
+
+std::span<const LazyBoundHeap::Entry> NCEngine::RankTopK(size_t k) {
+  LoadCeilings();
+  return heap_.TopK(
+      k, [this](ObjectId u) { return BoundOf(u, ceilings_, &bounds_); });
 }
 
 void NCEngine::BuildAlternatives(ObjectId target) {
@@ -103,10 +114,7 @@ Status NCEngine::Perform(const Access& access) {
       complete_topk_->Offer(c.id, bounds_.Exact(c));
     }
     if (created) {
-      const size_t m = sources_->num_predicates();
-      for (PredicateId i = 0; i < m; ++i) {
-        ceilings_[i] = sources_->last_seen(i);
-      }
+      LoadCeilings();
       heap_.Push(c.id, bounds_.Upper(c, ceilings_));
     }
     return Status::OK();
@@ -130,18 +138,17 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   // Certified anytime answer: the current top-k by maximal-possible
   // score, each entry carrying its proven [lower, upper] interval, plus
   // the epsilon those intervals imply against everything excluded.
-  // Popping k+1 entries verifies one bound past the answer; since pops
-  // come in verified rank order, that extra bound dominates every entry
-  // still in the heap, so the excluded ceiling is sound without a
-  // global rescan. (The sentinel stands for no concrete object; it is
-  // folded into the excluded ceiling, not returned.)
-  const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
-  heap_.PopTopK(options_.k + 1, bound_fn, &topk_scratch_);
+  // Deriving the top k+1 verifies one bound past the answer, and every
+  // entry outside those k+1 ranks below it, so the excluded ceiling is
+  // sound without a global rescan. (The sentinel stands for no concrete
+  // object; it is folded into the excluded ceiling, not returned.)
+  const std::span<const LazyBoundHeap::Entry> ranked =
+      RankTopK(options_.k + 1);
   out->entries.clear();
   AnytimeCertificate cert;
   cert.reason = reason;
   Score min_lower = kMaxScore;
-  for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+  for (const LazyBoundHeap::Entry& e : ranked) {
     if (e.object == kUnseenObject || out->entries.size() == options_.k) {
       cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
       continue;
@@ -153,7 +160,6 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
     cert.intervals.push_back(ScoreInterval{lower, e.bound});
     min_lower = std::min(min_lower, lower);
   }
-  heap_.Reinsert(topk_scratch_);
   if (out->entries.empty()) min_lower = kMinScore;
   cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
   if (obs::ShouldTrace(options_.tracer)) {
@@ -281,7 +287,20 @@ EngineCheckpoint NCEngine::Checkpoint() const {
     }
     ck.pool.push_back(std::move(cand));
   }
-  ck.heap = heap_.entries();
+  // Every live entry at its current bound, in rank order: the bytes then
+  // depend only on the score state, not on which entries the heap last
+  // refreshed or held.
+  std::vector<Score> ceilings(m);
+  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources_->last_seen(i);
+  BoundEvaluator bounds(scoring_);
+  for (const LazyBoundHeap::Entry& e : heap_.entries()) {
+    const std::optional<Score> current = BoundOf(e.object, ceilings, &bounds);
+    if (current.has_value()) ck.heap.push_back({*current, e.object});
+  }
+  std::sort(ck.heap.begin(), ck.heap.end(),
+            [](const LazyBoundHeap::Entry& a, const LazyBoundHeap::Entry& b) {
+              return RanksAbove(a.bound, a.object, b.bound, b.object);
+            });
   ck.policy_state = policy_->SaveState();
   ck.sources = sources_->Checkpoint();
   return ck;
@@ -350,8 +369,9 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
           "checkpoint candidate score count mismatch");
     }
   }
-  // Heap behavior depends only on the multiset of entries, so re-Pushing
-  // in checkpoint order replays the original pop sequences exactly.
+  // TopK answers depend only on current bounds, so re-Pushing the entries
+  // in any order - and at any bound no lower than the current one -
+  // replays the original run exactly.
   heap_ = LazyBoundHeap();
   for (const LazyBoundHeap::Entry& e : ck.heap) {
     if (e.object != kUnseenObject) {
@@ -423,7 +443,6 @@ Status NCEngine::InstrumentedLoop(const char* phase, TopKResult* out) {
 Status NCEngine::Loop(TopKResult* out) {
   const size_t m = sources_->num_predicates();
   const size_t n = sources_->num_objects();
-  const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
   // Every useful execution performs at most n sorted and n random accesses
   // per predicate; anything beyond signals an engine/policy bug.
   const size_t runaway_guard = 2 * n * m + options_.k + 64;
@@ -444,17 +463,17 @@ Status NCEngine::Loop(TopKResult* out) {
                                          {{"algorithm", "NC"}});
 
   while (true) {
+    std::span<const LazyBoundHeap::Entry> topk;
     {
       NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
-      heap_.PopTopK(options_.k, bound_fn, &topk_scratch_);
+      topk = RankTopK(options_.k);
     }
-    const double kth_bound =
-        topk_scratch_.empty() ? 0.0 : topk_scratch_.back().bound;
+    const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
     ObjectId target = kUnseenObject;
     bool found_incomplete = false;
-    for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+    for (const LazyBoundHeap::Entry& e : topk) {
       if (e.object == kUnseenObject) {
         target = e.object;
         found_incomplete = true;
@@ -469,24 +488,23 @@ Status NCEngine::Loop(TopKResult* out) {
       }
     }
     if (!found_incomplete) {
-      out->entries.reserve(topk_scratch_.size());
-      for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+      out->entries.reserve(topk.size());
+      for (const LazyBoundHeap::Entry& e : topk) {
         // A complete entry's verified bound is its exact score.
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap_.Reinsert(topk_scratch_);
       last_run_exact_ = true;
       return Status::OK();
     }
 
     // Theta-halting: k complete objects whose k-th exact score, inflated
     // by theta, dominates every non-member's maximal-possible score. Any
-    // object outside the popped top-k is bounded by a popped non-member's
-    // bound (or every popped entry is a complete member, which is the
-    // exact-termination case handled above).
+    // object outside K_P ranks below all of it, so it is bounded by a
+    // K_P non-member's bound (or every K_P entry is a complete member,
+    // which is the exact-termination case handled above).
     if (complete_topk_.has_value() && complete_topk_->full()) {
       double max_nonmember = -1.0;
-      for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+      for (const LazyBoundHeap::Entry& e : topk) {
         if (e.object == kUnseenObject || !complete_topk_->Contains(e.object)) {
           max_nonmember = std::max(max_nonmember, e.bound);
         }
@@ -497,9 +515,8 @@ Status NCEngine::Loop(TopKResult* out) {
         *out = complete_topk_->Take();
         // Theta answers are complete, but still carry their proof: the
         // returned scores are exact (degenerate intervals) and every
-        // excluded object is bounded by max_nonmember - a popped
-        // non-member's bound dominates all unpopped entries because pops
-        // come in rank order. The halting test then caps epsilon at
+        // excluded object is bounded by max_nonmember, which dominates
+        // everything outside K_P. The halting test then caps epsilon at
         // theta - 1.
         AnytimeCertificate cert;
         cert.reason = TerminationReason::kTheta;
@@ -517,7 +534,6 @@ Status NCEngine::Loop(TopKResult* out) {
               cert.excluded_ceiling, sources_->accrued_cost());
         }
         out->certificate = std::move(cert);
-        heap_.Reinsert(topk_scratch_);
         last_run_exact_ = false;
         return Status::OK();
       }
@@ -527,7 +543,6 @@ Status NCEngine::Loop(TopKResult* out) {
     // The exact- and theta-termination tests above run first, so a query
     // whose answer is already proven keeps it even at the budget edge.
     if (sources_->budget_exhausted()) {
-      heap_.Reinsert(topk_scratch_);
       EmitCertified(sources_->cost_budget_exhausted()
                         ? TerminationReason::kCostBudget
                         : TerminationReason::kDeadline,
@@ -537,7 +552,6 @@ Status NCEngine::Loop(TopKResult* out) {
 
     BuildAlternatives(target);
     if (alternatives_.empty()) {
-      heap_.Reinsert(topk_scratch_);
       if (skipped_quota_) {
         // Every remaining choice for the task needs a quota-spent
         // predicate: the per-predicate budget, not the scenario, is what
@@ -571,10 +585,6 @@ Status NCEngine::Loop(TopKResult* out) {
     NC_CHECK(offered);  // Policies must pick among the necessary choices.
 
     const Status performed = Perform(access);
-    {
-      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
-      heap_.Reinsert(topk_scratch_);
-    }
     if (performed.code() == StatusCode::kResourceExhausted) {
       // The access layer refused to start the access: the budget or a
       // quota ran out under the engine (defensive - the loop-top check
@@ -608,9 +618,7 @@ Status NCEngine::Loop(TopKResult* out) {
       width_hist->Observe(static_cast<double>(alternatives_.size()));
     }
     if (tracing) {
-      for (PredicateId i = 0; i < m; ++i) {
-        ceilings_[i] = sources_->last_seen(i);
-      }
+      LoadCeilings();
       options_.tracer->RecordIteration(
           target, static_cast<uint32_t>(alternatives_.size()),
           scoring_->Evaluate(ceilings_), kth_bound, heap_.size(),

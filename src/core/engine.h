@@ -188,7 +188,9 @@ class NCEngine {
   // counters, policy state, and the SourceSet (cursors, last-seen
   // bounds, accrued cost, injector state, RNG streams). Legal whenever
   // the engine is between iterations - in practice from the
-  // access_callback (the heap is whole there) or after a Run returns.
+  // access_callback or after a Run returns. Heap entries are written at
+  // their current bounds in rank order, so the bytes depend only on the
+  // score state.
   EngineCheckpoint Checkpoint() const;
 
   // Continues a checkpointed run on a *freshly configured* engine: same
@@ -236,9 +238,19 @@ class NCEngine {
   // Wraps Loop in a tracer phase span and records run-level metrics.
   Status InstrumentedLoop(const char* phase, TopKResult* out);
 
-  // Returns the current bound of `u` (nullopt retires the unseen sentinel
-  // once everything is seen).
-  std::optional<Score> CurrentBound(ObjectId u);
+  // Current bound of `u` against `ceilings`: its exact score once
+  // complete, else its maximal-possible score (Eq. 3); nullopt retires
+  // the unseen sentinel once everything is seen.
+  std::optional<Score> BoundOf(ObjectId u, std::span<const Score> ceilings,
+                               BoundEvaluator* bounds) const;
+
+  // Loads the last-seen scores l_i into ceilings_. Bounds read them
+  // there, so each top-k derivation loads them once, not once per bound.
+  void LoadCeilings();
+
+  // K_P: the current top-k by maximal-possible score, in rank order. The
+  // span is valid until the next RankTopK.
+  std::span<const LazyBoundHeap::Entry> RankTopK(size_t k);
 
   // Fills `alternatives_` with the necessary choices for `target`
   // (Definition 2) in deterministic order: sorted accesses by predicate,
@@ -270,7 +282,6 @@ class NCEngine {
   std::optional<TopKCollector> complete_topk_;
   std::vector<Score> ceilings_;
   std::vector<Access> alternatives_;
-  std::vector<LazyBoundHeap::Entry> topk_scratch_;
   size_t accesses_ = 0;
   // Accesses performed in the current Run/Extend phase; the max_accesses
   // budget is charged against this, not the cumulative count.

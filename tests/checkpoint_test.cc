@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -163,6 +165,66 @@ TEST(CheckpointTest, KillAtEveryAccessResumesLosslessly) {
                          /*injector=*/nullptr, /*theta=*/1.0,
                          "kill " + std::to_string(kill));
   }
+}
+
+// Checkpoint bytes are canonical: every heap entry at its current bound,
+// in rank order, so they depend only on the score state and not on which
+// entries the heap last refreshed or held. Resume rebuilds the heap from
+// scratch, yet the resumed run's checkpoint at the next access equals the
+// uninterrupted run's byte for byte.
+TEST(CheckpointTest, ResumedRunCheckpointsByteIdentically) {
+  const Dataset data = MakeData(36);
+  AverageFunction avg(3);
+  const RunOutcome expected =
+      RunWithKill(data, avg, 3, /*kill=*/0, /*injector=*/nullptr);
+  ASSERT_GT(expected.accesses, 10u);
+
+  for (size_t kill = 1; kill + 1 < expected.accesses; ++kill) {
+    const RunOutcome first = RunWithKill(data, avg, 3, kill, nullptr);
+    const RunOutcome next = RunWithKill(data, avg, 3, kill + 1, nullptr);
+    ASSERT_TRUE(first.checkpoint.has_value()) << "kill " << kill;
+    ASSERT_TRUE(next.checkpoint.has_value()) << "kill " << kill;
+
+    SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
+    SRGPolicy policy(SRGConfig::Default(3));
+    EngineOptions options;
+    options.k = 3;
+    std::optional<EngineCheckpoint> again;
+    NCEngine* engine_ptr = nullptr;
+    options.access_callback = [&again, &engine_ptr, kill](size_t count) {
+      if (count == kill + 1) again = engine_ptr->Checkpoint();
+    };
+    NCEngine engine(&sources, &avg, &policy, options);
+    engine_ptr = &engine;
+    TopKResult resumed;
+    ASSERT_TRUE(engine.Resume(*first.checkpoint, &resumed).ok())
+        << "kill " << kill;
+    ASSERT_TRUE(again.has_value()) << "kill " << kill;
+    EXPECT_EQ(SerializeCheckpoint(*again),
+              SerializeCheckpoint(*next.checkpoint))
+        << "kill " << kill;
+  }
+}
+
+// Checkpoints written before the heap section was canonical list entries
+// in heap-array order at stale cached bounds. Such a file (kill at access
+// 12 of KillAtEveryAccessResumesLosslessly's run) must still parse and
+// resume to the uninterrupted run's answer, cost and access sequence.
+TEST(CheckpointTest, LegacyHeapOrderCheckpointResumes) {
+  std::ifstream in(NC_TESTDATA_DIR "/legacy_heap_order.ncckpt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream text;
+  text << in.rdbuf();
+  EngineCheckpoint parsed;
+  ASSERT_TRUE(ParseCheckpoint(text.str(), &parsed).ok());
+
+  const Dataset data = MakeData(33);
+  AverageFunction avg(3);
+  const RunOutcome expected =
+      RunWithKill(data, avg, 3, /*kill=*/0, /*injector=*/nullptr);
+  ExpectLosslessResume(data, avg, 3, parsed, expected, /*injector=*/nullptr,
+                       /*theta=*/1.0, "legacy");
 }
 
 // Faulted runs checkpoint their RNG streams and injector cursors, so the

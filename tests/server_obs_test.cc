@@ -841,11 +841,19 @@ TEST(ServerObsTest, ScrapesStayWellFormedDuringGracefulDrain) {
   });
 
   bool saw_draining = false;
+  bool saw_not_accepting = false;
   bool saw_metrics_mid_drain = false;
   bool saw_varz_mid_drain = false;
   std::string response;
-  while (TryHttpGet(port, "/readyz", &response)) {
+  // Once the workers have joined, Shutdown clears `stopping_` while the
+  // stats endpoint still serves, and /readyz answers "not accepting": the
+  // drain is over, so polling stops there.
+  while (!saw_not_accepting && TryHttpGet(port, "/readyz", &response)) {
     if (response.find("503") == std::string::npos) continue;
+    if (response.find("not accepting") != std::string::npos) {
+      saw_not_accepting = true;
+      continue;
+    }
     EXPECT_NE(response.find("draining"), std::string::npos) << response;
     saw_draining = true;
     // Mid-drain, the other endpoints still serve complete documents.
@@ -878,6 +886,10 @@ TEST(ServerObsTest, ScrapesStayWellFormedDuringGracefulDrain) {
         EXPECT_FALSE(accepting);
       }
     }
+  }
+  // The drain never reopens: no "draining" follows "not accepting".
+  if (saw_not_accepting && TryHttpGet(port, "/readyz", &response)) {
+    EXPECT_EQ(response.find("draining"), std::string::npos) << response;
   }
   shutdown_thread.join();
 
