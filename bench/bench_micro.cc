@@ -1,7 +1,9 @@
 // Engine-internal microbenchmarks (google-benchmark): the hot paths the
 // experiment harnesses lean on - bound evaluation, lazy-heap maintenance,
-// full NC runs, and plan simulation throughput (the optimizer's unit of
-// overhead) - plus the observability layer's overhead budget.
+// full NC runs, plan simulation throughput (the optimizer's unit of
+// overhead), and the SourceSet access seam (fresh sorted, fresh random,
+// and cache-served sorted accesses) - plus the observability layer's
+// overhead budget.
 //
 // The custom main additionally runs a paired A/B measurement (no tracer
 // vs. disabled tracer vs. enabled tracer+metrics on the same query) and
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cache/cache.h"
 #include "common/check.h"
 #include "core/bound_heap.h"
 #include "core/candidate.h"
@@ -210,6 +213,45 @@ void BM_SortedAccessThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortedAccessThroughput);
+
+void BM_RandomAccessThroughput(benchmark::State& state) {
+  const Dataset data = BenchData(100000, 2);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  ObjectId u = 0;
+  for (auto _ : state) {
+    if (u == data.num_objects()) {
+      state.PauseTiming();
+      sources.Reset();
+      u = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(sources.RandomAccess(0, u++));
+  }
+}
+BENCHMARK(BM_RandomAccessThroughput);
+
+// One SourceSet reads a stream another one materialized in a shared
+// cache: every access is a cache hit.
+void BM_CacheHitSortedAccess(benchmark::State& state) {
+  const Dataset data = BenchData(100000, 2);
+  const CostModel cost = CostModel::Uniform(2, 1.0, 1.0);
+  cache::AccessCache cache;
+  SourceSet writer(&data, cost);
+  writer.set_access_cache(&cache);
+  while (!writer.exhausted(0)) writer.SortedAccess(0);
+  SourceSet reader(&data, cost);
+  reader.set_access_cache(&cache);
+  for (auto _ : state) {
+    if (reader.exhausted(0)) {
+      state.PauseTiming();
+      reader.Reset();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(reader.SortedAccess(0));
+  }
+  NC_CHECK(reader.cache_hits().sorted_hits > 0);
+}
+BENCHMARK(BM_CacheHitSortedAccess);
 
 // --- Observability overhead report ------------------------------------
 // Paired A/B/C measurement of one NC query (n=10000, m=2, k=10) under

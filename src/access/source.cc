@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include "cache/cache.h"
 #include "common/check.h"
@@ -11,6 +12,21 @@
 #include "obs/tracer.h"
 
 namespace nc {
+
+namespace {
+
+// Builds the status of a refused or failed access, "<prefix>p<i><suffix>",
+// so an access that is served never formats a message.
+Status Refuse(StatusCode code, std::string_view prefix, PredicateId i,
+              std::string_view suffix) {
+  std::string message(prefix);
+  message += 'p';
+  message += std::to_string(i);
+  message += suffix;
+  return Status(code, std::move(message));
+}
+
+}  // namespace
 
 size_t AccessStats::TotalSorted() const {
   size_t total = 0;
@@ -76,250 +92,150 @@ SourceSet::SourceSet(ScoreProvider* provider,
   NC_CHECK(cost_.Validate().ok());
   NC_CHECK(cost_.num_predicates() == provider_->num_predicates());
   NC_CHECK(provider_->num_predicates() <= 64);
-  const size_t m = provider_->num_predicates();
-  stats_.sorted_count.assign(m, 0);
-  stats_.random_count.assign(m, 0);
-  stats_.sorted_cost_accrued.assign(m, 0.0);
-  stats_.random_cost_accrued.assign(m, 0.0);
-  stats_.retried_attempts.assign(m, 0);
-  stats_.breaker_trips.assign(m, 0);
-  positions_.assign(m, 0);
-  last_seen_.assign(m, kMaxScore);
-  source_down_.assign(m, false);
-  breaker_state_.assign(m, BreakerState{});
+  source_down_.assign(provider_->num_predicates(), false);
+  ClearRunState();
 }
 
-Status SourceSet::AttemptAccess(const Access& access, double unit_cost) {
-  fleet_serve_ = FleetServe{};
-  if (fleet_ != nullptr && fleet_->configured(access.predicate)) {
-    return AttemptFleetAccess(access, unit_cost);
+// --- The one access path --------------------------------------------------
+// TrySortedAccess / TryRandomAccess: capability and budget checks, the
+// cache probe, AttemptAccess (RunAttempts drives every retry, plain or per
+// replica), then exactly one Book() per served access.
+
+Status SourceSet::AttemptAccess(const Access& access, double unit_cost,
+                                FleetServe* served) {
+  const PredicateId i = access.predicate;
+  if (fleet_ != nullptr && fleet_->configured(i)) {
+    return AttemptFleetAccess(access, unit_cost, served);
   }
   if (injector_ == nullptr) return Status::OK();
-  const PredicateId i = access.predicate;
   // Circuit breaker: an open breaker fast-fails until its cooldown
   // elapses (nothing billed, no injector draw); after that the access
   // becomes a half-open probe with a single attempt.
-  size_t attempt_cap = retry_policy_.max_attempts;
-  bool probing = false;
-  if (breaker_.enabled() && breaker_state_[i].open) {
-    if (elapsed_time() < breaker_state_[i].open_until) {
-      ++stats_.breaker_fast_failures;
-      return Status::Unavailable("p" + std::to_string(i) +
-                                 ": circuit breaker open");
-    }
-    probing = true;
-    attempt_cap = 1;
+  BreakerState& state = breaker_state_[i];
+  const bool probing = breaker_.enabled() && state.open;
+  if (probing && elapsed_time() < state.open_until) {
+    ++stats_.breaker_fast_failures;
+    return Refuse(StatusCode::kUnavailable, "", i, ": circuit breaker open");
   }
-  std::vector<double>& cost_accrued = access.type == AccessType::kSorted
-                                          ? stats_.sorted_cost_accrued
-                                          : stats_.random_cost_accrued;
-  for (size_t attempt = 1;; ++attempt) {
-    const FaultKind fault = injector_->NextOutcome(i);
-    if (fault == FaultKind::kNone) {
-      if (breaker_.enabled()) {
-        breaker_state_[i].consecutive_failures = 0;
-        breaker_state_[i].open = false;
-      }
-      return Status::OK();
+  const size_t attempt_cap = probing ? size_t{1} : retry_policy_.max_attempts;
+  bool died = false;
+  if (RunAttempts(access, unit_cost, injector_, i, attempt_cap,
+                  /*last=*/true, /*billed=*/nullptr, &died)) {
+    if (breaker_.enabled()) {
+      state.consecutive_failures = 0;
+      state.open = false;
     }
-    if (fault == FaultKind::kSourceDown) {
-      if (trace_enabled_) {
-        attempt_trace_.push_back(AccessAttempt{access, fault, false});
-      }
-      if (obs::ShouldTrace(tracer_)) {
-        tracer_->RecordAttempt(access.type, i, access.object,
-                               obs::AccessOutcome::kSourceDown, 0.0,
-                               accrued_cost_);
-      }
-      MarkSourceDown(i);
-      return Status::Unavailable("source for p" + std::to_string(i) +
-                                 " died permanently");
-    }
-    // The failed request was sent and billed; a timeout also held the
-    // line for the full deadline.
-    const double charged = retry_policy_.retry_cost_factor * unit_cost;
-    accrued_cost_ += charged;
-    cost_accrued[i] += charged;
-    if (fault == FaultKind::kTransient) {
-      ++stats_.transient_failures;
-    } else {
-      ++stats_.timeout_failures;
-      const double served = retry_policy_.timeout_latency_factor * unit_cost;
-      last_access_penalty_ += served;
-      total_penalty_ += served;
-    }
-    const bool giving_up = attempt >= attempt_cap;
-    if (trace_enabled_) {
-      attempt_trace_.push_back(AccessAttempt{access, fault, giving_up});
-    }
-    if (obs::ShouldTrace(tracer_)) {
-      tracer_->RecordAttempt(access.type, i, access.object,
-                             giving_up ? obs::AccessOutcome::kAbandoned
-                             : fault == FaultKind::kTransient
-                                 ? obs::AccessOutcome::kTransient
-                                 : obs::AccessOutcome::kTimeout,
-                             charged, accrued_cost_);
-    }
-    if (giving_up) {
-      ++stats_.abandoned_accesses;
-      if (breaker_.enabled()) {
-        BreakerState& state = breaker_state_[i];
-        if (probing ||
-            ++state.consecutive_failures >= breaker_.failure_threshold) {
-          state.open = true;
-          state.open_until = elapsed_time() + breaker_.cooldown;
-          state.consecutive_failures = 0;
-          ++stats_.breaker_trips[i];
-        }
-      }
-      std::string message = "p";
-      message += std::to_string(i);
-      message += ": ";
-      message += std::to_string(attempt);
-      message += " attempts exhausted";
-      return Status::Unavailable(std::move(message));
-    }
-    ++stats_.retried_attempts[i];
-    const double backoff = retry_policy_.BackoffDelay(attempt, &retry_rng_);
-    last_access_penalty_ += backoff;
-    total_penalty_ += backoff;
+    return Status::OK();
   }
+  if (died) {
+    MarkSourceDown(i);
+    return Refuse(StatusCode::kUnavailable, "source for ", i,
+                  " died permanently");
+  }
+  ++stats_.abandoned_accesses;
+  TripBreaker(i, probing, &state.consecutive_failures, &state.open,
+              &state.open_until);
+  return Refuse(StatusCode::kUnavailable, "", i,
+                ": " + std::to_string(attempt_cap) + " attempts exhausted");
 }
 
-Status SourceSet::AttemptFleetAccess(const Access& access, double unit_cost) {
+Status SourceSet::AttemptFleetAccess(const Access& access, double unit_cost,
+                                     FleetServe* served) {
   const PredicateId i = access.predicate;
   ReplicaFleet& fleet = *fleet_;
-  fleet_serve_.active = true;
-  fleet_serve_.request = access.type == AccessType::kRandom ||
-                         positions_[i] % cost_.page_size(i) == 0;
   const std::vector<size_t> order = fleet.RouteOrder(i, elapsed_time());
   if (order.empty()) {
     // No replica can serve: all dead (the predicate was downgraded when
     // the last one died) or every breaker open and cooling. Fast-fail
     // like a plain open breaker - nothing billed, nothing drawn.
     ++stats_.breaker_fast_failures;
-    return Status::Unavailable("p" + std::to_string(i) +
-                               ": every replica unavailable");
+    return Refuse(StatusCode::kUnavailable, "", i,
+                  ": every replica unavailable");
   }
   for (size_t idx = 0; idx < order.size(); ++idx) {
     const size_t r = order[idx];
     ReplicaRuntime& rt = fleet.runtime(i, r);
     // A cooled-down open breaker admits exactly one half-open probe.
     const bool probing = rt.breaker_open;
-    const size_t attempt_cap =
-        probing ? size_t{1} : retry_policy_.max_attempts;
-    const bool is_last = idx + 1 == order.size();
+    const bool last = idx + 1 == order.size();
     bool died = false;
-    Status status;
+    bool ok = false;
     {
       // Re-routed attempts (idx > 0) are failover work: the time the
       // fleet spends recovering from a replica that already failed.
-      obs::ProfileScope failover_scope(
-          idx > 0 ? profiler_ : nullptr,
-          obs::CostCenter::kReplicaFailover);
-      status =
-          AttemptOnReplica(access, unit_cost, i, r, attempt_cap, is_last,
-                           &died);
+      obs::ProfileScope failover_scope(idx > 0 ? profiler_ : nullptr,
+                                       obs::CostCenter::kReplicaFailover);
+      // Every request to this replica - retries included - is priced at
+      // its own multiplier. Replica injectors key every draw under
+      // predicate 0 (see ReplicaFleet::NextFault).
+      ok = RunAttempts(access,
+                       unit_cost * fleet.config(i).replicas[r].cost_multiplier,
+                       &fleet.injector(i, r), /*key=*/0,
+                       probing ? size_t{1} : retry_policy_.max_attempts, last,
+                       &rt.cost_accrued, &died);
+      if (died) {
+        rt.dead = true;
+        ReplicaEvent("replica_down", i, r, r);
+      }
     }
-    if (status.ok()) {
+    if (ok) {
       rt.breaker_open = false;
       rt.breaker_consecutive = 0;
-      CompleteFleetRequest(access, unit_cost, i, r, order, probing);
+      CompleteFleetRequest(access, unit_cost, r, order, probing, served);
       return Status::OK();
     }
-    // Replica-level failure: trip its breaker (a failed probe reopens
-    // immediately), then fail over to the next candidate.
-    if (!died && breaker_.enabled()) {
-      if (probing || ++rt.breaker_consecutive >= breaker_.failure_threshold) {
-        rt.breaker_open = true;
-        rt.breaker_open_until = elapsed_time() + breaker_.cooldown;
-        rt.breaker_consecutive = 0;
-        ++rt.breaker_trips;
-        ++stats_.breaker_trips[i];
-      }
+    // A live replica that failed trips its breaker (a failed probe
+    // reopens immediately); either way the access fails over.
+    if (!died && TripBreaker(i, probing, &rt.breaker_consecutive,
+                             &rt.breaker_open, &rt.breaker_open_until)) {
+      ++rt.breaker_trips;
     }
-    if (!is_last) {
+    if (!last) {
       ++rt.failovers;
       ++stats_.replica_failovers;
-      if (obs::ShouldTrace(tracer_)) {
-        tracer_->RecordReplicaEvent("replica_failover", i,
-                                    static_cast<uint32_t>(r),
-                                    static_cast<uint32_t>(order[idx + 1]),
-                                    accrued_cost_);
-      }
+      ReplicaEvent("replica_failover", i, r, order[idx + 1]);
     }
   }
   ++stats_.abandoned_accesses;
   if (fleet.all_dead(i)) MarkSourceDown(i);
-  return Status::Unavailable("p" + std::to_string(i) +
-                             ": all replicas exhausted");
+  return Refuse(StatusCode::kUnavailable, "", i, ": all replicas exhausted");
 }
 
-Status SourceSet::AttemptOnReplica(const Access& access, double unit_cost,
-                                   PredicateId i, size_t r, size_t attempt_cap,
-                                   bool is_last_replica, bool* died) {
-  *died = false;
-  ReplicaFleet& fleet = *fleet_;
-  ReplicaRuntime& rt = fleet.runtime(i, r);
-  // Every request to this replica - retries included - is priced at its
-  // own multiplier.
-  const double replica_unit =
-      unit_cost * fleet.config(i).replicas[r].cost_multiplier;
+bool SourceSet::RunAttempts(const Access& access, double unit,
+                            FaultInjector* injector, PredicateId key,
+                            size_t attempt_cap, bool last, double* billed,
+                            bool* died) {
+  const PredicateId i = access.predicate;
   std::vector<double>& cost_accrued = access.type == AccessType::kSorted
                                           ? stats_.sorted_cost_accrued
                                           : stats_.random_cost_accrued;
   for (size_t attempt = 1;; ++attempt) {
-    const FaultKind fault = fleet.NextFault(i, r);
-    if (fault == FaultKind::kNone) return Status::OK();
+    const FaultKind fault = injector->NextOutcome(key);
+    if (fault == FaultKind::kNone) return true;
     if (fault == FaultKind::kSourceDown) {
-      rt.dead = true;
-      if (trace_enabled_) {
-        attempt_trace_.push_back(AccessAttempt{access, fault, false});
-      }
-      if (obs::ShouldTrace(tracer_)) {
-        tracer_->RecordAttempt(access.type, i, access.object,
-                               obs::AccessOutcome::kSourceDown, 0.0,
-                               accrued_cost_);
-        tracer_->RecordReplicaEvent("replica_down", i,
-                                    static_cast<uint32_t>(r),
-                                    static_cast<uint32_t>(r), accrued_cost_);
-      }
+      RecordAttempt(access, fault, /*abandoned=*/false, 0.0);
       *died = true;
-      return Status::Unavailable("replica of p" + std::to_string(i) +
-                                 " died permanently");
+      return false;
     }
-    const double charged = retry_policy_.retry_cost_factor * replica_unit;
+    // The failed request was sent and billed; a timeout also held the
+    // line for the full deadline.
+    const double charged = retry_policy_.retry_cost_factor * unit;
     accrued_cost_ += charged;
     cost_accrued[i] += charged;
-    rt.cost_accrued += charged;
+    if (billed != nullptr) *billed += charged;
     if (fault == FaultKind::kTransient) {
       ++stats_.transient_failures;
     } else {
       ++stats_.timeout_failures;
-      const double served = retry_policy_.timeout_latency_factor * replica_unit;
+      const double served = retry_policy_.timeout_latency_factor * unit;
       last_access_penalty_ += served;
       total_penalty_ += served;
     }
+    // The access is abandoned only when the last route gives up; earlier
+    // exhaustions fail over instead.
     const bool giving_up = attempt >= attempt_cap;
-    // The access is "abandoned" only when the last replica gives up;
-    // earlier exhaustions fail over instead.
-    const bool abandoning = giving_up && is_last_replica;
-    if (trace_enabled_) {
-      attempt_trace_.push_back(AccessAttempt{access, fault, abandoning});
-    }
-    if (obs::ShouldTrace(tracer_)) {
-      tracer_->RecordAttempt(access.type, i, access.object,
-                             abandoning ? obs::AccessOutcome::kAbandoned
-                             : fault == FaultKind::kTransient
-                                 ? obs::AccessOutcome::kTransient
-                                 : obs::AccessOutcome::kTimeout,
-                             charged, accrued_cost_);
-    }
-    if (giving_up) {
-      return Status::Unavailable("p" + std::to_string(i) + ": " +
-                                 std::to_string(attempt) +
-                                 " replica attempts exhausted");
-    }
+    RecordAttempt(access, fault, giving_up && last, charged);
+    if (giving_up) return false;
     ++stats_.retried_attempts[i];
     const double backoff = retry_policy_.BackoffDelay(attempt, &retry_rng_);
     last_access_penalty_ += backoff;
@@ -327,30 +243,40 @@ Status SourceSet::AttemptOnReplica(const Access& access, double unit_cost,
   }
 }
 
+bool SourceSet::TripBreaker(PredicateId i, bool probing, size_t* consecutive,
+                            bool* open, double* open_until) {
+  if (!breaker_.enabled()) return false;
+  if (!probing && ++*consecutive < breaker_.failure_threshold) return false;
+  *open = true;
+  *open_until = elapsed_time() + breaker_.cooldown;
+  *consecutive = 0;
+  ++stats_.breaker_trips[i];
+  return true;
+}
+
 void SourceSet::CompleteFleetRequest(const Access& access, double unit_cost,
-                                     PredicateId i, size_t routed,
+                                     size_t routed,
                                      const std::vector<size_t>& order,
-                                     bool probed) {
+                                     bool probed, FleetServe* served) {
+  const PredicateId i = access.predicate;
   ReplicaFleet& fleet = *fleet_;
-  fleet_serve_.routed = routed;
-  fleet_serve_.winner = routed;
-  if (probed && obs::ShouldTrace(tracer_)) {
-    tracer_->RecordReplicaEvent("replica_restored", i,
-                                static_cast<uint32_t>(routed),
-                                static_cast<uint32_t>(routed), accrued_cost_);
-  }
-  if (!fleet_serve_.request) {
+  const ReplicaSetConfig& cfg = fleet.config(i);
+  served->routed = &fleet.runtime(i, routed);
+  served->cost_multiplier = cfg.replicas[routed].cost_multiplier;
+  if (probed) ReplicaEvent("replica_restored", i, routed, routed);
+  if (access.type == AccessType::kSorted &&
+      positions_[i] % cost_.page_size(i) != 0) {
     // Mid-page sorted entry: already fetched with its page, no new
     // request, no latency.
-    ++fleet.runtime(i, routed).served;
+    ++served->routed->served;
     return;
   }
-  const ReplicaSetConfig& cfg = fleet.config(i);
   const double primary_latency = fleet.DrawLatency(i, routed, unit_cost);
   if (obs::ShouldSample(hub_)) {
     hub_->ObserveReplicaService(i, routed, primary_latency);
   }
   double completion = primary_latency;
+  size_t winner = routed;
   // The hedge trigger: the configured constant or, under an adaptive
   // policy with a warm hub, the routed replica's observed service p95.
   double hedge_delay = cfg.hedge.delay;
@@ -362,19 +288,14 @@ void SourceSet::CompleteFleetRequest(const Access& access, double unit_cost,
       hedge_delay > 0.0 && primary_latency > hedge_delay) {
     // Hedge target: the next replica in routing preference whose breaker
     // is closed (cooling and probing replicas never receive hedges).
-    size_t hedge = 0;
-    bool found = false;
-    for (size_t cand : order) {
-      if (cand == routed) continue;
-      const ReplicaRuntime& cand_rt = fleet.runtime(i, cand);
-      if (cand_rt.dead || cand_rt.breaker_open) continue;
-      hedge = cand;
-      found = true;
-      break;
-    }
-    if (found) {
+    const auto hedge_it =
+        std::find_if(order.begin(), order.end(), [&](size_t cand) {
+          const ReplicaRuntime& cand_rt = fleet.runtime(i, cand);
+          return cand != routed && !cand_rt.dead && !cand_rt.breaker_open;
+        });
+    if (hedge_it != order.end()) {
       NC_PROFILE_SCOPE(profiler_, kHedgeWait);
-      fleet_serve_.hedged = true;
+      const size_t hedge = *hedge_it;
       ++stats_.hedges_issued;
       ReplicaRuntime& hrt = fleet.runtime(i, hedge);
       ++hrt.hedges_issued;
@@ -386,12 +307,7 @@ void SourceSet::CompleteFleetRequest(const Access& access, double unit_cost,
       accrued_cost_ += hedge_charge;
       stats_.sorted_cost_accrued[i] += hedge_charge;
       hrt.cost_accrued += hedge_charge;
-      if (obs::ShouldTrace(tracer_)) {
-        tracer_->RecordReplicaEvent("hedge_issued", i,
-                                    static_cast<uint32_t>(routed),
-                                    static_cast<uint32_t>(hedge),
-                                    accrued_cost_);
-      }
+      ReplicaEvent("hedge_issued", i, routed, hedge);
       // One shot, no retries: a failed hedge just loses (a drawn death
       // still kills the replica), and never touches breaker state.
       const FaultKind fault = fleet.NextFault(i, hedge);
@@ -399,12 +315,7 @@ void SourceSet::CompleteFleetRequest(const Access& access, double unit_cost,
       if (fault == FaultKind::kTimeout) ++stats_.timeout_failures;
       if (fault == FaultKind::kSourceDown) {
         hrt.dead = true;
-        if (obs::ShouldTrace(tracer_)) {
-          tracer_->RecordReplicaEvent("replica_down", i,
-                                      static_cast<uint32_t>(hedge),
-                                      static_cast<uint32_t>(hedge),
-                                      accrued_cost_);
-        }
+        ReplicaEvent("replica_down", i, hedge, hedge);
       }
       bool won = false;
       if (fault == FaultKind::kNone) {
@@ -420,26 +331,20 @@ void SourceSet::CompleteFleetRequest(const Access& access, double unit_cost,
         }
       }
       if (won) {
-        fleet_serve_.hedge_won = true;
-        fleet_serve_.winner = hedge;
+        winner = hedge;
         ++stats_.hedge_wins;
         ++hrt.hedge_wins;
       }
-      if (obs::ShouldTrace(tracer_)) {
-        tracer_->RecordReplicaEvent(won ? "hedge_won" : "hedge_lost", i,
-                                    static_cast<uint32_t>(routed),
-                                    static_cast<uint32_t>(hedge),
-                                    accrued_cost_);
-      }
+      ReplicaEvent(won ? "hedge_won" : "hedge_lost", i, routed, hedge);
     }
   }
   // The routed replica's own service time is signal for kLeastLatency
   // routing even when a hedge beat it.
   fleet.ObserveLatency(i, routed, primary_latency);
-  fleet.RecordCompletion(i, fleet_serve_.winner, completion);
+  fleet.RecordCompletion(i, winner, completion);
   if (obs::ShouldSample(hub_)) hub_->ObserveCompletion(i, completion);
-  ++fleet.runtime(i, fleet_serve_.winner).served;
-  fleet_serve_.completion_latency = completion;
+  ++fleet.runtime(i, winner).served;
+  served->completion_latency = completion;
 }
 
 void SourceSet::MarkSourceDown(PredicateId i) {
@@ -470,6 +375,93 @@ void SourceSet::MarkSourceDown(PredicateId i) {
   }
 }
 
+// Counting and billing run on every served access, so they stay inline;
+// the trace half (RecordAttempt) is out of line behind one branch.
+inline void SourceSet::Book(const Access& access, double charged) {
+  const PredicateId i = access.predicate;
+  if (access.type == AccessType::kSorted) {
+    ++stats_.sorted_count[i];
+    stats_.sorted_cost_accrued[i] += charged;
+  } else {
+    ++stats_.random_count[i];
+    stats_.random_cost_accrued[i] += charged;
+  }
+  accrued_cost_ += charged;
+  if (trace_enabled_ || tracer_ != nullptr) {
+    RecordAttempt(access, FaultKind::kNone, /*abandoned=*/false, charged);
+  }
+}
+
+inline void SourceSet::BookSourced(const Access& access, double unit,
+                                   const FleetServe& served) {
+  // A replica fleet prices the request at the routed replica's multiplier
+  // (1 on the plain path).
+  const double charged = unit * served.cost_multiplier;
+  Book(access, charged);
+  if (served.routed != nullptr) {
+    served.routed->cost_accrued += charged;
+    // Any completion latency beyond the charge is extra wall-clock wait:
+    // it lands on the deadline clock, never on the cost cap.
+    const double wait = served.completion_latency - charged;
+    if (wait > 0.0) {
+      last_access_penalty_ += wait;
+      total_penalty_ += wait;
+    }
+  }
+  if (obs::ShouldSample(hub_)) {
+    hub_->ObserveAccessCost(access.predicate, access.type, charged);
+  }
+}
+
+void SourceSet::BookCacheHit(const Access& access, ObjectId object,
+                             bool merged) {
+  // The source was already paid by whichever query materialized the
+  // entry, so only the configured hit cost accrues, into the same Eq. 1
+  // cells (billing conservation holds). The injector, fleet and hub are
+  // untouched: no source was contacted, no fault could have been drawn.
+  const double charged = access_cache_->config().hit_cost;
+  Book(access, charged);
+  const bool sorted = access.type == AccessType::kSorted;
+  if (obs::ShouldTrace(tracer_)) {
+    tracer_->RecordCacheEvent(
+        sorted ? (merged ? "sorted_merge" : "sorted_hit")
+               : (merged ? "random_merge" : "random_hit"),
+        access.predicate, object, charged, accrued_cost_);
+  }
+  ++(sorted ? cache_hits_.sorted_hits : cache_hits_.random_hits);
+  if (merged) ++cache_hits_.inflight_merges;
+  cache_hits_.hit_cost_accrued += charged;
+}
+
+void SourceSet::RecordAttempt(const Access& access, FaultKind fault,
+                              bool abandoned, double charged) {
+  if (trace_enabled_) {
+    attempt_trace_.push_back(AccessAttempt{access, fault, abandoned});
+  }
+  if (!obs::ShouldTrace(tracer_)) return;
+  if (fault == FaultKind::kNone) {
+    tracer_->RecordAccess(access.type, access.predicate, access.object,
+                          charged, accrued_cost_);
+    return;
+  }
+  tracer_->RecordAttempt(access.type, access.predicate, access.object,
+                         fault == FaultKind::kSourceDown
+                             ? obs::AccessOutcome::kSourceDown
+                         : abandoned ? obs::AccessOutcome::kAbandoned
+                         : fault == FaultKind::kTransient
+                             ? obs::AccessOutcome::kTransient
+                             : obs::AccessOutcome::kTimeout,
+                         charged, accrued_cost_);
+}
+
+void SourceSet::ReplicaEvent(const char* what, PredicateId i, size_t from,
+                             size_t to) {
+  if (obs::ShouldTrace(tracer_)) {
+    tracer_->RecordReplicaEvent(what, i, static_cast<uint32_t>(from),
+                                static_cast<uint32_t>(to), accrued_cost_);
+  }
+}
+
 std::optional<SortedHit> SourceSet::SortedAccess(PredicateId i) {
   std::optional<SortedHit> hit;
   const Status status = TrySortedAccess(i, &hit);
@@ -488,107 +480,72 @@ Status SourceSet::TrySortedAccess(PredicateId i,
     // Distinguish a degraded source from a caller bug: sorted access on a
     // predicate that never supported it is a programmer error.
     NC_CHECK(initial_cost_.has_sorted(i));
-    return Status::Unavailable("sa on p" + std::to_string(i) +
-                               ": source down");
+    return Refuse(StatusCode::kUnavailable, "sa on ", i, ": source down");
   }
   if (exhausted(i)) return Status::OK();
   if (access_barred(i)) {
     // Refused before anything is billed: the cap can overshoot by at
     // most the one access that crossed it.
     ++stats_.budget_refusals;
-    return Status::ResourceExhausted("sa on p" + std::to_string(i) +
-                                     ": budget exhausted");
+    return Refuse(StatusCode::kResourceExhausted, "sa on ", i,
+                  ": budget exhausted");
   }
-  // Cross-query cache fast path: a position inside the shared stream's
-  // prefix is served without touching the source; the stream head claims
-  // the single-flight slot and publishes the real access below.
-  bool cache_owner = false;
-  uint64_t cache_ticket = 0;
-  uint64_t cache_topology = 0;
-  const size_t cache_pos = positions_[i];
+  const Access access = Access::Sorted(i);
+  const size_t pos = positions_[i];
+  // Cross-query cache: a position inside the shared stream's prefix is
+  // served without touching the source; the stream head claims the
+  // single-flight slot and publishes the real access below. Without a
+  // cache every access bypasses it.
+  cache::SortedLookup lookup = cache::SortedLookup::kBypass;
+  cache::CachedSortedEntry cached;
+  bool merged = false;
+  uint64_t ticket = 0;
+  uint64_t topology = 0;
   if (access_cache_ != nullptr) {
-    cache_topology = StreamTopology(i);
-    cache::CachedSortedEntry cached;
-    bool merged = false;
-    cache::SortedLookup lookup;
-    {
-      NC_PROFILE_SCOPE(profiler_, kCacheProbe);
-      lookup = access_cache_->AcquireSorted(i, cache_topology, cache_pos,
-                                            &cached, &merged, &cache_ticket);
-    }
-    if (lookup == cache::SortedLookup::kHit) {
-      return ServeSortedFromCache(i, cached, merged, out);
-    }
-    cache_owner = lookup == cache::SortedLookup::kOwner;
+    topology = StreamTopology(i);
+    NC_PROFILE_SCOPE(profiler_, kCacheProbe);
+    lookup = access_cache_->AcquireSorted(i, topology, pos, &cached, &merged,
+                                          &ticket);
   }
-  const Status attempted =
-      AttemptAccess(Access::Sorted(i), cost_.sorted_cost[i]);
-  if (!attempted.ok()) {
-    if (cache_owner) {
-      access_cache_->AbortSorted(i, cache_topology, cache_pos, cache_ticket);
-    }
-    return attempted;
-  }
-  ++stats_.sorted_count[i];
-  // With a page model, the charge lands on the first entry of each page
-  // (one request fetches the whole page). A replica fleet prices the
-  // request at the serving replica's multiplier.
-  const double unit_mult =
-      fleet_serve_.active
-          ? fleet_->config(i).replicas[fleet_serve_.routed].cost_multiplier
-          : 1.0;
-  double charged = 0.0;
-  if (positions_[i] % cost_.page_size(i) == 0) {
-    charged = cost_.sorted_cost[i] * unit_mult;
-    accrued_cost_ += charged;
-    stats_.sorted_cost_accrued[i] += charged;
-  }
-  if (fleet_serve_.active) {
-    fleet_->runtime(i, fleet_serve_.routed).cost_accrued += charged;
-    if (fleet_serve_.request) {
-      // Any completion latency beyond the charge is extra wall-clock
-      // wait: it lands on the deadline clock, never on the cost cap.
-      const double wait =
-          std::max(0.0, fleet_serve_.completion_latency - charged);
-      if (wait > 0.0) {
-        last_access_penalty_ += wait;
-        total_penalty_ += wait;
-      }
-    }
-  }
-  if (trace_enabled_) {
-    trace_.push_back(Access::Sorted(i));
-    attempt_trace_.push_back(
-        AccessAttempt{Access::Sorted(i), FaultKind::kNone, false});
-  }
-  if (obs::ShouldTrace(tracer_)) {
-    tracer_->RecordAccess(AccessType::kSorted, i, 0, charged, accrued_cost_);
-  }
-  if (obs::ShouldSample(hub_)) {
-    hub_->ObserveAccessCost(i, AccessType::kSorted, charged);
-  }
-  const SortedEntry entry = provider_->SortedEntryAt(i, positions_[i]);
-  ++positions_[i];
   SortedHit hit;
-  hit.object = entry.object;
-  hit.score = entry.score;
-  // A multi-attribute source row carries the whole group.
-  if (!cost_.attribute_groups.empty()) {
-    for (PredicateId j = 0; j < num_predicates(); ++j) {
-      if (j != i && cost_.same_group(i, j)) {
-        hit.bundled.emplace_back(j, provider_->ScoreOf(j, hit.object));
+  if (lookup == cache::SortedLookup::kHit) {
+    BookCacheHit(access, cached.object, merged);
+    hit.object = cached.object;
+    hit.score = cached.score;
+    hit.bundled = std::move(cached.bundled);
+  } else {
+    FleetServe served;
+    const Status attempted =
+        AttemptAccess(access, cost_.sorted_cost[i], &served);
+    if (!attempted.ok()) {
+      if (lookup == cache::SortedLookup::kOwner) {
+        access_cache_->AbortSorted(i, topology, pos, ticket);
+      }
+      return attempted;
+    }
+    // With a page model, the charge lands on the first entry of each page
+    // (one request fetches the whole page).
+    const bool page_start = pos % cost_.page_size(i) == 0;
+    BookSourced(access, page_start ? cost_.sorted_cost[i] : 0.0, served);
+    const SortedEntry entry = provider_->SortedEntryAt(i, pos);
+    hit.object = entry.object;
+    hit.score = entry.score;
+    // A multi-attribute source row carries the whole group.
+    if (!cost_.attribute_groups.empty()) {
+      for (PredicateId j = 0; j < num_predicates(); ++j) {
+        if (j != i && cost_.same_group(i, j)) {
+          hit.bundled.emplace_back(j, provider_->ScoreOf(j, hit.object));
+        }
       }
     }
+    if (lookup == cache::SortedLookup::kOwner) {
+      NC_PROFILE_SCOPE(profiler_, kCacheFill);
+      access_cache_->PublishSorted(
+          i, topology, pos, ticket,
+          cache::CachedSortedEntry{hit.object, hit.score, hit.bundled});
+    }
   }
-  if (cache_owner) {
-    NC_PROFILE_SCOPE(profiler_, kCacheFill);
-    cache::CachedSortedEntry published;
-    published.object = hit.object;
-    published.score = hit.score;
-    published.bundled = hit.bundled;
-    access_cache_->PublishSorted(i, cache_topology, cache_pos, cache_ticket,
-                                 std::move(published));
-  }
+  ++positions_[i];
   // Side effect: every unseen object on this list is now bounded by the
   // returned score; an exhausted list leaves no unseen objects, so the
   // bound collapses to 0.
@@ -612,142 +569,47 @@ Status SourceSet::TryRandomAccess(PredicateId i, ObjectId u, Score* out) {
   last_access_penalty_ = 0.0;
   if (!cost_.has_random(i)) {
     NC_CHECK(initial_cost_.has_random(i));
-    return Status::Unavailable("ra on p" + std::to_string(i) +
-                               ": source down");
+    return Refuse(StatusCode::kUnavailable, "ra on ", i, ": source down");
   }
   if (access_barred(i)) {
     ++stats_.budget_refusals;
-    return Status::ResourceExhausted("ra on p" + std::to_string(i) +
-                                     ": budget exhausted");
+    return Refuse(StatusCode::kResourceExhausted, "ra on ", i,
+                  ": budget exhausted");
   }
-  // Cross-query cache fast path: a cached (predicate, object) score is
-  // served without touching the source; a miss claims the single-flight
-  // slot so concurrent duplicates issue one underlying access.
-  bool cache_owner = false;
-  uint64_t cache_ticket = 0;
+  const Access access = Access::Random(i, u);
+  // Cross-query cache: a cached (predicate, object) score is served
+  // without touching the source; a miss claims the single-flight slot so
+  // concurrent duplicates issue one underlying access.
+  bool hit = false;
+  Score score = 0.0;
+  bool merged = false;
+  uint64_t ticket = 0;
   if (access_cache_ != nullptr) {
-    Score cached = 0.0;
-    bool merged = false;
-    cache::RandomLookup lookup;
-    {
-      NC_PROFILE_SCOPE(profiler_, kCacheProbe);
-      lookup =
-          access_cache_->AcquireRandom(i, u, &cached, &merged, &cache_ticket);
+    NC_PROFILE_SCOPE(profiler_, kCacheProbe);
+    hit = access_cache_->AcquireRandom(i, u, &score, &merged, &ticket) ==
+          cache::RandomLookup::kHit;
+  }
+  if (hit) {
+    BookCacheHit(access, u, merged);
+  } else {
+    FleetServe served;
+    const Status attempted =
+        AttemptAccess(access, cost_.random_cost[i], &served);
+    if (!attempted.ok()) {
+      if (access_cache_ != nullptr) access_cache_->AbortRandom(i, u, ticket);
+      return attempted;
     }
-    if (lookup == cache::RandomLookup::kHit) {
-      return ServeRandomFromCache(i, u, cached, merged, out);
+    BookSourced(access, cost_.random_cost[i], served);
+    score = provider_->ScoreOf(i, u);
+    if (access_cache_ != nullptr) {
+      NC_PROFILE_SCOPE(profiler_, kCacheFill);
+      access_cache_->PublishRandom(i, u, score, ticket);
     }
-    cache_owner = true;
-  }
-  const Status attempted =
-      AttemptAccess(Access::Random(i, u), cost_.random_cost[i]);
-  if (!attempted.ok()) {
-    if (cache_owner) access_cache_->AbortRandom(i, u, cache_ticket);
-    return attempted;
-  }
-  ++stats_.random_count[i];
-  const double ra_charged =
-      cost_.random_cost[i] *
-      (fleet_serve_.active
-           ? fleet_->config(i).replicas[fleet_serve_.routed].cost_multiplier
-           : 1.0);
-  accrued_cost_ += ra_charged;
-  stats_.random_cost_accrued[i] += ra_charged;
-  if (fleet_serve_.active) {
-    fleet_->runtime(i, fleet_serve_.routed).cost_accrued += ra_charged;
-    const double wait =
-        std::max(0.0, fleet_serve_.completion_latency - ra_charged);
-    if (wait > 0.0) {
-      last_access_penalty_ += wait;
-      total_penalty_ += wait;
-    }
-  }
-  if (trace_enabled_) {
-    trace_.push_back(Access::Random(i, u));
-    attempt_trace_.push_back(
-        AccessAttempt{Access::Random(i, u), FaultKind::kNone, false});
-  }
-  if (obs::ShouldTrace(tracer_)) {
-    tracer_->RecordAccess(AccessType::kRandom, i, u, ra_charged,
-                          accrued_cost_);
-  }
-  if (obs::ShouldSample(hub_)) {
-    hub_->ObserveAccessCost(i, AccessType::kRandom, ra_charged);
   }
   uint64_t& mask = probed_[u];
   const uint64_t bit = uint64_t{1} << i;
   if ((mask & bit) != 0) ++stats_.duplicate_random_count;
   mask |= bit;
-  *out = provider_->ScoreOf(i, u);
-  if (cache_owner) {
-    NC_PROFILE_SCOPE(profiler_, kCacheFill);
-    access_cache_->PublishRandom(i, u, *out, cache_ticket);
-  }
-  return Status::OK();
-}
-
-Status SourceSet::ServeSortedFromCache(PredicateId i,
-                                       const cache::CachedSortedEntry& entry,
-                                       bool merged,
-                                       std::optional<SortedHit>* out) {
-  // Replicate every engine-visible effect of the real access - counts,
-  // cursor, bound, trace - except the bill: the source was already paid
-  // by whichever query materialized the entry, so only the configured
-  // hit cost accrues, into the same Eq. 1 cells (billing conservation
-  // holds). The injector, fleet, and telemetry hub are deliberately
-  // untouched: no source was contacted, no fault could have been drawn.
-  ++stats_.sorted_count[i];
-  const double charged = access_cache_->config().hit_cost;
-  accrued_cost_ += charged;
-  stats_.sorted_cost_accrued[i] += charged;
-  fleet_serve_ = FleetServe{};
-  if (trace_enabled_) {
-    trace_.push_back(Access::Sorted(i));
-    attempt_trace_.push_back(
-        AccessAttempt{Access::Sorted(i), FaultKind::kNone, false});
-  }
-  if (obs::ShouldTrace(tracer_)) {
-    tracer_->RecordAccess(AccessType::kSorted, i, 0, charged, accrued_cost_);
-    tracer_->RecordCacheEvent(merged ? "sorted_merge" : "sorted_hit", i,
-                              entry.object, charged, accrued_cost_);
-  }
-  ++positions_[i];
-  SortedHit hit;
-  hit.object = entry.object;
-  hit.score = entry.score;
-  hit.bundled = entry.bundled;
-  last_seen_[i] = exhausted(i) ? kMinScore : hit.score;
-  ++cache_hits_.sorted_hits;
-  if (merged) ++cache_hits_.inflight_merges;
-  cache_hits_.hit_cost_accrued += charged;
-  *out = std::move(hit);
-  return Status::OK();
-}
-
-Status SourceSet::ServeRandomFromCache(PredicateId i, ObjectId u, Score score,
-                                       bool merged, Score* out) {
-  ++stats_.random_count[i];
-  const double charged = access_cache_->config().hit_cost;
-  accrued_cost_ += charged;
-  stats_.random_cost_accrued[i] += charged;
-  fleet_serve_ = FleetServe{};
-  if (trace_enabled_) {
-    trace_.push_back(Access::Random(i, u));
-    attempt_trace_.push_back(
-        AccessAttempt{Access::Random(i, u), FaultKind::kNone, false});
-  }
-  if (obs::ShouldTrace(tracer_)) {
-    tracer_->RecordAccess(AccessType::kRandom, i, u, charged, accrued_cost_);
-    tracer_->RecordCacheEvent(merged ? "random_merge" : "random_hit", i, u,
-                              charged, accrued_cost_);
-  }
-  uint64_t& mask = probed_[u];
-  const uint64_t bit = uint64_t{1} << i;
-  if ((mask & bit) != 0) ++stats_.duplicate_random_count;
-  mask |= bit;
-  ++cache_hits_.random_hits;
-  if (merged) ++cache_hits_.inflight_merges;
-  cache_hits_.hit_cost_accrued += charged;
   *out = score;
   return Status::OK();
 }
@@ -853,7 +715,6 @@ Status SourceSet::set_replica_fleet(ReplicaFleet* fleet) {
         "replica fleet configures predicates this SourceSet does not have");
   }
   fleet_ = fleet;
-  fleet_serve_ = FleetServe{};
   return Status::OK();
 }
 
@@ -882,46 +743,40 @@ void SourceSet::set_telemetry_hub(obs::TelemetryHub* hub) {
   if (fleet_ != nullptr && obs::ShouldSample(hub_)) hub_->WarmFleet(fleet_);
 }
 
+void SourceSet::ClearRunState() {
+  const size_t m = num_predicates();
+  stats_ = AccessStats{};
+  stats_.sorted_count.assign(m, 0);
+  stats_.random_count.assign(m, 0);
+  stats_.sorted_cost_accrued.assign(m, 0.0);
+  stats_.random_cost_accrued.assign(m, 0.0);
+  stats_.retried_attempts.assign(m, 0);
+  stats_.breaker_trips.assign(m, 0);
+  accrued_cost_ = 0.0;
+  positions_.assign(m, 0);
+  last_seen_.assign(m, kMaxScore);
+  probed_.clear();
+  attempt_trace_.clear();
+  last_access_penalty_ = 0.0;
+  total_penalty_ = 0.0;
+  breaker_state_.assign(m, BreakerState{});
+}
+
 void SourceSet::Reset() {
   // Cross-query telemetry: capture the fleet's health on the dying
   // query's clock BEFORE the rewind wipes it (re-applied below).
   if (fleet_ != nullptr && obs::ShouldSample(hub_)) {
     hub_->CaptureFleetHealth(*fleet_, elapsed_time());
   }
-  const size_t m = num_predicates();
-  stats_.sorted_count.assign(m, 0);
-  stats_.random_count.assign(m, 0);
-  stats_.sorted_cost_accrued.assign(m, 0.0);
-  stats_.random_cost_accrued.assign(m, 0.0);
-  stats_.duplicate_random_count = 0;
-  stats_.retried_attempts.assign(m, 0);
-  stats_.transient_failures = 0;
-  stats_.timeout_failures = 0;
-  stats_.abandoned_accesses = 0;
-  stats_.source_deaths = 0;
-  stats_.breaker_trips.assign(m, 0);
-  stats_.breaker_fast_failures = 0;
-  stats_.budget_refusals = 0;
-  stats_.replica_failovers = 0;
-  stats_.hedges_issued = 0;
-  stats_.hedge_wins = 0;
-  accrued_cost_ = 0.0;
-  positions_.assign(m, 0);
-  last_seen_.assign(m, kMaxScore);
-  probed_.clear();
-  trace_.clear();
-  attempt_trace_.clear();
+  ClearRunState();
   // Reruns must replay the same draws: reseed the latency and backoff
   // streams from their remembered seeds.
   latency_rng_ = Rng(latency_seed_);
   retry_rng_ = Rng(retry_seed_);
-  last_access_penalty_ = 0.0;
-  total_penalty_ = 0.0;
-  breaker_state_.assign(m, BreakerState{});
   // Revive dead sources: their construction-time unit costs return.
   // (Dynamic cost swaps on live sources persist, as before.)
   if (sources_down_ > 0) {
-    for (PredicateId i = 0; i < m; ++i) {
+    for (PredicateId i = 0; i < num_predicates(); ++i) {
       if (!source_down_[i]) continue;
       cost_.sorted_cost[i] = initial_cost_.sorted_cost[i];
       cost_.random_cost[i] = initial_cost_.random_cost[i];
@@ -939,7 +794,6 @@ void SourceSet::Reset() {
     fleet_->ResetRuntime();
     if (obs::ShouldSample(hub_)) hub_->WarmFleet(fleet_);
   }
-  fleet_serve_ = FleetServe{};
   // Cross-query cache: re-bind against the (possibly changed) backing
   // data. Same data => shared entries survive into the next query;
   // changed data => everything is dropped, never served stale.
@@ -1034,6 +888,23 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
       return Status::InvalidArgument("probed mask names unknown predicates");
     }
   }
+  // Each l_i is a function of its cursor: 1 before the first sorted
+  // access, 0 once the stream is exhausted, otherwise the score of the
+  // last entry returned. A bound that disagrees would let the engine
+  // certify a wrong "exact" answer, so it is checked against the provider
+  // (a read, never an access: nothing is billed).
+  for (PredicateId i = 0; i < m; ++i) {
+    const size_t pos = ck.positions[i];
+    Score expected = kMaxScore;
+    if (pos > 0) {
+      expected =
+          pos == n ? kMinScore : provider_->SortedEntryAt(i, pos - 1).score;
+    }
+    if (ck.last_seen[i] != expected) {
+      return Status::InvalidArgument(
+          "checkpoint last-seen bound disagrees with the source");
+    }
+  }
   // RNG streams first: DeserializeState validates without touching the
   // rest of the state.
   NC_RETURN_IF_ERROR(latency_rng_.DeserializeState(ck.latency_rng_state));
@@ -1045,7 +916,6 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
   if (fleet_ != nullptr) {
     NC_RETURN_IF_ERROR(fleet_->RestoreState(ck.fleet_state));
   }
-  fleet_serve_ = FleetServe{};
   positions_ = ck.positions;
   last_seen_ = ck.last_seen;
   stats_ = ck.stats;
@@ -1069,7 +939,6 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
   }
   trace_enabled_ = ck.trace_enabled;
   attempt_trace_ = ck.attempt_trace;
-  trace_ = SuccessfulAccesses(attempt_trace_);
   return Status::OK();
 }
 

@@ -17,6 +17,21 @@
 // unit-cost vector may be swapped mid-run (set_cost_model) to model the
 // dynamic Web; cost accrues at the rate in force when the access happens.
 //
+// --- The access path -----------------------------------------------------
+// Every access, sorted or random, plain or replicated, fresh or cached,
+// takes one path through TrySortedAccess / TryRandomAccess:
+//   1. capability and budget checks (a refusal bills nothing);
+//   2. the cross-query cache probe (set_access_cache);
+//   3. AttemptAccess: the plain source's circuit breaker or the fleet's
+//      routing and failover, both driving the one retry loop
+//      (RunAttempts) and the one breaker-trip rule (TripBreaker);
+//   4. Book(), exactly once per served access, which bumps its count and
+//      writes its Eq. 1 cell, attempt-trace entry and tracer event.
+// accrued_cost() is written in exactly three places: failed attempts in
+// RunAttempts, hedge requests in CompleteFleetRequest, and served
+// accesses in Book. The per-predicate cells of AccessStats are written
+// alongside, so the two always agree.
+//
 // --- Failure model -----------------------------------------------------
 // Autonomous sources fail. With a FaultInjector attached, every access
 // attempt may draw a transient error, a timeout, or permanent source
@@ -76,7 +91,6 @@ class Profiler;
 
 namespace nc::cache {
 class AccessCache;
-struct CachedSortedEntry;
 }  // namespace nc::cache
 
 namespace nc {
@@ -398,24 +412,26 @@ class SourceSet {
   // Restores a snapshot onto this SourceSet, which must be configured
   // identically to the one that produced it (same predicate count,
   // construction-time capabilities, injector attachment, scripts at
-  // least as long as the restored cursors). InvalidArgument /
-  // FailedPrecondition on mismatch, with no partial state applied for
-  // shape mismatches.
+  // least as long as the restored cursors). Each last-seen bound must be
+  // the one its cursor implies on this provider (read, not accessed).
+  // InvalidArgument / FailedPrecondition on mismatch, with no partial
+  // state applied for shape or bound mismatches.
   Status RestoreCheckpoint(const SourceCheckpoint& checkpoint);
 
   // --- Access tracing --------------------------------------------------
-  // When enabled, every performed access is appended to trace() in order.
-  // Failed attempts never enter the trace: a retried-then-successful
-  // access traces exactly like an undisturbed one. Used by diagnostics
-  // and by the plan-property tests (e.g. verifying the SR shape of SR/G
-  // executions).
+  // When enabled, every attempt is appended to attempt_trace() in order.
+  // trace() is its successful subsequence: failed attempts never enter
+  // it, so a retried-then-successful access traces exactly like an
+  // undisturbed one. Used by diagnostics and by the plan-property tests
+  // (e.g. verifying the SR shape of SR/G executions).
   void EnableTrace() { trace_enabled_ = true; }
-  const std::vector<Access>& trace() const { return trace_; }
+  std::vector<Access> trace() const {
+    return SuccessfulAccesses(attempt_trace_);
+  }
 
   // The replay trace: every attempt in order, failed ones included, so a
   // traced faulty run round-trips losslessly through
-  // SerializeAttemptTrace / ParseAttemptTrace. Populated alongside
-  // trace() while tracing is enabled.
+  // SerializeAttemptTrace / ParseAttemptTrace.
   const std::vector<AccessAttempt>& attempt_trace() const {
     return attempt_trace_;
   }
@@ -497,62 +513,80 @@ class SourceSet {
             const Dataset* data, CostModel cost);
 
   // What the replica layer decided for the access in flight, consumed by
-  // the success-path billing in Try{Sorted,Random}Access. Inactive on
-  // the plain single-source path.
+  // BookSourced. On the plain path `routed` stays null and the multiplier
+  // stays 1.
   struct FleetServe {
-    bool active = false;
-    // True when this access issues a priced request (every random
-    // access; sorted accesses at a page boundary).
-    bool request = false;
-    size_t routed = 0;  // Replica billed for the primary request.
-    size_t winner = 0;  // Replica whose response completed the access.
-    double completion_latency = 0.0;
-    bool hedged = false;
-    bool hedge_won = false;
+    ReplicaRuntime* routed = nullptr;  // Replica billed for the request.
+    double cost_multiplier = 1.0;
+    double completion_latency = 0.0;  // 0 for a mid-page sorted entry.
   };
 
-  // Runs the attempt/retry loop for `access` whose request costs
-  // `unit_cost`. OK when an attempt succeeded; kUnavailable after a death
-  // or once attempts are exhausted. Accumulates per-attempt charges and
-  // last_access_penalty_, and records failed attempts in the attempt
-  // trace and the tracer. Fleet-configured predicates route through
-  // AttemptFleetAccess instead.
-  Status AttemptAccess(const Access& access, double unit_cost);
+  // Zeroes the per-run state: stats, cost clocks, cursors, bounds,
+  // probed masks, attempt trace and breaker state. The constructor and
+  // Reset() share it; Reset() also reseeds the RNGs and rewinds the
+  // attached injector, fleet and cache.
+  void ClearRunState();
 
-  // The fleet analogue of the attempt loop: routes the access per the
-  // predicate's policy, retries within a replica, fails over across
-  // replicas, manages per-replica breakers, and (for priced sorted
-  // requests) hedges. Fills fleet_serve_ on success.
-  Status AttemptFleetAccess(const Access& access, double unit_cost);
+  // Step 3 of the access path. OK when an attempt succeeded (filling
+  // *served on the fleet path); kUnavailable after a death, an open
+  // breaker, or once attempts are exhausted. Fleet-configured predicates
+  // route through AttemptFleetAccess.
+  Status AttemptAccess(const Access& access, double unit_cost,
+                       FleetServe* served);
 
-  // Runs up to `attempt_cap` attempts against replica r. OK on success;
-  // kUnavailable when the replica's attempts are exhausted or it died
-  // (`*died` reports which).
-  Status AttemptOnReplica(const Access& access, double unit_cost,
-                          PredicateId i, size_t r, size_t attempt_cap,
-                          bool is_last_replica, bool* died);
+  // The fleet analogue: routes the access per the predicate's policy,
+  // runs each replica's attempts, fails over across replicas, manages
+  // per-replica breakers, and completes the winning request.
+  Status AttemptFleetAccess(const Access& access, double unit_cost,
+                            FleetServe* served);
 
-  // Books the completion of a successful fleet request: latency draw,
-  // hedging (suppressed for half-open probes), EWMA/sample recording,
-  // and fleet_serve_.
+  // The one retry loop: up to `attempt_cap` attempts drawn from
+  // injector->NextOutcome(key), each failure priced at `unit` (also added
+  // to *billed when non-null), penalized, recorded and backed off. True
+  // when an attempt succeeded; false when the cap ran out or the source
+  // died (*died). Only the `last` route's exhaustion marks the attempt
+  // abandoned.
+  bool RunAttempts(const Access& access, double unit, FaultInjector* injector,
+                   PredicateId key, size_t attempt_cap, bool last,
+                   double* billed, bool* died);
+
+  // The one breaker-trip rule, for the plain breaker and per-replica
+  // ones alike: a failed half-open probe reopens at once, otherwise the
+  // failure_threshold-th consecutive failure opens. True when it tripped.
+  bool TripBreaker(PredicateId i, bool probing, size_t* consecutive,
+                   bool* open, double* open_until);
+
+  // Completes a successful fleet request: latency draw, hedging
+  // (suppressed for half-open probes; hedges are billed here), EWMA and
+  // sample recording, and *served.
   void CompleteFleetRequest(const Access& access, double unit_cost,
-                            PredicateId i, size_t routed,
-                            const std::vector<size_t>& order, bool probed);
+                            size_t routed, const std::vector<size_t>& order,
+                            bool probed, FleetServe* served);
 
-  // Downgrades the capabilities of predicate i's attribute group and
-  // counts the death. `via_injector` marks deaths drawn by the injector
-  // (vs scripted KillSource calls); both go through set_cost_model's
-  // removal-only guard.
+  // Downgrades the capabilities of predicate i's attribute group, counts
+  // the death, and invalidates the group's cache entries. Injector-drawn
+  // deaths and scripted KillSource calls both land here, through
+  // set_cost_model's removal-only guard.
   void MarkSourceDown(PredicateId i);
 
-  // Serves one access from the attached cache, replicating every
-  // engine-visible effect of the real access except the bill (only the
-  // configured hit cost accrues). `merged` marks an in-flight merge.
-  Status ServeSortedFromCache(PredicateId i,
-                              const cache::CachedSortedEntry& entry,
-                              bool merged, std::optional<SortedHit>* out);
-  Status ServeRandomFromCache(PredicateId i, ObjectId u, Score score,
-                              bool merged, Score* out);
+  // Step 4: books one served access at `charged` - its count, Eq. 1
+  // cell, attempt-trace entry and tracer kAccess event.
+  void Book(const Access& access, double charged);
+  // Books a freshly served access at `unit` times the routed replica's
+  // multiplier, bills the replica, adds any completion wait to the
+  // deadline clock, and feeds the hub.
+  void BookSourced(const Access& access, double unit,
+                   const FleetServe& served);
+  // Books a cache-served access at CacheConfig::hit_cost and records the
+  // cache event and per-query tallies. `merged` marks an in-flight merge.
+  void BookCacheHit(const Access& access, ObjectId object, bool merged);
+
+  // Appends one attempt to the attempt trace and the tracer (kAccess for
+  // a success, kAccessAttempt for a failure).
+  void RecordAttempt(const Access& access, FaultKind fault, bool abandoned,
+                     double charged);
+  // Records a replica-fleet tracer event on predicate i.
+  void ReplicaEvent(const char* what, PredicateId i, size_t from, size_t to);
 
   // Content-derived identity of the backing provider (shape + sampled
   // scores), used to bind the attached cache to this dataset.
@@ -600,9 +634,7 @@ class SourceSet {
   };
   std::vector<BreakerState> breaker_state_;
   ReplicaFleet* fleet_ = nullptr;
-  FleetServe fleet_serve_;
   bool trace_enabled_ = false;
-  std::vector<Access> trace_;
   std::vector<AccessAttempt> attempt_trace_;
   obs::QueryTracer* tracer_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

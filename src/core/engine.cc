@@ -362,7 +362,15 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
         return Status::InvalidArgument(
             "checkpoint candidate score count mismatch");
       }
-      c.SetScore(i, cand.scores[next_score++]);
+      // A stored score must be the exact p_i[u] the sources serve
+      // (ScoreProvider::ScoreOf agrees with the streams; reading it bills
+      // nothing). A corrupt one could certify a wrong "exact" answer.
+      const Score score = cand.scores[next_score++];
+      if (score != sources_->provider().ScoreOf(i, cand.object)) {
+        return Status::InvalidArgument(
+            "checkpoint candidate score disagrees with the source");
+      }
+      c.SetScore(i, score);
     }
     if (next_score != cand.scores.size()) {
       return Status::InvalidArgument(

@@ -198,9 +198,11 @@ class NCEngine {
   // config, and options as the engine that produced the checkpoint (only
   // `k` is taken from the checkpoint). The sources are restored in
   // place, so no already-paid access is re-issued, and the continuation
-  // replays bit-identically to the uninterrupted run. Validation errors
-  // (shape mismatch, malformed state) leave the engine unusable for
-  // queries until a successful Run or Resume.
+  // replays bit-identically to the uninterrupted run. Stored bounds and
+  // candidate scores must agree with the provider (read, never accessed
+  // or billed). Validation errors (shape mismatch, malformed or corrupt
+  // state) leave the engine unusable for queries until a successful Run
+  // or Resume.
   Status Resume(const EngineCheckpoint& checkpoint, TopKResult* out);
 
   // Total accesses performed across Run and any Extends.

@@ -15,6 +15,7 @@
 #include "access/fault.h"
 #include "access/source.h"
 #include "access/trace_format.h"
+#include "common/numeric.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/reference.h"
@@ -402,6 +403,80 @@ TEST(CheckpointTest, ResumeReWarmsFleetHealthFromLiveHub) {
   EXPECT_EQ(SerializeAttemptTrace(sources.attempt_trace()), expected.trace);
   EXPECT_TRUE(fleet.runtime(0, 0).dead);
   EXPECT_EQ(fleet.runtime(0, 0).served, 0u);
+}
+
+// Replaces the whole line of `text` that starts with `prefix`.
+std::string ReplaceLine(const std::string& text, const std::string& prefix,
+                        const std::string& line) {
+  const size_t begin = text.find("\n" + prefix);
+  EXPECT_NE(begin, std::string::npos) << prefix;
+  if (begin == std::string::npos) return text;
+  const size_t end = text.find('\n', begin + 1);
+  return text.substr(0, begin + 1) + line + text.substr(end);
+}
+
+// Resumes `text` on a fresh m=2, avg, k=5 engine over `sources`.
+Status ResumeText(const std::string& text, SourceSet* sources) {
+  EngineCheckpoint parsed;
+  const Status parsed_status = ParseCheckpoint(text, &parsed);
+  EXPECT_TRUE(parsed_status.ok()) << parsed_status.ToString();
+  AverageFunction avg(2);
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 5;
+  NCEngine engine(sources, &avg, &policy, options);
+  TopKResult out;
+  return engine.Resume(parsed, &out);
+}
+
+// A checkpoint that still parses but whose l_i bounds were lowered (here
+// to 2^-9 at access 4) would let the engine certify a wrong "exact"
+// answer: almost every unseen object looks dominated. Restore recomputes
+// each l_i from its cursor and rejects the mismatch before applying any
+// state - by reading the provider, never by an access.
+TEST(CheckpointTest, ResumeRejectsCorruptLastSeenBounds) {
+  const Dataset data = MakeData(38, 200, 2);
+  AverageFunction avg(2);
+  const RunOutcome run = RunWithKill(data, avg, 5, /*kill=*/4, nullptr);
+  ASSERT_TRUE(run.checkpoint.has_value());
+  const std::string text =
+      ReplaceLine(SerializeCheckpoint(*run.checkpoint), "src_last_seen ",
+                  "src_last_seen 2 0x1p-9 0x1p-9");
+
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  EXPECT_EQ(ResumeText(text, &sources).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sources.sorted_position(0), 0u);
+  EXPECT_EQ(sources.accrued_cost(), 0.0);
+}
+
+// Likewise a lowered candidate score: with the true top-1's stored score
+// cut to 2^-9 at access 60, the resumed run would return an "exact"
+// answer without it. Resume checks every stored score against
+// ScoreProvider::ScoreOf.
+TEST(CheckpointTest, ResumeRejectsCorruptCandidateScores) {
+  const Dataset data = MakeData(38, 200, 2);
+  AverageFunction avg(2);
+  const ObjectId top1 = BruteForceTopK(data, avg, 1).entries[0].object;
+  const RunOutcome run = RunWithKill(data, avg, 5, /*kill=*/60, nullptr);
+  ASSERT_TRUE(run.checkpoint.has_value());
+  const CandidateCheckpoint* cand = nullptr;
+  for (const CandidateCheckpoint& c : run.checkpoint->pool) {
+    if (c.object == top1) cand = &c;
+  }
+  ASSERT_NE(cand, nullptr) << "top-1 not yet seen at access 60";
+  std::string line = "cand " + std::to_string(top1) + " " +
+                     std::to_string(cand->mask) + " 0x1p-9";
+  for (size_t s = 1; s < cand->scores.size(); ++s) {
+    line += " " + FormatHexDouble(cand->scores[s]);
+  }
+  const std::string text = ReplaceLine(
+      SerializeCheckpoint(*run.checkpoint),
+      "cand " + std::to_string(top1) + " ", line);
+
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  EXPECT_EQ(ResumeText(text, &sources).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
