@@ -806,7 +806,6 @@ void SourceSet::Reset() {
 SourceCheckpoint SourceSet::Checkpoint() const {
   SourceCheckpoint ck;
   ck.positions = positions_;
-  ck.last_seen = last_seen_;
   ck.stats = stats_;
   ck.accrued_cost = accrued_cost_;
   ck.last_access_penalty = last_access_penalty_;
@@ -842,9 +841,9 @@ SourceCheckpoint SourceSet::Checkpoint() const {
 
 Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
   const size_t m = num_predicates();
-  if (ck.positions.size() != m || ck.last_seen.size() != m ||
-      ck.sorted_cost.size() != m || ck.random_cost.size() != m ||
-      ck.source_down.size() != m || ck.breaker_consecutive.size() != m ||
+  if (ck.positions.size() != m || ck.sorted_cost.size() != m ||
+      ck.random_cost.size() != m || ck.source_down.size() != m ||
+      ck.breaker_consecutive.size() != m ||
       ck.breaker_open.size() != m || ck.breaker_open_until.size() != m ||
       ck.stats.sorted_count.size() != m || ck.stats.random_count.size() != m ||
       ck.stats.sorted_cost_accrued.size() != m ||
@@ -888,23 +887,6 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
       return Status::InvalidArgument("probed mask names unknown predicates");
     }
   }
-  // Each l_i is a function of its cursor: 1 before the first sorted
-  // access, 0 once the stream is exhausted, otherwise the score of the
-  // last entry returned. A bound that disagrees would let the engine
-  // certify a wrong "exact" answer, so it is checked against the provider
-  // (a read, never an access: nothing is billed).
-  for (PredicateId i = 0; i < m; ++i) {
-    const size_t pos = ck.positions[i];
-    Score expected = kMaxScore;
-    if (pos > 0) {
-      expected =
-          pos == n ? kMinScore : provider_->SortedEntryAt(i, pos - 1).score;
-    }
-    if (ck.last_seen[i] != expected) {
-      return Status::InvalidArgument(
-          "checkpoint last-seen bound disagrees with the source");
-    }
-  }
   // RNG streams first: DeserializeState validates without touching the
   // rest of the state.
   NC_RETURN_IF_ERROR(latency_rng_.DeserializeState(ck.latency_rng_state));
@@ -917,7 +899,16 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
     NC_RETURN_IF_ERROR(fleet_->RestoreState(ck.fleet_state));
   }
   positions_ = ck.positions;
-  last_seen_ = ck.last_seen;
+  // Each l_i is a function of its cursor: 1 before the first sorted
+  // access, 0 once the stream is exhausted, otherwise the score of the
+  // last entry returned. It is read from the provider, never accessed:
+  // nothing is billed.
+  for (PredicateId i = 0; i < m; ++i) {
+    const size_t pos = positions_[i];
+    last_seen_[i] = pos == 0   ? kMaxScore
+                    : pos == n ? kMinScore
+                               : provider_->SortedEntryAt(i, pos - 1).score;
+  }
   stats_ = ck.stats;
   accrued_cost_ = ck.accrued_cost;
   last_access_penalty_ = ck.last_access_penalty;

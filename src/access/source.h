@@ -171,8 +171,9 @@ struct AccessStats {
 // consumed by SourceSet::RestoreCheckpoint(); serialized (with the engine
 // state around it) by core/checkpoint.*.
 struct SourceCheckpoint {
+  // Sorted cursors. The last-seen scores l_i are a function of them and
+  // are re-derived on restore, not stored.
   std::vector<size_t> positions;
-  std::vector<Score> last_seen;
   AccessStats stats;
   double accrued_cost = 0.0;
   double last_access_penalty = 0.0;
@@ -412,10 +413,10 @@ class SourceSet {
   // Restores a snapshot onto this SourceSet, which must be configured
   // identically to the one that produced it (same predicate count,
   // construction-time capabilities, injector attachment, scripts at
-  // least as long as the restored cursors). Each last-seen bound must be
-  // the one its cursor implies on this provider (read, not accessed).
+  // least as long as the restored cursors). Each last-seen bound l_i is
+  // derived from its cursor on this provider (read, not accessed).
   // InvalidArgument / FailedPrecondition on mismatch, with no partial
-  // state applied for shape or bound mismatches.
+  // state applied for shape mismatches.
   Status RestoreCheckpoint(const SourceCheckpoint& checkpoint);
 
   // --- Access tracing --------------------------------------------------

@@ -2,10 +2,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <string_view>
 
 #include "common/check.h"
-#include "common/numeric.h"
+#include "common/record_codec.h"
 #include "obs/metrics.h"
 
 namespace nc::cache {
@@ -35,75 +34,34 @@ Status CacheConfig::Validate() const {
 }
 
 std::string CacheConfig::Serialize() const {
-  // Hexfloat doubles for byte-exact round trips; everything funnels
-  // through common/numeric.h so a comma-decimal global locale cannot
-  // corrupt the format.
-  std::string out = "nccache 1\n";
-  out += "hit_cost " + FormatHexDouble(hit_cost) + "\n";
-  out += "capacity " + std::to_string(random_capacity) + "\n";
-  out += "ttl " + FormatHexDouble(random_ttl) + "\n";
-  out += "end\n";
-  return out;
+  // Fixed record order, so the round trip is byte-exact and a truncated
+  // document is rejected by line number.
+  RecordWriter w("nccache", 1);
+  w.Key("hit_cost").Hex(hit_cost);
+  w.Key("capacity").UInt(random_capacity);
+  w.Key("ttl").Hex(random_ttl);
+  w.Key("end");
+  return w.Finish();
 }
 
 Status ParseCacheConfig(const std::string& text, CacheConfig* out) {
   NC_CHECK(out != nullptr);
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    const size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.push_back(std::string_view(text).substr(start, nl - start));
-    start = nl + 1;
-  }
-  auto fail = [](size_t line, const std::string& what) {
-    return Status::InvalidArgument("nccache line " +
-                                   std::to_string(line + 1) + ": " + what);
-  };
-  if (lines.empty() || lines[0] != "nccache 1") {
-    return fail(0, "expected header 'nccache 1'");
-  }
+  RecordReader r("nccache", text);
+  NC_RETURN_IF_ERROR(r.Header({1}));
   CacheConfig parsed;
-  // Fixed record order, mirroring Serialize, so the round trip is
-  // byte-exact and a truncated document is rejected by line number.
-  struct Field {
-    std::string_view name;
-    bool is_count;
-  };
-  const Field fields[] = {
-      {"hit_cost", false}, {"capacity", true}, {"ttl", false}};
-  size_t line = 1;
-  for (const Field& field : fields) {
-    if (line >= lines.size()) return fail(line, "truncated document");
-    const std::string_view text_line = lines[line];
-    const size_t space = text_line.find(' ');
-    if (space == std::string_view::npos ||
-        text_line.substr(0, space) != field.name) {
-      return fail(line, "expected record '" + std::string(field.name) + "'");
-    }
-    const std::string_view token = text_line.substr(space + 1);
-    if (field.is_count) {
-      uint64_t value = 0;
-      if (!ParseUInt64(token, &value)) {
-        return fail(line, "bad count '" + std::string(token) + "'");
-      }
-      parsed.random_capacity = static_cast<size_t>(value);
-    } else {
-      double value = 0.0;
-      if (!ParseDouble(token, &value)) {
-        return fail(line, "bad number '" + std::string(token) + "'");
-      }
-      if (field.name == "hit_cost") {
-        parsed.hit_cost = value;
-      } else {
-        parsed.random_ttl = value;
-      }
-    }
-    ++line;
-  }
-  if (line >= lines.size() || lines[line] != "end") {
-    return fail(line, "expected 'end'");
-  }
+  Record f;
+  NC_RETURN_IF_ERROR(r.Expect("hit_cost", &f));
+  parsed.hit_cost = f.TakeHex();
+  if (!f.Done()) return r.Fail("bad number");
+  NC_RETURN_IF_ERROR(r.Expect("capacity", &f));
+  parsed.random_capacity = static_cast<size_t>(f.TakeUInt());
+  if (!f.Done()) return r.Fail("bad count");
+  NC_RETURN_IF_ERROR(r.Expect("ttl", &f));
+  parsed.random_ttl = f.TakeHex();
+  if (!f.Done()) return r.Fail("bad number");
+  NC_RETURN_IF_ERROR(r.Expect("end", &f));
+  if (!f.Done()) return r.Fail("malformed \"end\"");
+  NC_RETURN_IF_ERROR(r.End());
   NC_RETURN_IF_ERROR(parsed.Validate());
   *out = parsed;
   return Status::OK();

@@ -6,12 +6,6 @@ void LazyBoundHeap::Push(ObjectId object, Score bound) {
   PushLazy(Entry{bound, object});
 }
 
-std::vector<LazyBoundHeap::Entry> LazyBoundHeap::entries() const {
-  std::vector<Entry> all = held_;
-  all.insert(all.end(), heap_.begin(), heap_.end());
-  return all;
-}
-
 void LazyBoundHeap::PushLazy(const Entry& e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Below);

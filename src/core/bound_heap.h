@@ -62,11 +62,6 @@ class LazyBoundHeap {
 
   size_t size() const { return held_.size() + heap_.size(); }
 
-  // Every entry, held and lazy, at its recorded bound, in no particular
-  // order. TopK answers depend only on current bounds, so re-Pushing
-  // these in any order reproduces them.
-  std::vector<Entry> entries() const;
-
  private:
   static bool Above(const Entry& a, const Entry& b) {
     return RanksAbove(a.bound, a.object, b.bound, b.object);

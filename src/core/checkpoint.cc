@@ -1,540 +1,332 @@
 #include "core/checkpoint.h"
 
-#include <sstream>
+#include <utility>
 
 #include "access/trace_format.h"
 #include "common/check.h"
-#include "common/numeric.h"
+#include "common/record_codec.h"
 
 namespace nc {
 
 namespace {
 
-// C hexfloat: byte-exact double round-trips, inf included. Locale-safe
-// (common/numeric.h): printf("%a") would emit "0x1,8p+1" under a
-// comma-decimal locale and strtod would truncate it on the way back.
-std::string HexDouble(double v) { return FormatHexDouble(v); }
-
-bool ParseU64(const std::string& token, uint64_t* out) {
-  return ParseUInt64(token, out);
+// Vectors are counted: "<key> <count> <value>...".
+void PutUInts(RecordWriter* w, const char* key,
+              const std::vector<size_t>& values) {
+  w->Key(key).UInt(values.size());
+  for (const size_t v : values) w->UInt(v);
 }
 
-bool ParseF64(const std::string& token, double* out) {
-  return ParseDouble(token, out);
+void PutHexes(RecordWriter* w, const char* key,
+              const std::vector<double>& values) {
+  w->Key(key).UInt(values.size());
+  for (const double v : values) w->Hex(v);
 }
 
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("malformed checkpoint: " + what);
+void PutFlags(RecordWriter* w, const char* key,
+              const std::vector<bool>& values) {
+  w->Key(key).UInt(values.size());
+  for (const bool v : values) w->UInt(v ? 1 : 0);
 }
 
-// Emits the fixed-order `key value` lines (bare key when the value is
-// empty, so empty strings round-trip).
-class Writer {
- public:
-  void Line(const char* key, const std::string& value) {
-    os_ << key;
-    if (!value.empty()) os_ << ' ' << value;
-    os_ << '\n';
-  }
-  void UInt(const char* key, uint64_t v) { Line(key, std::to_string(v)); }
-  void Double(const char* key, double v) { Line(key, HexDouble(v)); }
-  void Bool(const char* key, bool v) { Line(key, v ? "1" : "0"); }
+template <typename A, typename B>
+void PutPairs(RecordWriter* w, const char* key,
+              const std::vector<std::pair<A, B>>& values) {
+  w->Key(key).UInt(values.size());
+  for (const auto& [a, b] : values) w->UInt(a).UInt(b);
+}
 
-  void UIntVec(const char* key, const std::vector<size_t>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (size_t x : values) v << ' ' << x;
-    Line(key, v.str());
-  }
-  void DoubleVec(const char* key, const std::vector<double>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (double x : values) v << ' ' << HexDouble(x);
-    Line(key, v.str());
-  }
-  void BoolVec(const char* key, const std::vector<bool>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (bool x : values) v << ' ' << (x ? 1 : 0);
-    Line(key, v.str());
-  }
-  template <typename A, typename B>
-  void PairVec(const char* key, const std::vector<std::pair<A, B>>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (const auto& [a, b] : values) {
-      v << ' ' << static_cast<uint64_t>(a) << ' ' << static_cast<uint64_t>(b);
-    }
-    Line(key, v.str());
-  }
+// Reads a counted vector with `take`; stops at the first failed take, so
+// a corrupt count cannot run past the line.
+template <typename T, typename Take>
+std::vector<T> TakeCounted(Record* f, Take take) {
+  const uint64_t count = f->TakeUInt();
+  std::vector<T> values;
+  for (uint64_t i = 0; i < count && f->ok(); ++i) values.push_back(take());
+  return values;
+}
 
-  std::string str() const { return os_.str(); }
+std::vector<size_t> TakeUInts(Record* f) {
+  return TakeCounted<size_t>(f, [f] { return f->TakeUInt(); });
+}
 
- private:
-  std::ostringstream os_;
-};
+std::vector<double> TakeHexes(Record* f) {
+  return TakeCounted<double>(f, [f] { return f->TakeHex(); });
+}
 
-// Consumes the same fixed-order lines. Every accessor returns a Status so
-// truncation and key mismatches surface with the expected key named.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : in_(text) {}
+std::vector<bool> TakeFlags(Record* f) {
+  return TakeCounted<bool>(f, [f] { return f->TakeFlag(); });
+}
 
-  Status Expect(const char* key, std::string* value) {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Malformed(std::string("truncated before '") + key + "'");
-    }
-    const std::string k(key);
-    if (line == k) {
-      value->clear();
-      return Status::OK();
-    }
-    if (line.size() > k.size() && line.compare(0, k.size(), k) == 0 &&
-        line[k.size()] == ' ') {
-      *value = line.substr(k.size() + 1);
-      return Status::OK();
-    }
-    return Malformed(std::string("expected '") + key + "', got '" + line +
-                     "'");
-  }
-
-  Status UInt(const char* key, uint64_t* out) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    if (!ParseU64(value, out)) return Malformed(std::string(key));
-    return Status::OK();
-  }
-
-  Status Double(const char* key, double* out) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    if (!ParseF64(value, out)) return Malformed(std::string(key));
-    return Status::OK();
-  }
-
-  Status Bool(const char* key, bool* out) {
-    uint64_t v = 0;
-    NC_RETURN_IF_ERROR(UInt(key, &v));
-    if (v > 1) return Malformed(std::string(key) + " is not a flag");
-    *out = v == 1;
-    return Status::OK();
-  }
-
-  // Splits a counted-vector value into its raw tokens.
-  Status Tokens(const char* key, std::vector<std::string>* out,
-                size_t per_element = 1) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    std::istringstream tokens(value);
-    std::string count_token;
-    uint64_t count = 0;
-    if (!(tokens >> count_token) || !ParseU64(count_token, &count)) {
-      return Malformed(std::string(key) + " count");
-    }
-    out->clear();
-    std::string token;
-    while (tokens >> token) out->push_back(token);
-    if (out->size() != count * per_element) {
-      return Malformed(std::string(key) + " element count");
-    }
-    return Status::OK();
-  }
-
-  Status UIntVec(const char* key, std::vector<size_t>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      uint64_t v = 0;
-      if (!ParseU64(t, &v)) return Malformed(std::string(key));
-      out->push_back(static_cast<size_t>(v));
-    }
-    return Status::OK();
-  }
-
-  Status DoubleVec(const char* key, std::vector<double>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      double v = 0.0;
-      if (!ParseF64(t, &v)) return Malformed(std::string(key));
-      out->push_back(v);
-    }
-    return Status::OK();
-  }
-
-  Status BoolVec(const char* key, std::vector<bool>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      uint64_t v = 0;
-      if (!ParseU64(t, &v) || v > 1) return Malformed(std::string(key));
-      out->push_back(v == 1);
-    }
-    return Status::OK();
-  }
-
-  template <typename A, typename B>
-  Status PairVec(const char* key, std::vector<std::pair<A, B>>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens, 2));
-    out->clear();
-    for (size_t i = 0; i < tokens.size(); i += 2) {
-      uint64_t a = 0;
-      uint64_t b = 0;
-      if (!ParseU64(tokens[i], &a) || !ParseU64(tokens[i + 1], &b)) {
-        return Malformed(std::string(key));
-      }
-      out->emplace_back(static_cast<A>(a), static_cast<B>(b));
-    }
-    return Status::OK();
-  }
-
-  Status ReadLine(std::string* line, const char* context) {
-    if (!std::getline(in_, *line)) {
-      return Malformed(std::string("truncated in ") + context);
-    }
-    return Status::OK();
-  }
-
-  bool AtEnd() {
-    return in_.peek() == std::char_traits<char>::eof();
-  }
-
- private:
-  std::istringstream in_;
-};
+template <typename A, typename B>
+std::vector<std::pair<A, B>> TakePairs(Record* f) {
+  return TakeCounted<std::pair<A, B>>(f, [f] {
+    const auto a = static_cast<A>(f->TakeUInt());
+    return std::pair<A, B>(a, static_cast<B>(f->TakeUInt()));
+  });
+}
 
 }  // namespace
 
 std::string SerializeCheckpoint(const EngineCheckpoint& ck) {
-  Writer w;
-  w.Line("ncckpt", std::to_string(ck.version));
-  w.UInt("k", ck.k);
-  w.UInt("m", ck.num_predicates);
-  w.UInt("n", ck.num_objects);
-  w.UInt("accesses", ck.accesses);
-  w.UInt("phase_accesses", ck.phase_accesses);
-  w.UInt("consecutive_failures", ck.consecutive_failures);
-  w.Double("choice_width_total", ck.choice_width_total);
-  w.Bool("universe_seeded", ck.universe_seeded);
-  {
-    std::ostringstream v;
-    v << (ck.has_complete_topk ? 1 : 0) << ' ' << ck.complete_topk.size();
-    for (const TopKEntry& e : ck.complete_topk) {
-      v << ' ' << e.object << ' ' << HexDouble(e.score);
-    }
-    w.Line("complete_topk", v.str());
-  }
-  w.UInt("pool", ck.pool.size());
+  RecordWriter w("ncckpt", ck.version);
+  w.Key("k").UInt(ck.k);
+  w.Key("m").UInt(ck.num_predicates);
+  w.Key("n").UInt(ck.num_objects);
+  w.Key("accesses").UInt(ck.accesses);
+  w.Key("phase_accesses").UInt(ck.phase_accesses);
+  w.Key("consecutive_failures").UInt(ck.consecutive_failures);
+  w.Key("choice_width_total").Hex(ck.choice_width_total);
+  w.Key("pool").UInt(ck.pool.size());
   for (const CandidateCheckpoint& c : ck.pool) {
-    std::ostringstream v;
-    v << c.object << ' ' << c.mask;
-    for (Score s : c.scores) v << ' ' << HexDouble(s);
-    w.Line("cand", v.str());
+    w.Key("cand").UInt(c.object).UInt(c.mask);
+    for (const Score s : c.scores) w.Hex(s);
   }
-  {
-    std::ostringstream v;
-    v << ck.heap.size();
-    for (const LazyBoundHeap::Entry& e : ck.heap) {
-      v << ' ' << e.object << ' ' << HexDouble(e.bound);
-    }
-    w.Line("heap", v.str());
-  }
-  w.Line("policy", ck.policy_state);
+  w.Key("policy").Word(ck.policy_state);
 
   const SourceCheckpoint& src = ck.sources;
-  w.UIntVec("src_positions", src.positions);
-  w.DoubleVec("src_last_seen", src.last_seen);
-  w.Double("src_accrued_cost", src.accrued_cost);
-  w.Double("src_last_penalty", src.last_access_penalty);
-  w.Double("src_total_penalty", src.total_penalty);
-  w.PairVec("src_probed", src.probed);
-  w.DoubleVec("src_sorted_cost", src.sorted_cost);
-  w.DoubleVec("src_random_cost", src.random_cost);
-  w.BoolVec("src_source_down", src.source_down);
-  w.UIntVec("src_breaker_consecutive", src.breaker_consecutive);
-  w.BoolVec("src_breaker_open", src.breaker_open);
-  w.DoubleVec("src_breaker_open_until", src.breaker_open_until);
-  w.Line("src_latency_rng", src.latency_rng_state);
-  w.Line("src_retry_rng", src.retry_rng_state);
-  w.Bool("src_has_injector", src.has_injector);
-  w.Line("src_injector_rng", src.injector_rng_state);
-  w.PairVec("src_injector_attempts", src.injector_attempts);
-  w.PairVec("src_injector_scripts", src.injector_script_pos);
-  w.Bool("src_trace_enabled", src.trace_enabled);
-  w.Line("src_attempt_trace", SerializeAttemptTrace(src.attempt_trace));
+  PutUInts(&w, "src_positions", src.positions);
+  w.Key("src_accrued_cost").Hex(src.accrued_cost);
+  w.Key("src_last_penalty").Hex(src.last_access_penalty);
+  w.Key("src_total_penalty").Hex(src.total_penalty);
+  PutPairs(&w, "src_probed", src.probed);
+  PutHexes(&w, "src_sorted_cost", src.sorted_cost);
+  PutHexes(&w, "src_random_cost", src.random_cost);
+  PutFlags(&w, "src_source_down", src.source_down);
+  PutUInts(&w, "src_breaker_consecutive", src.breaker_consecutive);
+  PutFlags(&w, "src_breaker_open", src.breaker_open);
+  PutHexes(&w, "src_breaker_open_until", src.breaker_open_until);
+  w.Key("src_latency_rng").Word(src.latency_rng_state);
+  w.Key("src_retry_rng").Word(src.retry_rng_state);
+  w.Key("src_has_injector").UInt(src.has_injector ? 1 : 0);
+  w.Key("src_injector_rng").Word(src.injector_rng_state);
+  PutPairs(&w, "src_injector_attempts", src.injector_attempts);
+  PutPairs(&w, "src_injector_scripts", src.injector_script_pos);
+  w.Key("src_trace_enabled").UInt(src.trace_enabled ? 1 : 0);
+  w.Key("src_attempt_trace").Word(SerializeAttemptTrace(src.attempt_trace));
 
   const AccessStats& stats = src.stats;
-  w.UIntVec("stats_sorted_count", stats.sorted_count);
-  w.UIntVec("stats_random_count", stats.random_count);
-  w.DoubleVec("stats_sorted_cost", stats.sorted_cost_accrued);
-  w.DoubleVec("stats_random_cost", stats.random_cost_accrued);
-  w.UInt("stats_duplicate_random", stats.duplicate_random_count);
-  w.UIntVec("stats_retried", stats.retried_attempts);
-  w.UInt("stats_transient", stats.transient_failures);
-  w.UInt("stats_timeout", stats.timeout_failures);
-  w.UInt("stats_abandoned", stats.abandoned_accesses);
-  w.UInt("stats_deaths", stats.source_deaths);
-  w.UIntVec("stats_breaker_trips", stats.breaker_trips);
-  w.UInt("stats_breaker_fast_failures", stats.breaker_fast_failures);
-  w.UInt("stats_budget_refusals", stats.budget_refusals);
-  w.UInt("stats_replica_failovers", stats.replica_failovers);
-  w.UInt("stats_hedges_issued", stats.hedges_issued);
-  w.UInt("stats_hedge_wins", stats.hedge_wins);
+  PutUInts(&w, "stats_sorted_count", stats.sorted_count);
+  PutUInts(&w, "stats_random_count", stats.random_count);
+  PutHexes(&w, "stats_sorted_cost", stats.sorted_cost_accrued);
+  PutHexes(&w, "stats_random_cost", stats.random_cost_accrued);
+  w.Key("stats_duplicate_random").UInt(stats.duplicate_random_count);
+  PutUInts(&w, "stats_retried", stats.retried_attempts);
+  w.Key("stats_transient").UInt(stats.transient_failures);
+  w.Key("stats_timeout").UInt(stats.timeout_failures);
+  w.Key("stats_abandoned").UInt(stats.abandoned_accesses);
+  w.Key("stats_deaths").UInt(stats.source_deaths);
+  PutUInts(&w, "stats_breaker_trips", stats.breaker_trips);
+  w.Key("stats_breaker_fast_failures").UInt(stats.breaker_fast_failures);
+  w.Key("stats_budget_refusals").UInt(stats.budget_refusals);
+  w.Key("stats_replica_failovers").UInt(stats.replica_failovers);
+  w.Key("stats_hedges_issued").UInt(stats.hedges_issued);
+  w.Key("stats_hedge_wins").UInt(stats.hedge_wins);
 
-  // --- Replica fleet (version 2) ---------------------------------------
+  // --- Replica fleet (since version 2) ----------------------------------
   const ReplicaFleetState& fleet = src.fleet_state;
-  w.Bool("src_has_fleet", src.has_fleet);
-  w.Line("fleet_latency_rng", fleet.latency_rng_state);
-  w.PairVec("fleet_rr_cursors", fleet.rr_cursors);
-  w.UInt("fleet_slots", fleet.slots.size());
+  w.Key("src_has_fleet").UInt(src.has_fleet ? 1 : 0);
+  w.Key("fleet_latency_rng").Word(fleet.latency_rng_state);
+  PutPairs(&w, "fleet_rr_cursors", fleet.rr_cursors);
+  w.Key("fleet_slots").UInt(fleet.slots.size());
   for (const ReplicaSlotState& slot : fleet.slots) {
     const ReplicaRuntime& rt = slot.runtime;
-    std::ostringstream v;
-    v << slot.predicate << ' ' << slot.replica << ' '
-      << rt.breaker_consecutive << ' ' << (rt.breaker_open ? 1 : 0) << ' '
-      << HexDouble(rt.breaker_open_until) << ' ' << (rt.dead ? 1 : 0) << ' '
-      << (rt.has_ewma ? 1 : 0) << ' ' << HexDouble(rt.ewma_latency) << ' '
-      << rt.served << ' ' << rt.failovers << ' ' << rt.breaker_trips << ' '
-      << rt.hedges_issued << ' ' << rt.hedge_wins << ' '
-      << HexDouble(rt.cost_accrued) << ' ' << rt.latency_count << ' '
-      << HexDouble(rt.latency_sum) << ' ' << HexDouble(rt.latency_min) << ' '
-      << HexDouble(rt.latency_max) << ' ' << slot.injector_attempts << ' '
-      << slot.injector_script_pos;
-    w.Line("fleet_slot", v.str());
-    w.Line("fleet_slot_rng", slot.injector_rng_state);
+    w.Key("fleet_slot").UInt(slot.predicate).UInt(slot.replica);
+    w.UInt(rt.breaker_consecutive).UInt(rt.breaker_open ? 1 : 0);
+    w.Hex(rt.breaker_open_until).UInt(rt.dead ? 1 : 0);
+    w.UInt(rt.has_ewma ? 1 : 0).Hex(rt.ewma_latency);
+    w.UInt(rt.served).UInt(rt.failovers).UInt(rt.breaker_trips);
+    w.UInt(rt.hedges_issued).UInt(rt.hedge_wins).Hex(rt.cost_accrued);
+    w.UInt(rt.latency_count).Hex(rt.latency_sum).Hex(rt.latency_min);
+    w.Hex(rt.latency_max).UInt(slot.injector_attempts);
+    w.UInt(slot.injector_script_pos);
+    w.Key("fleet_slot_rng").Word(slot.injector_rng_state);
   }
-  return w.str();
+  return w.Finish();
 }
 
 Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out) {
   NC_CHECK(out != nullptr);
-  Parser p(text);
+  RecordReader r("ncckpt", text);
+  uint32_t version = 0;
+  NC_RETURN_IF_ERROR(r.Header({2, kEngineCheckpointVersion}, &version));
   EngineCheckpoint ck;
-  uint64_t version = 0;
-  NC_RETURN_IF_ERROR(p.UInt("ncckpt", &version));
-  if (version != kEngineCheckpointVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  ck.version = static_cast<uint32_t>(version);
-  uint64_t u = 0;
-  NC_RETURN_IF_ERROR(p.UInt("k", &u));
-  ck.k = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("m", &u));
-  ck.num_predicates = static_cast<size_t>(u);
+  Record f;
+  // Reads the next fixed-order line, which must carry `key`; `take`
+  // consumes its tokens, and a malformed or left-over one rejects it.
+  const auto read = [&r, &f](const char* key, const auto& take) -> Status {
+    NC_RETURN_IF_ERROR(r.Expect(key, &f));
+    take();
+    if (f.Done()) return Status::OK();
+    return r.Fail("malformed \"" + std::string(key) + "\"");
+  };
+  // Version 2 stored state that version 3 derives; its lines are skipped.
+  const auto skip_v2 = [&](const char* key) {
+    return version == 2 ? r.Expect(key, &f) : Status::OK();
+  };
+  SourceCheckpoint& src = ck.sources;
+  AccessStats& stats = src.stats;
+  ReplicaFleetState& fleet = src.fleet_state;
+  uint64_t count = 0;
+
+  NC_RETURN_IF_ERROR(read("k", [&] { ck.k = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("m", [&] { ck.num_predicates = f.TakeUInt(); }));
   if (ck.num_predicates == 0 || ck.num_predicates > 64) {
-    return Malformed("predicate count out of range");
+    return r.Fail("predicate count out of range");
   }
-  NC_RETURN_IF_ERROR(p.UInt("n", &u));
-  ck.num_objects = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("accesses", &u));
-  ck.accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("phase_accesses", &u));
-  ck.phase_accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("consecutive_failures", &u));
-  ck.consecutive_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.Double("choice_width_total", &ck.choice_width_total));
-  NC_RETURN_IF_ERROR(p.Bool("universe_seeded", &ck.universe_seeded));
-
-  {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("complete_topk", &value));
-    std::istringstream tokens(value);
-    std::string token;
-    uint64_t has = 0;
-    uint64_t count = 0;
-    if (!(tokens >> token) || !ParseU64(token, &has) || has > 1 ||
-        !(tokens >> token) || !ParseU64(token, &count)) {
-      return Malformed("complete_topk header");
-    }
-    ck.has_complete_topk = has == 1;
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string score_token;
-      uint64_t object = 0;
-      double score = 0.0;
-      if (!(tokens >> token >> score_token) || !ParseU64(token, &object) ||
-          !ParseF64(score_token, &score)) {
-        return Malformed("complete_topk entry");
-      }
-      ck.complete_topk.push_back(
-          TopKEntry{static_cast<ObjectId>(object), score});
-    }
-    if (tokens >> token) return Malformed("complete_topk trailing tokens");
-  }
-
-  uint64_t pool_count = 0;
-  NC_RETURN_IF_ERROR(p.UInt("pool", &pool_count));
-  ck.pool.reserve(static_cast<size_t>(pool_count));
-  for (uint64_t c = 0; c < pool_count; ++c) {
-    std::string line;
-    NC_RETURN_IF_ERROR(p.ReadLine(&line, "pool"));
-    std::istringstream tokens(line);
-    std::string token;
-    if (!(tokens >> token) || token != "cand") {
-      return Malformed("expected 'cand' line");
-    }
+  NC_RETURN_IF_ERROR(read("n", [&] { ck.num_objects = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("accesses", [&] { ck.accesses = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(
+      read("phase_accesses", [&] { ck.phase_accesses = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("consecutive_failures",
+                          [&] { ck.consecutive_failures = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("choice_width_total",
+                          [&] { ck.choice_width_total = f.TakeHex(); }));
+  NC_RETURN_IF_ERROR(skip_v2("universe_seeded"));
+  NC_RETURN_IF_ERROR(skip_v2("complete_topk"));
+  NC_RETURN_IF_ERROR(read("pool", [&] { count = f.TakeUInt(); }));
+  for (uint64_t c = 0; c < count; ++c) {
     CandidateCheckpoint cand;
-    uint64_t object = 0;
-    uint64_t mask = 0;
-    std::string object_token;
-    std::string mask_token;
-    if (!(tokens >> object_token >> mask_token) ||
-        !ParseU64(object_token, &object) || !ParseU64(mask_token, &mask)) {
-      return Malformed("cand header");
+    NC_RETURN_IF_ERROR(r.Expect("cand", &f));
+    cand.object = static_cast<ObjectId>(f.TakeUInt());
+    cand.mask = f.TakeUInt();
+    if (ck.num_predicates < 64 && (cand.mask >> ck.num_predicates) != 0) {
+      return r.Fail("cand mask names unknown predicates");
     }
-    cand.object = static_cast<ObjectId>(object);
-    cand.mask = mask;
-    if (ck.num_predicates < 64 && (mask >> ck.num_predicates) != 0) {
-      return Malformed("cand mask names unknown predicates");
+    for (int b = __builtin_popcountll(cand.mask); b > 0; --b) {
+      cand.scores.push_back(f.TakeHex());
     }
-    const int bits = __builtin_popcountll(mask);
-    for (int b = 0; b < bits; ++b) {
-      double score = 0.0;
-      if (!(tokens >> token) || !ParseF64(token, &score)) {
-        return Malformed("cand score");
-      }
-      cand.scores.push_back(score);
-    }
-    if (tokens >> token) return Malformed("cand trailing tokens");
+    if (!f.Done()) return r.Fail("malformed \"cand\"");
     ck.pool.push_back(std::move(cand));
   }
+  NC_RETURN_IF_ERROR(skip_v2("heap"));
+  NC_RETURN_IF_ERROR(
+      read("policy", [&] { ck.policy_state = f.TakeRest(); }));
 
-  {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(p.Tokens("heap", &tokens, 2));
-    for (size_t i = 0; i < tokens.size(); i += 2) {
-      uint64_t object = 0;
-      double bound = 0.0;
-      if (!ParseU64(tokens[i], &object) || !ParseF64(tokens[i + 1], &bound)) {
-        return Malformed("heap entry");
-      }
-      ck.heap.push_back(
-          LazyBoundHeap::Entry{bound, static_cast<ObjectId>(object)});
-    }
-  }
-  NC_RETURN_IF_ERROR(p.Expect("policy", &ck.policy_state));
+  NC_RETURN_IF_ERROR(
+      read("src_positions", [&] { src.positions = TakeUInts(&f); }));
+  NC_RETURN_IF_ERROR(skip_v2("src_last_seen"));
+  NC_RETURN_IF_ERROR(
+      read("src_accrued_cost", [&] { src.accrued_cost = f.TakeHex(); }));
+  NC_RETURN_IF_ERROR(read("src_last_penalty",
+                          [&] { src.last_access_penalty = f.TakeHex(); }));
+  NC_RETURN_IF_ERROR(
+      read("src_total_penalty", [&] { src.total_penalty = f.TakeHex(); }));
+  NC_RETURN_IF_ERROR(read("src_probed", [&] {
+    src.probed = TakePairs<ObjectId, uint64_t>(&f);
+  }));
+  NC_RETURN_IF_ERROR(
+      read("src_sorted_cost", [&] { src.sorted_cost = TakeHexes(&f); }));
+  NC_RETURN_IF_ERROR(
+      read("src_random_cost", [&] { src.random_cost = TakeHexes(&f); }));
+  NC_RETURN_IF_ERROR(
+      read("src_source_down", [&] { src.source_down = TakeFlags(&f); }));
+  NC_RETURN_IF_ERROR(read("src_breaker_consecutive", [&] {
+    src.breaker_consecutive = TakeUInts(&f);
+  }));
+  NC_RETURN_IF_ERROR(
+      read("src_breaker_open", [&] { src.breaker_open = TakeFlags(&f); }));
+  NC_RETURN_IF_ERROR(read("src_breaker_open_until", [&] {
+    src.breaker_open_until = TakeHexes(&f);
+  }));
+  NC_RETURN_IF_ERROR(
+      read("src_latency_rng", [&] { src.latency_rng_state = f.TakeRest(); }));
+  NC_RETURN_IF_ERROR(
+      read("src_retry_rng", [&] { src.retry_rng_state = f.TakeRest(); }));
+  NC_RETURN_IF_ERROR(
+      read("src_has_injector", [&] { src.has_injector = f.TakeFlag(); }));
+  NC_RETURN_IF_ERROR(read("src_injector_rng",
+                          [&] { src.injector_rng_state = f.TakeRest(); }));
+  NC_RETURN_IF_ERROR(read("src_injector_attempts", [&] {
+    src.injector_attempts = TakePairs<PredicateId, size_t>(&f);
+  }));
+  NC_RETURN_IF_ERROR(read("src_injector_scripts", [&] {
+    src.injector_script_pos = TakePairs<PredicateId, size_t>(&f);
+  }));
+  NC_RETURN_IF_ERROR(
+      read("src_trace_enabled", [&] { src.trace_enabled = f.TakeFlag(); }));
+  std::string_view trace;
+  NC_RETURN_IF_ERROR(
+      read("src_attempt_trace", [&] { trace = f.TakeRest(); }));
+  NC_RETURN_IF_ERROR(
+      ParseAttemptTrace(std::string(trace), &src.attempt_trace));
 
-  SourceCheckpoint& src = ck.sources;
-  NC_RETURN_IF_ERROR(p.UIntVec("src_positions", &src.positions));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_last_seen", &src.last_seen));
-  NC_RETURN_IF_ERROR(p.Double("src_accrued_cost", &src.accrued_cost));
-  NC_RETURN_IF_ERROR(p.Double("src_last_penalty", &src.last_access_penalty));
-  NC_RETURN_IF_ERROR(p.Double("src_total_penalty", &src.total_penalty));
-  NC_RETURN_IF_ERROR(p.PairVec("src_probed", &src.probed));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_sorted_cost", &src.sorted_cost));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_random_cost", &src.random_cost));
-  NC_RETURN_IF_ERROR(p.BoolVec("src_source_down", &src.source_down));
+  NC_RETURN_IF_ERROR(read("stats_sorted_count",
+                          [&] { stats.sorted_count = TakeUInts(&f); }));
+  NC_RETURN_IF_ERROR(read("stats_random_count",
+                          [&] { stats.random_count = TakeUInts(&f); }));
+  NC_RETURN_IF_ERROR(read("stats_sorted_cost", [&] {
+    stats.sorted_cost_accrued = TakeHexes(&f);
+  }));
+  NC_RETURN_IF_ERROR(read("stats_random_cost", [&] {
+    stats.random_cost_accrued = TakeHexes(&f);
+  }));
+  NC_RETURN_IF_ERROR(read("stats_duplicate_random", [&] {
+    stats.duplicate_random_count = f.TakeUInt();
+  }));
   NC_RETURN_IF_ERROR(
-      p.UIntVec("src_breaker_consecutive", &src.breaker_consecutive));
-  NC_RETURN_IF_ERROR(p.BoolVec("src_breaker_open", &src.breaker_open));
+      read("stats_retried", [&] { stats.retried_attempts = TakeUInts(&f); }));
+  NC_RETURN_IF_ERROR(read("stats_transient",
+                          [&] { stats.transient_failures = f.TakeUInt(); }));
   NC_RETURN_IF_ERROR(
-      p.DoubleVec("src_breaker_open_until", &src.breaker_open_until));
-  NC_RETURN_IF_ERROR(p.Expect("src_latency_rng", &src.latency_rng_state));
-  NC_RETURN_IF_ERROR(p.Expect("src_retry_rng", &src.retry_rng_state));
-  NC_RETURN_IF_ERROR(p.Bool("src_has_injector", &src.has_injector));
-  NC_RETURN_IF_ERROR(p.Expect("src_injector_rng", &src.injector_rng_state));
+      read("stats_timeout", [&] { stats.timeout_failures = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("stats_abandoned",
+                          [&] { stats.abandoned_accesses = f.TakeUInt(); }));
   NC_RETURN_IF_ERROR(
-      p.PairVec("src_injector_attempts", &src.injector_attempts));
+      read("stats_deaths", [&] { stats.source_deaths = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("stats_breaker_trips",
+                          [&] { stats.breaker_trips = TakeUInts(&f); }));
+  NC_RETURN_IF_ERROR(read("stats_breaker_fast_failures", [&] {
+    stats.breaker_fast_failures = f.TakeUInt();
+  }));
+  NC_RETURN_IF_ERROR(read("stats_budget_refusals",
+                          [&] { stats.budget_refusals = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("stats_replica_failovers",
+                          [&] { stats.replica_failovers = f.TakeUInt(); }));
+  NC_RETURN_IF_ERROR(read("stats_hedges_issued",
+                          [&] { stats.hedges_issued = f.TakeUInt(); }));
   NC_RETURN_IF_ERROR(
-      p.PairVec("src_injector_scripts", &src.injector_script_pos));
-  NC_RETURN_IF_ERROR(p.Bool("src_trace_enabled", &src.trace_enabled));
-  {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("src_attempt_trace", &value));
-    NC_RETURN_IF_ERROR(ParseAttemptTrace(value, &src.attempt_trace));
-  }
+      read("stats_hedge_wins", [&] { stats.hedge_wins = f.TakeUInt(); }));
 
-  AccessStats& stats = src.stats;
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_sorted_count", &stats.sorted_count));
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_random_count", &stats.random_count));
   NC_RETURN_IF_ERROR(
-      p.DoubleVec("stats_sorted_cost", &stats.sorted_cost_accrued));
-  NC_RETURN_IF_ERROR(
-      p.DoubleVec("stats_random_cost", &stats.random_cost_accrued));
-  NC_RETURN_IF_ERROR(p.UInt("stats_duplicate_random", &u));
-  stats.duplicate_random_count = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_retried", &stats.retried_attempts));
-  NC_RETURN_IF_ERROR(p.UInt("stats_transient", &u));
-  stats.transient_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_timeout", &u));
-  stats.timeout_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_abandoned", &u));
-  stats.abandoned_accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_deaths", &u));
-  stats.source_deaths = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_breaker_trips", &stats.breaker_trips));
-  NC_RETURN_IF_ERROR(p.UInt("stats_breaker_fast_failures", &u));
-  stats.breaker_fast_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_budget_refusals", &u));
-  stats.budget_refusals = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_replica_failovers", &u));
-  stats.replica_failovers = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_hedges_issued", &u));
-  stats.hedges_issued = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_hedge_wins", &u));
-  stats.hedge_wins = static_cast<size_t>(u);
-
-  ReplicaFleetState& fleet = src.fleet_state;
-  NC_RETURN_IF_ERROR(p.Bool("src_has_fleet", &src.has_fleet));
-  NC_RETURN_IF_ERROR(p.Expect("fleet_latency_rng", &fleet.latency_rng_state));
-  NC_RETURN_IF_ERROR(p.PairVec("fleet_rr_cursors", &fleet.rr_cursors));
-  uint64_t slot_count = 0;
-  NC_RETURN_IF_ERROR(p.UInt("fleet_slots", &slot_count));
-  fleet.slots.reserve(static_cast<size_t>(slot_count));
-  for (uint64_t c = 0; c < slot_count; ++c) {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("fleet_slot", &value));
-    std::istringstream tokens(value);
-    std::vector<std::string> fields;
-    std::string token;
-    while (tokens >> token) fields.push_back(token);
-    if (fields.size() != 20) return Malformed("fleet_slot field count");
+      read("src_has_fleet", [&] { src.has_fleet = f.TakeFlag(); }));
+  NC_RETURN_IF_ERROR(read("fleet_latency_rng",
+                          [&] { fleet.latency_rng_state = f.TakeRest(); }));
+  NC_RETURN_IF_ERROR(read("fleet_rr_cursors", [&] {
+    fleet.rr_cursors = TakePairs<PredicateId, size_t>(&f);
+  }));
+  NC_RETURN_IF_ERROR(read("fleet_slots", [&] { count = f.TakeUInt(); }));
+  for (uint64_t c = 0; c < count; ++c) {
     ReplicaSlotState slot;
     ReplicaRuntime& rt = slot.runtime;
-    size_t f = 0;
-    const auto next_size = [&](size_t* out) {
-      uint64_t v = 0;
-      if (!ParseU64(fields[f++], &v)) return false;
-      *out = static_cast<size_t>(v);
-      return true;
-    };
-    const auto next_f64 = [&](double* out) {
-      return ParseF64(fields[f++], out);
-    };
-    const auto next_flag = [&](bool* out) {
-      uint64_t v = 0;
-      if (!ParseU64(fields[f++], &v) || v > 1) return false;
-      *out = v == 1;
-      return true;
-    };
-    uint64_t predicate = 0;
-    const bool ok = ParseU64(fields[f++], &predicate) &&
-                    next_size(&slot.replica) &&
-                    next_size(&rt.breaker_consecutive) &&
-                    next_flag(&rt.breaker_open) &&
-                    next_f64(&rt.breaker_open_until) && next_flag(&rt.dead) &&
-                    next_flag(&rt.has_ewma) && next_f64(&rt.ewma_latency) &&
-                    next_size(&rt.served) && next_size(&rt.failovers) &&
-                    next_size(&rt.breaker_trips) &&
-                    next_size(&rt.hedges_issued) &&
-                    next_size(&rt.hedge_wins) && next_f64(&rt.cost_accrued) &&
-                    next_size(&rt.latency_count) &&
-                    next_f64(&rt.latency_sum) && next_f64(&rt.latency_min) &&
-                    next_f64(&rt.latency_max) &&
-                    next_size(&slot.injector_attempts) &&
-                    next_size(&slot.injector_script_pos);
-    if (!ok) return Malformed("fleet_slot entry");
-    slot.predicate = static_cast<PredicateId>(predicate);
-    NC_RETURN_IF_ERROR(
-        p.Expect("fleet_slot_rng", &slot.injector_rng_state));
+    NC_RETURN_IF_ERROR(read("fleet_slot", [&] {
+      slot.predicate = static_cast<PredicateId>(f.TakeUInt());
+      slot.replica = f.TakeUInt();
+      rt.breaker_consecutive = f.TakeUInt();
+      rt.breaker_open = f.TakeFlag();
+      rt.breaker_open_until = f.TakeHex();
+      rt.dead = f.TakeFlag();
+      rt.has_ewma = f.TakeFlag();
+      rt.ewma_latency = f.TakeHex();
+      rt.served = f.TakeUInt();
+      rt.failovers = f.TakeUInt();
+      rt.breaker_trips = f.TakeUInt();
+      rt.hedges_issued = f.TakeUInt();
+      rt.hedge_wins = f.TakeUInt();
+      rt.cost_accrued = f.TakeHex();
+      rt.latency_count = f.TakeUInt();
+      rt.latency_sum = f.TakeHex();
+      rt.latency_min = f.TakeHex();
+      rt.latency_max = f.TakeHex();
+      slot.injector_attempts = f.TakeUInt();
+      slot.injector_script_pos = f.TakeUInt();
+    }));
+    NC_RETURN_IF_ERROR(read("fleet_slot_rng", [&] {
+      slot.injector_rng_state = f.TakeRest();
+    }));
     fleet.slots.push_back(std::move(slot));
   }
-  if (!p.AtEnd()) return Malformed("trailing content");
+  NC_RETURN_IF_ERROR(r.End());
   *out = std::move(ck);
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "core/checkpoint.h"
-#include "core/rank_order.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
@@ -249,21 +248,23 @@ Status NCEngine::Extend(size_t new_k, TopKResult* out) {
   // Each progressive phase gets its own access budget.
   phase_accesses_ = 0;
   consecutive_failures_ = 0;
-  if (complete_topk_.has_value()) {
-    // The theta collector's capacity is k: rebuild it at the new width
-    // from the already-complete candidates.
-    complete_topk_.emplace(new_k);
-    const size_t m = sources_->num_predicates();
-    for (Candidate& c : pool_) {
-      if (c.IsComplete(m)) complete_topk_->Offer(c.id, bounds_.Exact(c));
-    }
-  }
+  // The theta collector's capacity is k: rebuild it at the new width.
+  RebuildCompleteTopK();
   return InstrumentedLoop("extend", out);
+}
+
+void NCEngine::RebuildCompleteTopK() {
+  complete_topk_.reset();
+  if (!(options_.approximation_theta > 1.0)) return;
+  complete_topk_.emplace(options_.k);
+  const size_t m = sources_->num_predicates();
+  for (const Candidate& c : pool_) {
+    if (c.IsComplete(m)) complete_topk_->Offer(c.id, bounds_.Exact(c));
+  }
 }
 
 EngineCheckpoint NCEngine::Checkpoint() const {
   EngineCheckpoint ck;
-  ck.version = kEngineCheckpointVersion;
   ck.k = options_.k;
   const size_t m = sources_->num_predicates();
   ck.num_predicates = m;
@@ -272,11 +273,6 @@ EngineCheckpoint NCEngine::Checkpoint() const {
   ck.phase_accesses = phase_accesses_;
   ck.consecutive_failures = consecutive_failures_;
   ck.choice_width_total = choice_width_total_;
-  ck.universe_seeded = universe_seeded_;
-  ck.has_complete_topk = complete_topk_.has_value();
-  if (complete_topk_.has_value()) {
-    ck.complete_topk = complete_topk_->Take().entries;
-  }
   ck.pool.reserve(pool_.size());
   for (const Candidate& c : pool_) {
     CandidateCheckpoint cand;
@@ -287,20 +283,6 @@ EngineCheckpoint NCEngine::Checkpoint() const {
     }
     ck.pool.push_back(std::move(cand));
   }
-  // Every live entry at its current bound, in rank order: the bytes then
-  // depend only on the score state, not on which entries the heap last
-  // refreshed or held.
-  std::vector<Score> ceilings(m);
-  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources_->last_seen(i);
-  BoundEvaluator bounds(scoring_);
-  for (const LazyBoundHeap::Entry& e : heap_.entries()) {
-    const std::optional<Score> current = BoundOf(e.object, ceilings, &bounds);
-    if (current.has_value()) ck.heap.push_back({*current, e.object});
-  }
-  std::sort(ck.heap.begin(), ck.heap.end(),
-            [](const LazyBoundHeap::Entry& a, const LazyBoundHeap::Entry& b) {
-              return RanksAbove(a.bound, a.object, b.bound, b.object);
-            });
   ck.policy_state = policy_->SaveState();
   ck.sources = sources_->Checkpoint();
   return ck;
@@ -330,14 +312,14 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
   if (!(options_.approximation_theta >= 1.0)) {
     return Status::InvalidArgument("approximation_theta must be >= 1");
   }
-  if (ck.has_complete_topk != (options_.approximation_theta > 1.0)) {
-    return Status::InvalidArgument(
-        "checkpoint theta mode does not match engine options");
-  }
 
   // A failure below leaves the engine unusable for queries until a
   // successful Run or Resume.
   has_run_ = false;
+  // As Run decides it, and before the restore: a restored source death
+  // can leave no sorted access behind.
+  universe_seeded_ =
+      !options_.no_wild_guesses || !sources_->cost_model().any_sorted();
   NC_RETURN_IF_ERROR(sources_->RestoreCheckpoint(ck.sources));
   options_.k = ck.k;
 
@@ -377,36 +359,45 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
           "checkpoint candidate score count mismatch");
     }
   }
-  // TopK answers depend only on current bounds, so re-Pushing the entries
-  // in any order - and at any bound no lower than the current one -
-  // replays the original run exactly.
-  heap_ = LazyBoundHeap();
-  for (const LazyBoundHeap::Entry& e : ck.heap) {
-    if (e.object != kUnseenObject) {
-      if (e.object >= n) {
-        return Status::InvalidArgument("checkpoint heap entry out of range");
-      }
-      if (pool_.Find(e.object) == nullptr) {
+  // The heap is derived from the pool, so the pool must hold every object
+  // the run has seen: the whole universe when it was seeded, and every
+  // object a cursor has passed, with that predicate evaluated. An object
+  // missing from it would silently drop out of the answer. The check
+  // reads the provider and bills nothing.
+  if (universe_seeded_ && pool_.size() != n) {
+    return Status::InvalidArgument(
+        "checkpoint pool misses part of the seeded universe");
+  }
+  for (PredicateId i = 0; i < m; ++i) {
+    for (size_t rank = 0; rank < sources_->sorted_position(i); ++rank) {
+      const Candidate* c =
+          pool_.Find(sources_->provider().SortedEntryAt(i, rank).object);
+      if (c == nullptr || !c->IsEvaluated(i)) {
         return Status::InvalidArgument(
-            "checkpoint heap entry names an unseen candidate");
+            "checkpoint pool misses an object a cursor has passed");
       }
     }
-    heap_.Push(e.object, e.bound);
   }
-  complete_topk_.reset();
-  if (ck.has_complete_topk) {
-    complete_topk_.emplace(options_.k);
-    for (const TopKEntry& e : ck.complete_topk) {
-      complete_topk_->Offer(e.object, e.score);
-    }
+  // The bound heap holds every candidate at its current bound, plus the
+  // unseen sentinel while objects remain unseen; TopK answers depend only
+  // on current bounds, so the continuation replays the original run.
+  heap_ = LazyBoundHeap();
+  LoadCeilings();
+  for (const Candidate& c : pool_) {
+    heap_.Push(c.id, *BoundOf(c.id, ceilings_, &bounds_));
   }
+  if (!universe_seeded_) {
+    const std::optional<Score> unseen =
+        BoundOf(kUnseenObject, ceilings_, &bounds_);
+    if (unseen.has_value()) heap_.Push(kUnseenObject, *unseen);
+  }
+  RebuildCompleteTopK();
   policy_->Reset(*sources_);
   NC_RETURN_IF_ERROR(policy_->RestoreState(ck.policy_state));
   accesses_ = ck.accesses;
   phase_accesses_ = ck.phase_accesses;
   consecutive_failures_ = ck.consecutive_failures;
   choice_width_total_ = ck.choice_width_total;
-  universe_seeded_ = ck.universe_seeded;
   has_run_ = true;
   return InstrumentedLoop("resume", out);
 }

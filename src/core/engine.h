@@ -184,13 +184,13 @@ class NCEngine {
   Status Extend(size_t new_k, TopKResult* out);
 
   // --- Checkpoint / resume (core/checkpoint.h) -------------------------
-  // Snapshots the full mid-query state: candidate bounds, heap entries,
-  // counters, policy state, and the SourceSet (cursors, last-seen
-  // bounds, accrued cost, injector state, RNG streams). Legal whenever
-  // the engine is between iterations - in practice from the
-  // access_callback or after a Run returns. Heap entries are written at
-  // their current bounds in rank order, so the bytes depend only on the
-  // score state.
+  // Snapshots the mid-query state Resume cannot derive: the candidate
+  // pool's evaluated scores, counters, policy state, and the SourceSet
+  // (cursors, accrued cost, stats, injector and fleet state, RNG
+  // streams). Legal whenever the engine is between iterations - in
+  // practice from the access_callback or after a Run returns. The bytes
+  // depend only on the score state, never on which entries the heap last
+  // refreshed or held.
   EngineCheckpoint Checkpoint() const;
 
   // Continues a checkpointed run on a *freshly configured* engine: same
@@ -198,11 +198,18 @@ class NCEngine {
   // config, and options as the engine that produced the checkpoint (only
   // `k` is taken from the checkpoint). The sources are restored in
   // place, so no already-paid access is re-issued, and the continuation
-  // replays bit-identically to the uninterrupted run. Stored bounds and
-  // candidate scores must agree with the provider (read, never accessed
-  // or billed). Validation errors (shape mismatch, malformed or corrupt
-  // state) leave the engine unusable for queries until a successful Run
-  // or Resume.
+  // replays bit-identically to the uninterrupted run.
+  //
+  // Derived, not stored: the last-seen scores l_i (from the cursors),
+  // whether the universe is seeded (from the options and the scenario,
+  // as Run decides it), the bound heap (every candidate at its current
+  // bound, plus the unseen sentinel while objects remain unseen) and the
+  // theta collector (the top-k complete candidates). Verified against the
+  // provider (read, never accessed or billed): every stored score, and
+  // that every object a cursor has passed is a candidate with that
+  // predicate evaluated. Validation errors (shape mismatch, malformed or
+  // corrupt state) leave the engine unusable for queries until a
+  // successful Run or Resume.
   Status Resume(const EngineCheckpoint& checkpoint, TopKResult* out);
 
   // Total accesses performed across Run and any Extends.
@@ -249,6 +256,12 @@ class NCEngine {
   // Loads the last-seen scores l_i into ceilings_. Bounds read them
   // there, so each top-k derivation loads them once, not once per bound.
   void LoadCeilings();
+
+  // Re-derives the theta collector at the current k from the pool's
+  // complete candidates; disengaged when approximation_theta is 1. The
+  // collector's order is total, so the result does not depend on the
+  // order candidates completed in.
+  void RebuildCompleteTopK();
 
   // K_P: the current top-k by maximal-possible score, in rank order. The
   // span is valid until the next RankTopK.

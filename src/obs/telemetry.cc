@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "common/check.h"
-#include "common/numeric.h"
+#include "common/record_codec.h"
 
 namespace nc::obs {
 
@@ -33,84 +34,26 @@ std::vector<typename Map::key_type> SortedKeys(const Map& map) {
   return keys;
 }
 
-// --- "nchub 1" token helpers -------------------------------------------
-// Every double is a C-hexfloat (FormatHexDouble): byte-exact round-trips
-// and locale independence by construction; integers are plain decimal.
-
-void AppendUInt(std::string* out, uint64_t v) {
-  *out += ' ';
-  *out += std::to_string(v);
-}
-
-void AppendHex(std::string* out, double v) {
-  *out += ' ';
-  *out += FormatHexDouble(v);
-}
-
 // One P2 sketch: count, then the 5 heights / positions / desired marker
 // vectors. q is NOT serialized - it is fixed by the field's position in
 // the sketch line (0.5 / 0.9 / 0.95 / 0.99) - and the increments vector
 // is a pure function of q, rebuilt by the P2Quantile constructor.
-void AppendP2(std::string* out, const P2Quantile& p) {
+void PutP2(RecordWriter* w, const P2Quantile& p) {
   const P2QuantileState st = p.state();
-  AppendUInt(out, st.count);
-  for (const double h : st.heights) AppendHex(out, h);
-  for (const double n : st.positions) AppendHex(out, n);
-  for (const double d : st.desired) AppendHex(out, d);
+  w->UInt(st.count);
+  for (const double h : st.heights) w->Hex(h);
+  for (const double n : st.positions) w->Hex(n);
+  for (const double d : st.desired) w->Hex(d);
 }
 
-// A token cursor over one line; every Take* fails softly so the caller
-// can surface the line number.
-struct TokenCursor {
-  const std::vector<std::string_view>* tokens;
-  size_t next = 0;
-
-  bool TakeUInt(uint64_t* out) {
-    if (next >= tokens->size()) return false;
-    return ParseUInt64((*tokens)[next++], out);
-  }
-  bool TakeDouble(double* out) {
-    if (next >= tokens->size()) return false;
-    return ParseDouble((*tokens)[next++], out);
-  }
-  bool TakeBool(bool* out) {
-    uint64_t v = 0;
-    if (!TakeUInt(&v) || v > 1) return false;
-    *out = v == 1;
-    return true;
-  }
-  bool Done() const { return next == tokens->size(); }
-};
-
-bool ParseP2(TokenCursor* cursor, double q, P2Quantile* out) {
+P2Quantile TakeP2(Record* f, double q) {
   P2QuantileState st;
   st.q = q;
-  uint64_t count = 0;
-  if (!cursor->TakeUInt(&count)) return false;
-  st.count = static_cast<size_t>(count);
-  for (double& h : st.heights) {
-    if (!cursor->TakeDouble(&h)) return false;
-  }
-  for (double& n : st.positions) {
-    if (!cursor->TakeDouble(&n)) return false;
-  }
-  for (double& d : st.desired) {
-    if (!cursor->TakeDouble(&d)) return false;
-  }
-  *out = P2Quantile::FromState(st);
-  return true;
-}
-
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t space = line.find(' ', pos);
-    const size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return tokens;
+  st.count = static_cast<size_t>(f->TakeUInt());
+  for (double& h : st.heights) h = f->TakeHex();
+  for (double& n : st.positions) n = f->TakeHex();
+  for (double& d : st.desired) d = f->TakeHex();
+  return P2Quantile::FromState(st);
 }
 
 }  // namespace
@@ -430,92 +373,52 @@ HubSnapshot TelemetryHub::Snapshot() const {
 std::string TelemetryHub::Serialize() const {
   const std::lock_guard<std::mutex> lock(mu_);
   // Version 2 added the "profile" record; readers accept 1 and 2.
-  std::string out = "nchub 2\n";
-  out += "queries";
-  AppendUInt(&out, queries_observed_.load(std::memory_order_relaxed));
-  out += '\n';
+  RecordWriter w("nchub", 2);
+  w.Key("queries").UInt(queries_observed_.load(std::memory_order_relaxed));
+  const auto put_sketch = [&w](const ServiceSketch& s) {
+    w.UInt(s.count);
+    for (const P2Quantile* p : {&s.p50, &s.p90, &s.p95, &s.p99}) {
+      PutP2(&w, *p);
+    }
+  };
   for (const uint64_t key : SortedKeys(service_)) {
-    const ServiceSketch& s = service_.at(key);
-    out += "service";
-    AppendUInt(&out, key >> 32);
-    AppendUInt(&out, key & 0xFFFFFFFFu);
-    AppendUInt(&out, s.count);
-    AppendP2(&out, s.p50);
-    AppendP2(&out, s.p90);
-    AppendP2(&out, s.p95);
-    AppendP2(&out, s.p99);
-    out += '\n';
+    w.Key("service").UInt(key >> 32).UInt(key & 0xFFFFFFFFu);
+    put_sketch(service_.at(key));
   }
   for (const uint64_t key : SortedKeys(hedge_window_)) {
-    const HedgeWindow& w = hedge_window_.at(key);
-    out += "hedge";
-    AppendUInt(&out, key >> 32);
-    AppendUInt(&out, key & 0xFFFFFFFFu);
-    AppendUInt(&out, w.next);
-    AppendUInt(&out, w.count);
-    AppendUInt(&out, w.samples.size());
+    const HedgeWindow& h = hedge_window_.at(key);
+    w.Key("hedge").UInt(key >> 32).UInt(key & 0xFFFFFFFFu);
+    w.UInt(h.next).UInt(h.count).UInt(h.samples.size());
     // Ring storage order, not logical order: the restored ring is
     // byte-identical, cursor included.
-    for (const double v : w.samples) AppendHex(&out, v);
-    out += '\n';
+    for (const double v : h.samples) w.Hex(v);
   }
   for (const uint32_t key : SortedKeys(completion_)) {
-    const ServiceSketch& s = completion_.at(key);
-    out += "completion";
-    AppendUInt(&out, key);
-    AppendUInt(&out, s.count);
-    AppendP2(&out, s.p50);
-    AppendP2(&out, s.p90);
-    AppendP2(&out, s.p95);
-    AppendP2(&out, s.p99);
-    out += '\n';
+    w.Key("completion").UInt(key);
+    put_sketch(completion_.at(key));
   }
   for (const uint32_t key : SortedKeys(prediction_error_)) {
-    const ServiceSketch& s = prediction_error_.at(key);
-    out += "prederr";
-    AppendUInt(&out, key);
-    AppendUInt(&out, s.count);
-    AppendP2(&out, s.p50);
-    AppendP2(&out, s.p90);
-    AppendP2(&out, s.p95);
-    AppendP2(&out, s.p99);
-    out += '\n';
+    w.Key("prederr").UInt(key);
+    put_sketch(prediction_error_.at(key));
   }
   for (const uint64_t key : SortedKeys(cost_)) {
     const CostEwma& cell = cost_.at(key);
     if (!cell.seeded) continue;
-    out += "cost";
-    AppendUInt(&out, key >> 1);
-    AppendUInt(&out, key & 1u);
-    AppendHex(&out, cell.value);
-    out += '\n';
+    w.Key("cost").UInt(key >> 1).UInt(key & 1u).Hex(cell.value);
   }
   for (const uint32_t key : SortedKeys(profile_)) {
-    const ServiceSketch& s = profile_.at(key);
-    out += "profile";
-    AppendUInt(&out, key);
-    AppendUInt(&out, s.count);
-    AppendP2(&out, s.p50);
-    AppendP2(&out, s.p90);
-    AppendP2(&out, s.p95);
-    AppendP2(&out, s.p99);
-    out += '\n';
+    w.Key("profile").UInt(key);
+    put_sketch(profile_.at(key));
   }
   for (const uint64_t key : SortedKeys(health_)) {
     const ReplicaHealth& h = health_.at(key);
-    out += "health";
-    AppendUInt(&out, h.predicate);
-    AppendUInt(&out, h.replica);
-    AppendUInt(&out, h.dead ? 1 : 0);
-    AppendUInt(&out, h.breaker_open ? 1 : 0);
-    AppendHex(&out, h.cooldown_remaining);
-    AppendUInt(&out, h.breaker_consecutive);
-    AppendUInt(&out, h.has_ewma ? 1 : 0);
-    AppendHex(&out, h.ewma_latency);
-    out += '\n';
+    w.Key("health").UInt(h.predicate).UInt(h.replica);
+    w.UInt(h.dead ? 1 : 0).UInt(h.breaker_open ? 1 : 0);
+    w.Hex(h.cooldown_remaining).UInt(h.breaker_consecutive);
+    w.UInt(h.has_ewma ? 1 : 0).Hex(h.ewma_latency);
   }
-  out += "end\n";
-  return out;
+  w.Key("end");
+  return w.Finish();
 }
 
 Status TelemetryHub::Deserialize(const std::string& text) {
@@ -530,145 +433,85 @@ Status TelemetryHub::Deserialize(const std::string& text) {
   std::unordered_map<uint64_t, ReplicaHealth> health;
   std::unordered_map<uint32_t, ServiceSketch> profile;
 
-  const auto fail = [](size_t line_no, const std::string& why) {
-    return Status::InvalidArgument("nchub line " + std::to_string(line_no) +
-                                   ": " + why);
-  };
-
   // A sketch body: count then four P2 blocks at the fixed quantiles.
-  const auto parse_sketch = [](TokenCursor* cursor, ServiceSketch* out) {
-    uint64_t count = 0;
-    if (!cursor->TakeUInt(&count)) return false;
-    out->count = static_cast<size_t>(count);
-    return ParseP2(cursor, 0.5, &out->p50) &&
-           ParseP2(cursor, 0.9, &out->p90) &&
-           ParseP2(cursor, 0.95, &out->p95) &&
-           ParseP2(cursor, 0.99, &out->p99);
+  const auto take_sketch = [](Record* f) {
+    ServiceSketch sketch;
+    sketch.count = static_cast<size_t>(f->TakeUInt());
+    sketch.p50 = TakeP2(f, 0.5);
+    sketch.p90 = TakeP2(f, 0.9);
+    sketch.p95 = TakeP2(f, 0.95);
+    sketch.p99 = TakeP2(f, 0.99);
+    return sketch;
   };
 
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  bool saw_header = false;
+  RecordReader r("nchub", text);
+  // Version 1 documents simply have no "profile" records; every record
+  // they do have parses identically, so both versions load.
+  NC_RETURN_IF_ERROR(r.Header({1, 2}));
+  Record f;
   bool saw_end = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const std::vector<std::string_view> tokens = SplitTokens(line);
-    if (tokens.empty()) continue;
-    if (!saw_header) {
-      // Version 1 documents simply have no "profile" records; every
-      // record they do have parses identically, so both versions load.
-      if (tokens.size() != 2 || tokens[0] != "nchub" ||
-          (tokens[1] != "1" && tokens[1] != "2")) {
-        return fail(line_no, "expected header \"nchub 1\" or \"nchub 2\"");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (saw_end) return fail(line_no, "content after \"end\"");
-    const std::string_view kind = tokens[0];
-    TokenCursor cursor{&tokens, 1};
+  while (!saw_end && r.Next(&f)) {
+    const std::string_view kind = f.key();
     if (kind == "end") {
-      if (tokens.size() != 1) return fail(line_no, "malformed \"end\"");
       saw_end = true;
     } else if (kind == "queries") {
-      uint64_t v = 0;
-      if (!cursor.TakeUInt(&v) || !cursor.Done()) {
-        return fail(line_no, "malformed \"queries\"");
-      }
-      queries = static_cast<size_t>(v);
-    } else if (kind == "service" || kind == "completion" ||
-               kind == "prederr") {
-      uint64_t predicate = 0;
-      uint64_t replica = 0;
-      if (!cursor.TakeUInt(&predicate)) {
-        return fail(line_no, "malformed sketch key");
-      }
-      if (kind == "service" && !cursor.TakeUInt(&replica)) {
-        return fail(line_no, "malformed sketch key");
-      }
-      ServiceSketch sketch;
-      if (!parse_sketch(&cursor, &sketch) || !cursor.Done()) {
-        return fail(line_no, "malformed sketch body");
-      }
+      queries = static_cast<size_t>(f.TakeUInt());
+    } else if (kind == "service" || kind == "hedge" || kind == "health") {
+      const auto predicate = static_cast<PredicateId>(f.TakeUInt());
+      const uint64_t replica = f.TakeUInt();
+      if ((replica >> 32) != 0) return r.Fail("replica index out of range");
+      const uint64_t key = SlotKey(predicate, static_cast<size_t>(replica));
       if (kind == "service") {
-        service.emplace(SlotKey(static_cast<PredicateId>(predicate),
-                                static_cast<size_t>(replica)),
-                        sketch);
-      } else if (kind == "completion") {
-        completion.emplace(static_cast<uint32_t>(predicate), sketch);
+        service.emplace(key, take_sketch(&f));
+      } else if (kind == "hedge") {
+        HedgeWindow window;
+        window.next = static_cast<size_t>(f.TakeUInt());
+        window.count = static_cast<size_t>(f.TakeUInt());
+        const uint64_t n = f.TakeUInt();
+        // The ring cursor indexes a full ring on the next Add.
+        if (n > kTelemetryHedgeWindow ||
+            window.next >= kTelemetryHedgeWindow) {
+          return r.Fail("hedge ring out of range");
+        }
+        window.samples.resize(static_cast<size_t>(n));
+        for (double& v : window.samples) v = f.TakeHex();
+        hedge_window.emplace(key, std::move(window));
       } else {
-        prediction_error.emplace(static_cast<uint32_t>(predicate), sketch);
+        ReplicaHealth h;
+        h.predicate = predicate;
+        h.replica = static_cast<size_t>(replica);
+        h.dead = f.TakeFlag();
+        h.breaker_open = f.TakeFlag();
+        h.cooldown_remaining = f.TakeHex();
+        h.breaker_consecutive = static_cast<size_t>(f.TakeUInt());
+        h.has_ewma = f.TakeFlag();
+        h.ewma_latency = f.TakeHex();
+        health.emplace(key, h);
       }
+    } else if (kind == "completion" || kind == "prederr") {
+      const auto predicate = static_cast<uint32_t>(f.TakeUInt());
+      (kind == "completion" ? completion : prediction_error)
+          .emplace(predicate, take_sketch(&f));
     } else if (kind == "profile") {
-      uint64_t center = 0;
-      if (!cursor.TakeUInt(&center) || center >= kNumCostCenters) {
-        return fail(line_no, "malformed \"profile\" key");
-      }
-      ServiceSketch sketch;
-      if (!parse_sketch(&cursor, &sketch) || !cursor.Done()) {
-        return fail(line_no, "malformed \"profile\" body");
-      }
-      profile.emplace(static_cast<uint32_t>(center), sketch);
-    } else if (kind == "hedge") {
-      uint64_t predicate = 0;
-      uint64_t replica = 0;
-      uint64_t next = 0;
-      uint64_t count = 0;
-      uint64_t n = 0;
-      if (!cursor.TakeUInt(&predicate) || !cursor.TakeUInt(&replica) ||
-          !cursor.TakeUInt(&next) || !cursor.TakeUInt(&count) ||
-          !cursor.TakeUInt(&n) || n > kTelemetryHedgeWindow) {
-        return fail(line_no, "malformed \"hedge\"");
-      }
-      HedgeWindow window;
-      window.next = static_cast<size_t>(next);
-      window.count = static_cast<size_t>(count);
-      window.samples.resize(static_cast<size_t>(n));
-      for (double& v : window.samples) {
-        if (!cursor.TakeDouble(&v)) return fail(line_no, "malformed sample");
-      }
-      if (!cursor.Done()) return fail(line_no, "trailing tokens");
-      hedge_window.emplace(SlotKey(static_cast<PredicateId>(predicate),
-                                   static_cast<size_t>(replica)),
-                           std::move(window));
+      const uint64_t center = f.TakeUInt();
+      if (center >= kNumCostCenters) return r.Fail("unknown cost center");
+      profile.emplace(static_cast<uint32_t>(center), take_sketch(&f));
     } else if (kind == "cost") {
-      uint64_t predicate = 0;
-      uint64_t is_random = 0;
+      const auto predicate = static_cast<PredicateId>(f.TakeUInt());
+      const bool is_random = f.TakeFlag();
       CostEwma cell;
       cell.seeded = true;
-      if (!cursor.TakeUInt(&predicate) || !cursor.TakeUInt(&is_random) ||
-          is_random > 1 || !cursor.TakeDouble(&cell.value) ||
-          !cursor.Done()) {
-        return fail(line_no, "malformed \"cost\"");
-      }
-      cost.emplace(CostKey(static_cast<PredicateId>(predicate),
-                           is_random != 0 ? AccessType::kRandom
-                                          : AccessType::kSorted),
+      cell.value = f.TakeHex();
+      cost.emplace(CostKey(predicate, is_random ? AccessType::kRandom
+                                                : AccessType::kSorted),
                    cell);
-    } else if (kind == "health") {
-      uint64_t predicate = 0;
-      uint64_t replica = 0;
-      uint64_t consecutive = 0;
-      ReplicaHealth h;
-      if (!cursor.TakeUInt(&predicate) || !cursor.TakeUInt(&replica) ||
-          !cursor.TakeBool(&h.dead) || !cursor.TakeBool(&h.breaker_open) ||
-          !cursor.TakeDouble(&h.cooldown_remaining) ||
-          !cursor.TakeUInt(&consecutive) || !cursor.TakeBool(&h.has_ewma) ||
-          !cursor.TakeDouble(&h.ewma_latency) || !cursor.Done()) {
-        return fail(line_no, "malformed \"health\"");
-      }
-      h.predicate = static_cast<PredicateId>(predicate);
-      h.replica = static_cast<size_t>(replica);
-      h.breaker_consecutive = static_cast<size_t>(consecutive);
-      health.emplace(SlotKey(h.predicate, h.replica), h);
     } else {
-      return fail(line_no, "unknown record \"" + std::string(kind) + "\"");
+      return r.Fail("unknown record \"" + std::string(kind) + "\"");
     }
+    if (!f.Done()) return r.Fail("malformed \"" + std::string(kind) + "\"");
   }
-  if (!saw_header) return Status::InvalidArgument("nchub: empty document");
-  if (!saw_end) return Status::InvalidArgument("nchub: missing \"end\"");
+  if (!saw_end) return r.Fail("missing \"end\"");
+  NC_RETURN_IF_ERROR(r.End());
 
   const std::lock_guard<std::mutex> lock(mu_);
   queries_observed_.store(queries, std::memory_order_relaxed);
@@ -683,15 +526,26 @@ Status TelemetryHub::Deserialize(const std::string& text) {
 }
 
 Status TelemetryHub::SaveToFile(const std::string& path) const {
-  // Serialize before opening: a hub error never truncates the file.
+  // Serialized first, then written to a temp file that is renamed over
+  // the snapshot: an error or a crash mid-write never leaves a truncated
+  // or torn snapshot behind, only the previous one.
   const std::string text = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return Status::Unavailable("cannot open \"" + path + "\" for writing");
+    return Status::Unavailable("cannot open \"" + tmp + "\" for writing");
   }
   out << text;
-  out.flush();
-  if (!out) return Status::Unavailable("short write to \"" + path + "\"");
+  out.close();
+  if (!out) {
+    std::remove(tmp.c_str());
+    return Status::Unavailable("short write to \"" + tmp + "\"");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Unavailable("cannot rename \"" + tmp + "\" to \"" +
+                               path + "\"");
+  }
   return Status::OK();
 }
 

@@ -1,67 +1,18 @@
 #include "playbook/scenario.h"
 
 #include <cmath>
+#include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/numeric.h"
+#include "common/record_codec.h"
 
 namespace nc::playbook {
 namespace {
-
-// --- Token helpers, in the nchub house style --------------------------
-
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
-}
-
-// Walks one record's tokens; every Take* reports failure by setting
-// `failed` (sticky), so callers can chain reads and check once.
-struct TokenCursor {
-  const std::vector<std::string_view>& tokens;
-  size_t next = 1;  // Token 0 is the record key.
-  bool failed = false;
-
-  bool Done() const { return failed || next == tokens.size(); }
-
-  std::string_view TakeToken() {
-    if (failed || next >= tokens.size()) {
-      failed = true;
-      return {};
-    }
-    return tokens[next++];
-  }
-
-  uint64_t TakeUInt() {
-    uint64_t v = 0;
-    std::string_view tok = TakeToken();
-    if (failed || !ParseUInt64(tok, &v)) failed = true;
-    return v;
-  }
-
-  double TakeDouble() {
-    double v = 0.0;
-    std::string_view tok = TakeToken();
-    if (failed || !ParseDouble(tok, &v)) failed = true;
-    return v;
-  }
-
-  bool TakeBool() {
-    uint64_t v = TakeUInt();
-    if (v > 1) failed = true;
-    return v == 1;
-  }
-};
 
 bool ValidNameToken(std::string_view name) {
   if (name.empty()) return false;
@@ -72,16 +23,6 @@ bool ValidNameToken(std::string_view name) {
     if (!ok) return false;
   }
   return true;
-}
-
-void AppendHex(std::string* out, double v) {
-  out->push_back(' ');
-  out->append(FormatHexDouble(v));
-}
-
-void AppendUInt(std::string* out, uint64_t v) {
-  out->push_back(' ');
-  out->append(std::to_string(v));
 }
 
 bool ZeroProfile(const FaultProfile& p) {
@@ -335,131 +276,55 @@ std::string ScenarioSpec::Serialize() const {
   // Records in sorted key order; optional records (groups/pages/quota/
   // replica/srg) are omitted when empty so the canonical form is minimal
   // and parse(serialize(s)) == s holds byte for byte.
-  std::string out = "ncplay 1\n";
-
-  out += "budget";
-  AppendHex(&out, budget.max_cost);
-  AppendHex(&out, budget.deadline);
-  out += "\n";
-
-  if (cache_enabled) {
-    out += "cache";
-    AppendUInt(&out, 1);
-    AppendHex(&out, cache_hit_cost);
-    out += "\n";
-  }
-
-  out += "cost";
-  AppendUInt(&out, num_predicates);
+  RecordWriter w("ncplay", 1);
+  w.Key("budget").Hex(budget.max_cost).Hex(budget.deadline);
+  if (cache_enabled) w.Key("cache").UInt(1).Hex(cache_hit_cost);
+  w.Key("cost").UInt(num_predicates);
   for (size_t i = 0; i < num_predicates; ++i) {
-    AppendHex(&out, sorted_cost[i]);
-    AppendHex(&out, random_cost[i]);
+    w.Hex(sorted_cost[i]).Hex(random_cost[i]);
   }
-  out += "\n";
-
-  out += "data";
-  AppendUInt(&out, num_objects);
-  AppendUInt(&out, num_predicates);
-  out.push_back(' ');
-  out += ScoreDistributionName(distribution);
-  AppendHex(&out, correlation);
-  AppendUInt(&out, data_seed);
-  out += "\n";
-
-  out += "dist";
-  AppendHex(&out, gaussian_mean);
-  AppendHex(&out, gaussian_stddev);
-  AppendHex(&out, zipf_skew);
-  out += "\n";
-
-  out += "fault";
-  AppendHex(&out, fault.transient_rate);
-  AppendHex(&out, fault.timeout_rate);
-  AppendHex(&out, fault.death_rate);
-  AppendUInt(&out, fault.die_after_attempts);
-  out += "\n";
-
+  w.Key("data").UInt(num_objects).UInt(num_predicates);
+  w.Word(ScoreDistributionName(distribution)).Hex(correlation);
+  w.UInt(data_seed);
+  w.Key("dist").Hex(gaussian_mean).Hex(gaussian_stddev).Hex(zipf_skew);
+  w.Key("fault").Hex(fault.transient_rate).Hex(fault.timeout_rate);
+  w.Hex(fault.death_rate).UInt(fault.die_after_attempts);
   if (!attribute_groups.empty()) {
-    out += "groups";
-    AppendUInt(&out, attribute_groups.size());
-    for (int g : attribute_groups) {
-      AppendUInt(&out, static_cast<uint64_t>(g));
-    }
-    out += "\n";
+    w.Key("groups").UInt(attribute_groups.size());
+    for (int g : attribute_groups) w.UInt(static_cast<uint64_t>(g));
   }
-
-  out += "hedge";
-  AppendHex(&out, hedge_delay);
-  AppendUInt(&out, adaptive_hedge ? 1 : 0);
-  out += "\n";
-
-  out += "kill";
-  AppendUInt(&out, kill_at_access);
-  out += "\n";
-
-  out += "name ";
-  out += name;
-  out += "\n";
-
+  w.Key("hedge").Hex(hedge_delay).UInt(adaptive_hedge ? 1 : 0);
+  w.Key("kill").UInt(kill_at_access);
+  w.Key("name").Word(name);
   if (!sorted_page_size.empty()) {
-    out += "pages";
-    AppendUInt(&out, sorted_page_size.size());
-    for (size_t b : sorted_page_size) AppendUInt(&out, b);
-    out += "\n";
+    w.Key("pages").UInt(sorted_page_size.size());
+    for (size_t b : sorted_page_size) w.UInt(b);
   }
-
-  out += "query ";
-  out += ScoringKindName(scoring);
-  AppendUInt(&out, k);
-  out += "\n";
-
+  w.Key("query").Word(ScoringKindName(scoring)).UInt(k);
   if (!budget.predicate_quota.empty()) {
-    out += "quota";
-    AppendUInt(&out, budget.predicate_quota.size());
-    for (size_t q : budget.predicate_quota) AppendUInt(&out, q);
-    out += "\n";
+    w.Key("quota").UInt(budget.predicate_quota.size());
+    for (size_t q : budget.predicate_quota) w.UInt(q);
   }
-
   for (size_t r = 0; r < replicas.size(); ++r) {
     const ReplicaSpec& replica = replicas[r];
-    out += "replica";
-    AppendUInt(&out, r);
-    AppendHex(&out, replica.cost_multiplier);
-    AppendHex(&out, replica.latency.multiplier);
-    AppendHex(&out, replica.latency.jitter);
-    AppendHex(&out, replica.latency.tail_probability);
-    AppendHex(&out, replica.latency.tail_multiplier);
-    AppendHex(&out, replica.faults.transient_rate);
-    AppendHex(&out, replica.faults.timeout_rate);
-    AppendHex(&out, replica.faults.death_rate);
-    AppendUInt(&out, replica.faults.die_after_attempts);
-    out += "\n";
+    w.Key("replica").UInt(r).Hex(replica.cost_multiplier);
+    w.Hex(replica.latency.multiplier).Hex(replica.latency.jitter);
+    w.Hex(replica.latency.tail_probability);
+    w.Hex(replica.latency.tail_multiplier);
+    w.Hex(replica.faults.transient_rate).Hex(replica.faults.timeout_rate);
+    w.Hex(replica.faults.death_rate);
+    w.UInt(replica.faults.die_after_attempts);
   }
-
-  out += "routing ";
-  out += RoutingPolicyName(routing);
-  out += "\n";
-
-  out += "seeds";
-  AppendUInt(&out, fault_seed);
-  AppendUInt(&out, jitter_seed);
-  AppendUInt(&out, fleet_seed);
-  out += "\n";
-
+  w.Key("routing").Word(RoutingPolicyName(routing));
+  w.Key("seeds").UInt(fault_seed).UInt(jitter_seed).UInt(fleet_seed);
   if (!srg_depths.empty()) {
-    out += "srg";
-    AppendUInt(&out, srg_depths.size());
-    for (double d : srg_depths) AppendHex(&out, d);
-    for (PredicateId i : srg_schedule) AppendUInt(&out, i);
-    out += "\n";
+    w.Key("srg").UInt(srg_depths.size());
+    for (double d : srg_depths) w.Hex(d);
+    for (PredicateId i : srg_schedule) w.UInt(i);
   }
-
-  out += "workers";
-  AppendUInt(&out, workers);
-  out += "\n";
-
-  out += "end\n";
-  return out;
+  w.Key("workers").UInt(workers);
+  w.Key("end");
+  return w.Finish();
 }
 
 Status ParseScenario(const std::string& text, ScenarioSpec* out) {
@@ -467,273 +332,128 @@ Status ParseScenario(const std::string& text, ScenarioSpec* out) {
   // document, its footer, and semantic validation all succeed.
   ScenarioSpec spec;
   spec.name.clear();
-
-  auto fail = [](size_t line_no, const std::string& why) {
-    return Status::InvalidArgument("ncplay line " + std::to_string(line_no) +
-                                   ": " + why);
+  RecordReader r("ncplay", text);
+  NC_RETURN_IF_ERROR(r.Header({1}));
+  // Every record but "replica" appears at most once.
+  std::set<std::string, std::less<>> seen;
+  Record f;
+  // A list length: positive and bounded, so a corrupt count cannot
+  // allocate without limit.
+  const auto take_arity = [&f](uint64_t* m) {
+    *m = f.TakeUInt();
+    return f.ok() && *m != 0 && *m <= (uint64_t{1} << 20);
   };
-
-  bool saw_header = false;
   bool saw_end = false;
-  bool saw_budget = false, saw_cache = false;
-  bool saw_cost = false, saw_data = false;
-  bool saw_dist = false, saw_fault = false, saw_groups = false;
-  bool saw_hedge = false, saw_kill = false, saw_name = false;
-  bool saw_pages = false, saw_query = false, saw_quota = false;
-  bool saw_routing = false, saw_seeds = false, saw_srg = false;
-  bool saw_workers = false;
-
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      if (pos == text.size()) break;
-      return fail(line_no + 1, "missing trailing newline");
+  while (!saw_end && r.Next(&f)) {
+    const std::string key(f.key());
+    if (key != "replica" && !seen.insert(key).second) {
+      return r.Fail("duplicate " + key);
     }
-    std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-
-    if (!saw_header) {
-      if (line != "ncplay 1") {
-        return fail(line_no, "expected header \"ncplay 1\"");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (saw_end) return fail(line_no, "content after \"end\"");
-    if (line == "end") {
+    uint64_t m = 0;
+    if (key == "end") {
       saw_end = true;
-      continue;
-    }
-
-    std::vector<std::string_view> tokens = SplitTokens(line);
-    if (tokens.empty()) return fail(line_no, "empty record");
-    std::string_view key = tokens[0];
-    TokenCursor cur{tokens};
-
-    auto duplicate = [&](bool seen) { return seen; };
-
-    if (key == "budget") {
-      if (duplicate(saw_budget)) return fail(line_no, "duplicate budget");
-      saw_budget = true;
-      double max_cost = cur.TakeDouble();
-      double deadline = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed budget record");
-      spec.budget.max_cost = max_cost;
-      spec.budget.deadline = deadline;
+    } else if (key == "budget") {
+      spec.budget.max_cost = f.TakeHex();
+      spec.budget.deadline = f.TakeHex();
     } else if (key == "cache") {
-      if (duplicate(saw_cache)) return fail(line_no, "duplicate cache");
-      saw_cache = true;
-      bool enabled = cur.TakeBool();
-      double hit_cost = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed cache record");
-      spec.cache_enabled = enabled;
-      spec.cache_hit_cost = hit_cost;
+      spec.cache_enabled = f.TakeFlag();
+      spec.cache_hit_cost = f.TakeHex();
     } else if (key == "cost") {
-      if (duplicate(saw_cost)) return fail(line_no, "duplicate cost");
-      saw_cost = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed cost arity");
-      }
-      std::vector<double> sorted(m), random(m);
+      if (!take_arity(&m)) return r.Fail("malformed cost arity");
+      spec.sorted_cost.assign(m, 0.0);
+      spec.random_cost.assign(m, 0.0);
       for (uint64_t i = 0; i < m; ++i) {
-        sorted[i] = cur.TakeDouble();
-        random[i] = cur.TakeDouble();
+        spec.sorted_cost[i] = f.TakeHex();
+        spec.random_cost[i] = f.TakeHex();
       }
-      if (!cur.Done()) return fail(line_no, "malformed cost record");
-      spec.sorted_cost = std::move(sorted);
-      spec.random_cost = std::move(random);
     } else if (key == "data") {
-      if (duplicate(saw_data)) return fail(line_no, "duplicate data");
-      saw_data = true;
-      uint64_t objects = cur.TakeUInt();
-      uint64_t predicates = cur.TakeUInt();
-      std::string_view dist_name = cur.TakeToken();
-      ScoreDistribution dist = ScoreDistribution::kUniform;
-      if (cur.failed || !ScoreDistributionFromName(dist_name, &dist)) {
-        return fail(line_no, "unknown score distribution");
+      spec.num_objects = f.TakeUInt();
+      spec.num_predicates = f.TakeUInt();
+      if (!ScoreDistributionFromName(f.Take(), &spec.distribution)) {
+        return r.Fail("unknown score distribution");
       }
-      double correlation = cur.TakeDouble();
-      uint64_t seed = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed data record");
-      spec.num_objects = objects;
-      spec.num_predicates = predicates;
-      spec.distribution = dist;
-      spec.correlation = correlation;
-      spec.data_seed = seed;
+      spec.correlation = f.TakeHex();
+      spec.data_seed = f.TakeUInt();
     } else if (key == "dist") {
-      if (duplicate(saw_dist)) return fail(line_no, "duplicate dist");
-      saw_dist = true;
-      double mean = cur.TakeDouble();
-      double stddev = cur.TakeDouble();
-      double skew = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed dist record");
-      spec.gaussian_mean = mean;
-      spec.gaussian_stddev = stddev;
-      spec.zipf_skew = skew;
+      spec.gaussian_mean = f.TakeHex();
+      spec.gaussian_stddev = f.TakeHex();
+      spec.zipf_skew = f.TakeHex();
     } else if (key == "fault") {
-      if (duplicate(saw_fault)) return fail(line_no, "duplicate fault");
-      saw_fault = true;
-      FaultProfile profile;
-      profile.transient_rate = cur.TakeDouble();
-      profile.timeout_rate = cur.TakeDouble();
-      profile.death_rate = cur.TakeDouble();
-      profile.die_after_attempts = static_cast<size_t>(cur.TakeUInt());
-      if (!cur.Done()) return fail(line_no, "malformed fault record");
-      spec.fault = profile;
+      spec.fault.transient_rate = f.TakeHex();
+      spec.fault.timeout_rate = f.TakeHex();
+      spec.fault.death_rate = f.TakeHex();
+      spec.fault.die_after_attempts = f.TakeUInt();
     } else if (key == "groups") {
-      if (duplicate(saw_groups)) return fail(line_no, "duplicate groups");
-      saw_groups = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed groups arity");
-      }
-      std::vector<int> groups(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        groups[i] = static_cast<int>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed groups record");
-      spec.attribute_groups = std::move(groups);
+      if (!take_arity(&m)) return r.Fail("malformed groups arity");
+      spec.attribute_groups.assign(m, 0);
+      for (int& g : spec.attribute_groups) g = static_cast<int>(f.TakeUInt());
     } else if (key == "hedge") {
-      if (duplicate(saw_hedge)) return fail(line_no, "duplicate hedge");
-      saw_hedge = true;
-      double delay = cur.TakeDouble();
-      bool adaptive = cur.TakeBool();
-      if (!cur.Done()) return fail(line_no, "malformed hedge record");
-      spec.hedge_delay = delay;
-      spec.adaptive_hedge = adaptive;
+      spec.hedge_delay = f.TakeHex();
+      spec.adaptive_hedge = f.TakeFlag();
     } else if (key == "kill") {
-      if (duplicate(saw_kill)) return fail(line_no, "duplicate kill");
-      saw_kill = true;
-      uint64_t at = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed kill record");
-      spec.kill_at_access = static_cast<size_t>(at);
+      spec.kill_at_access = f.TakeUInt();
     } else if (key == "name") {
-      if (duplicate(saw_name)) return fail(line_no, "duplicate name");
-      saw_name = true;
-      std::string_view name = cur.TakeToken();
-      if (cur.failed || !cur.Done() || !ValidNameToken(name)) {
-        return fail(line_no, "malformed name record");
-      }
-      spec.name = std::string(name);
+      spec.name = std::string(f.Take());
+      if (!ValidNameToken(spec.name)) return r.Fail("malformed name record");
     } else if (key == "pages") {
-      if (duplicate(saw_pages)) return fail(line_no, "duplicate pages");
-      saw_pages = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed pages arity");
-      }
-      std::vector<size_t> pages(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        pages[i] = static_cast<size_t>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed pages record");
-      spec.sorted_page_size = std::move(pages);
+      if (!take_arity(&m)) return r.Fail("malformed pages arity");
+      spec.sorted_page_size.assign(m, 0);
+      for (size_t& b : spec.sorted_page_size) b = f.TakeUInt();
     } else if (key == "query") {
-      if (duplicate(saw_query)) return fail(line_no, "duplicate query");
-      saw_query = true;
-      std::string_view kind_name = cur.TakeToken();
-      ScoringKind kind = ScoringKind::kAverage;
-      if (cur.failed || !ScoringKindFromName(kind_name, &kind)) {
-        return fail(line_no, "unknown scoring function");
+      if (!ScoringKindFromName(f.Take(), &spec.scoring)) {
+        return r.Fail("unknown scoring function");
       }
-      uint64_t k = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed query record");
-      spec.scoring = kind;
-      spec.k = static_cast<size_t>(k);
+      spec.k = f.TakeUInt();
     } else if (key == "quota") {
-      if (duplicate(saw_quota)) return fail(line_no, "duplicate quota");
-      saw_quota = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed quota arity");
-      }
-      std::vector<size_t> quota(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        quota[i] = static_cast<size_t>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed quota record");
-      spec.budget.predicate_quota = std::move(quota);
+      if (!take_arity(&m)) return r.Fail("malformed quota arity");
+      spec.budget.predicate_quota.assign(m, 0);
+      for (size_t& q : spec.budget.predicate_quota) q = f.TakeUInt();
     } else if (key == "replica") {
       // Replica records must arrive in index order 0, 1, 2, ... so the
       // canonical document admits exactly one serialization.
-      uint64_t index = cur.TakeUInt();
-      if (cur.failed || index != spec.replicas.size()) {
-        return fail(line_no, "replica records must be sequential from 0");
+      if (f.TakeUInt() != spec.replicas.size() || !f.ok()) {
+        return r.Fail("replica records must be sequential from 0");
       }
-      ReplicaSpec replica;
-      replica.cost_multiplier = cur.TakeDouble();
-      replica.latency.multiplier = cur.TakeDouble();
-      replica.latency.jitter = cur.TakeDouble();
-      replica.latency.tail_probability = cur.TakeDouble();
-      replica.latency.tail_multiplier = cur.TakeDouble();
-      replica.faults.transient_rate = cur.TakeDouble();
-      replica.faults.timeout_rate = cur.TakeDouble();
-      replica.faults.death_rate = cur.TakeDouble();
-      replica.faults.die_after_attempts = static_cast<size_t>(cur.TakeUInt());
-      if (!cur.Done()) return fail(line_no, "malformed replica record");
-      spec.replicas.push_back(std::move(replica));
+      ReplicaSpec& replica = spec.replicas.emplace_back();
+      replica.cost_multiplier = f.TakeHex();
+      replica.latency.multiplier = f.TakeHex();
+      replica.latency.jitter = f.TakeHex();
+      replica.latency.tail_probability = f.TakeHex();
+      replica.latency.tail_multiplier = f.TakeHex();
+      replica.faults.transient_rate = f.TakeHex();
+      replica.faults.timeout_rate = f.TakeHex();
+      replica.faults.death_rate = f.TakeHex();
+      replica.faults.die_after_attempts = f.TakeUInt();
     } else if (key == "routing") {
-      if (duplicate(saw_routing)) return fail(line_no, "duplicate routing");
-      saw_routing = true;
-      std::string_view policy_name = cur.TakeToken();
-      RoutingPolicy policy = RoutingPolicy::kPrimaryOnly;
-      if (cur.failed || !cur.Done() ||
-          !RoutingPolicyFromName(policy_name, &policy)) {
-        return fail(line_no, "unknown routing policy");
+      if (!RoutingPolicyFromName(f.Take(), &spec.routing)) {
+        return r.Fail("unknown routing policy");
       }
-      spec.routing = policy;
     } else if (key == "seeds") {
-      if (duplicate(saw_seeds)) return fail(line_no, "duplicate seeds");
-      saw_seeds = true;
-      uint64_t fault_seed = cur.TakeUInt();
-      uint64_t jitter_seed = cur.TakeUInt();
-      uint64_t fleet_seed = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed seeds record");
-      spec.fault_seed = fault_seed;
-      spec.jitter_seed = jitter_seed;
-      spec.fleet_seed = fleet_seed;
+      spec.fault_seed = f.TakeUInt();
+      spec.jitter_seed = f.TakeUInt();
+      spec.fleet_seed = f.TakeUInt();
     } else if (key == "srg") {
-      if (duplicate(saw_srg)) return fail(line_no, "duplicate srg");
-      saw_srg = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed srg arity");
+      if (!take_arity(&m)) return r.Fail("malformed srg arity");
+      spec.srg_depths.assign(m, 0.0);
+      spec.srg_schedule.assign(m, 0);
+      for (double& d : spec.srg_depths) d = f.TakeHex();
+      for (PredicateId& i : spec.srg_schedule) {
+        i = static_cast<PredicateId>(f.TakeUInt());
       }
-      std::vector<double> depths(m);
-      std::vector<PredicateId> schedule(m);
-      for (uint64_t i = 0; i < m; ++i) depths[i] = cur.TakeDouble();
-      for (uint64_t i = 0; i < m; ++i) {
-        schedule[i] = static_cast<PredicateId>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed srg record");
-      spec.srg_depths = std::move(depths);
-      spec.srg_schedule = std::move(schedule);
     } else if (key == "workers") {
-      if (duplicate(saw_workers)) return fail(line_no, "duplicate workers");
-      saw_workers = true;
-      uint64_t workers = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed workers record");
-      spec.workers = static_cast<size_t>(workers);
+      spec.workers = f.TakeUInt();
     } else {
-      return fail(line_no, "unknown record \"" + std::string(key) + "\"");
+      return r.Fail("unknown record \"" + key + "\"");
     }
+    if (!f.Done()) return r.Fail("malformed " + key + " record");
   }
-
-  if (!saw_header) return fail(1, "expected header \"ncplay 1\"");
-  if (!saw_end) return fail(line_no + 1, "missing \"end\"");
-  const std::pair<bool, const char*> required[] = {
-      {saw_budget, "budget"}, {saw_cost, "cost"},       {saw_data, "data"},
-      {saw_dist, "dist"},     {saw_fault, "fault"},     {saw_hedge, "hedge"},
-      {saw_kill, "kill"},     {saw_name, "name"},       {saw_query, "query"},
-      {saw_routing, "routing"}, {saw_seeds, "seeds"},   {saw_workers,
-                                                         "workers"}};
-  for (const auto& [seen, what] : required) {
-    if (!seen) {
-      return fail(line_no + 1, "missing record \"" + std::string(what) + "\"");
+  if (!saw_end) return r.Fail("missing \"end\"");
+  NC_RETURN_IF_ERROR(r.End());
+  for (const char* required :
+       {"budget", "cost", "data", "dist", "fault", "hedge", "kill", "name",
+        "query", "routing", "seeds", "workers"}) {
+    if (seen.count(required) == 0) {
+      return r.Fail("missing record \"" + std::string(required) + "\"");
     }
   }
 

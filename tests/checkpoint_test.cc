@@ -263,8 +263,8 @@ TEST(CheckpointTest, ResumeReplaysFaultsIdentically) {
   }
 }
 
-// Theta-approximate runs carry the complete-top-k collector in the
-// checkpoint; resuming must preserve the halting behavior.
+// Theta-approximate runs rebuild the complete-top-k collector from the
+// resumed pool; resuming must preserve the halting behavior.
 TEST(CheckpointTest, ThetaRunsCheckpointTheCollector) {
   const Dataset data = MakeData(35);
   AverageFunction avg(3);
@@ -277,7 +277,6 @@ TEST(CheckpointTest, ThetaRunsCheckpointTheCollector) {
     const RunOutcome killed =
         RunWithKill(data, avg, 3, kill, /*injector=*/nullptr, theta);
     ASSERT_TRUE(killed.checkpoint.has_value()) << "kill " << kill;
-    EXPECT_TRUE(killed.checkpoint->has_complete_topk);
     ExpectLosslessResume(data, avg, 3, *killed.checkpoint, expected,
                          /*injector=*/nullptr, theta,
                          "theta kill " + std::to_string(kill));
@@ -415,8 +414,15 @@ std::string ReplaceLine(const std::string& text, const std::string& prefix,
   return text.substr(0, begin + 1) + line + text.substr(end);
 }
 
+struct Resumed {
+  Status status;
+  TopKResult result;
+  bool exact = false;
+};
+
 // Resumes `text` on a fresh m=2, avg, k=5 engine over `sources`.
-Status ResumeText(const std::string& text, SourceSet* sources) {
+Resumed ResumeText(const std::string& text, SourceSet* sources,
+                   double theta = 1.0) {
   EngineCheckpoint parsed;
   const Status parsed_status = ParseCheckpoint(text, &parsed);
   EXPECT_TRUE(parsed_status.ok()) << parsed_status.ToString();
@@ -424,30 +430,113 @@ Status ResumeText(const std::string& text, SourceSet* sources) {
   SRGPolicy policy(SRGConfig::Default(2));
   EngineOptions options;
   options.k = 5;
+  options.approximation_theta = theta;
   NCEngine engine(sources, &avg, &policy, options);
-  TopKResult out;
-  return engine.Resume(parsed, &out);
+  Resumed resumed;
+  resumed.status = engine.Resume(parsed, &resumed.result);
+  resumed.exact = engine.last_run_exact();
+  return resumed;
 }
 
-// A checkpoint that still parses but whose l_i bounds were lowered (here
-// to 2^-9 at access 4) would let the engine certify a wrong "exact"
-// answer: almost every unseen object looks dominated. Restore recomputes
-// each l_i from its cursor and rejects the mismatch before applying any
-// state - by reading the provider, never by an access.
+std::string ReadFixture(const std::string& name) {
+  std::ifstream in(NC_TESTDATA_DIR "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Resumes a tampered version-2 fixture taken from the m=2, avg, k=5 run
+// over MakeData(38, 200, 2) and requires the uninterrupted run's answer,
+// with every certificate interval containing the object's true score.
+void ExpectFixtureResumesSoundly(const std::string& fixture, double theta) {
+  const Dataset data = MakeData(38, 200, 2);
+  AverageFunction avg(2);
+  const RunOutcome expected =
+      RunWithKill(data, avg, 5, /*kill=*/0, /*injector=*/nullptr, theta);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  const Resumed resumed = ResumeText(ReadFixture(fixture), &sources, theta);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.result, expected.result);
+  if (!resumed.result.certificate.has_value()) return;
+  const AnytimeCertificate& cert = *resumed.result.certificate;
+  ASSERT_EQ(cert.intervals.size(), resumed.result.entries.size());
+  for (size_t r = 0; r < cert.intervals.size(); ++r) {
+    const ObjectId u = resumed.result.entries[r].object;
+    const Score truth = avg.Evaluate(std::vector<Score>{data.score(u, 0),
+                                                        data.score(u, 1)});
+    EXPECT_LE(cert.intervals[r].lower, truth) << "object " << u;
+    EXPECT_GE(cert.intervals[r].upper, truth) << "object " << u;
+  }
+}
+
+// Lowered l_i bounds (here "src_last_seen 2 0x1p-9 0x1p-9" in a
+// version-2 file at access 4) would let the engine certify a wrong
+// "exact" answer: almost every unseen object looks dominated. Each l_i is
+// a function of its cursor, so Resume derives it from the provider (a
+// read, never an access) and a version-2 file's stored bounds are
+// skipped. Whatever Resume does with the file, it cannot produce a wrong
+// exact answer.
 TEST(CheckpointTest, ResumeRejectsCorruptLastSeenBounds) {
   const Dataset data = MakeData(38, 200, 2);
   AverageFunction avg(2);
-  const RunOutcome run = RunWithKill(data, avg, 5, /*kill=*/4, nullptr);
-  ASSERT_TRUE(run.checkpoint.has_value());
-  const std::string text =
-      ReplaceLine(SerializeCheckpoint(*run.checkpoint), "src_last_seen ",
-                  "src_last_seen 2 0x1p-9 0x1p-9");
-
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  EXPECT_EQ(ResumeText(text, &sources).code(),
+  const Resumed resumed =
+      ResumeText(ReadFixture("tampered_last_seen_v2.ncckpt"), &sources);
+  if (resumed.status.ok() && resumed.exact) {
+    EXPECT_EQ(resumed.result, BruteForceTopK(data, avg, 5));
+  }
+}
+
+// The bound heap is derived, not stored: at access 60 the file's heap
+// line lowers the true top-1's bound (object 128) to 2^-9. Trusting it,
+// a resumed run returned an "exact" answer without object 128.
+TEST(CheckpointTest, TamperedHeapLineCannotChangeTheAnswer) {
+  ExpectFixtureResumesSoundly("tampered_heap_v2.ncckpt", /*theta=*/1.0);
+}
+
+// So is the theta collector: with theta = 1.2 at access 40, the file's
+// complete_topk line raises object 128's score from 0.9668 to 1.0.
+// Trusting it, a resumed run certified 1.0 within [1.0, 1.0].
+TEST(CheckpointTest, TamperedThetaCollectorCannotChangeTheCertificate) {
+  ExpectFixtureResumesSoundly("tampered_collector_v2.ncckpt", /*theta=*/1.2);
+}
+
+// Without sorted access the object universe is seeded: every object is a
+// candidate from the first access on, and no cursor vouches for any of
+// them. The heap is derived from the pool, so a checkpoint whose pool
+// lacks an object (here the true top-1) must be rejected, not resumed
+// into an "exact" answer without it.
+TEST(CheckpointTest, ResumeRejectsAnIncompleteSeededUniverse) {
+  const Dataset data = MakeData(39, 40, 2);
+  AverageFunction avg(2);
+  const CostModel probe_only({kImpossibleCost, kImpossibleCost}, {1.0, 1.0});
+  SourceSet sources(&data, probe_only);
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 3;
+  std::optional<EngineCheckpoint> checkpoint;
+  NCEngine* engine_ptr = nullptr;
+  options.access_callback = [&checkpoint, &engine_ptr](size_t count) {
+    if (count == 3) checkpoint = engine_ptr->Checkpoint();
+  };
+  NCEngine engine(&sources, &avg, &policy, options);
+  engine_ptr = &engine;
+  TopKResult answer;
+  ASSERT_TRUE(engine.Run(&answer).ok());
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_EQ(checkpoint->pool.size(), 40u);
+  const ObjectId top1 = BruteForceTopK(data, avg, 1).entries[0].object;
+  std::erase_if(checkpoint->pool, [top1](const CandidateCheckpoint& c) {
+    return c.object == top1;
+  });
+
+  SourceSet fresh(&data, probe_only);
+  options.access_callback = nullptr;
+  NCEngine resumed(&fresh, &avg, &policy, options);
+  TopKResult out;
+  EXPECT_EQ(resumed.Resume(*checkpoint, &out).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(sources.sorted_position(0), 0u);
-  EXPECT_EQ(sources.accrued_cost(), 0.0);
 }
 
 // Likewise a lowered candidate score: with the true top-1's stored score
@@ -475,7 +564,7 @@ TEST(CheckpointTest, ResumeRejectsCorruptCandidateScores) {
       "cand " + std::to_string(top1) + " ", line);
 
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  EXPECT_EQ(ResumeText(text, &sources).code(),
+  EXPECT_EQ(ResumeText(text, &sources).status.code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "playbook/catalog.h"
@@ -125,6 +127,37 @@ TEST(ScenarioFormatTest, RejectsCorruptLineByNumber) {
   EXPECT_NE(status.message().find("ncplay line 4"), std::string::npos)
       << status;
   EXPECT_EQ(out.Serialize(), before);
+}
+
+// A missing or malformed token rejects its record instead of reading as
+// 0: a dropped data seed would otherwise silently select another dataset.
+TEST(ScenarioFormatTest, RejectsTruncatedAndMalformedTokens) {
+  const std::string text = CatalogBase().Serialize();
+  const std::pair<std::string, std::string> edits[] = {
+      {"data ", "data 10000 2 uniform 0x0p+0"},
+      {"seeds ", "seeds 1"},
+      {"kill ", "kill x"},
+      {"workers ", "workers 0x4"},
+  };
+  for (const auto& [prefix, replacement] : edits) {
+    const size_t begin = text.find("\n" + prefix);
+    ASSERT_NE(begin, std::string::npos) << prefix;
+    const size_t end = text.find('\n', begin + 1);
+    const std::string edited =
+        text.substr(0, begin + 1) + replacement + text.substr(end);
+    const size_t line_no =
+        2 + static_cast<size_t>(std::count(text.begin(),
+                                           text.begin() + begin, '\n'));
+
+    ScenarioSpec out = SmallSpec("sentinel");
+    const std::string before = out.Serialize();
+    const Status status = ParseScenario(edited, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << replacement;
+    EXPECT_NE(status.message().find("ncplay line " + std::to_string(line_no)),
+              std::string::npos)
+        << replacement << ": " << status;
+    EXPECT_EQ(out.Serialize(), before) << replacement;
+  }
 }
 
 // Corruption fuzz: drop, truncate, or scramble every line of a rich

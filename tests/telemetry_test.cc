@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -570,6 +573,7 @@ TEST(TelemetryHubPersistTest, ParseErrorsNameTheLineAndLeaveHubUntouched) {
       "nchub 1\nqueries zero\nend\n",         // Non-numeric token.
       "nchub 1\nqueries 0 0\nend\n",          // Trailing token.
       "nchub 1\ncost 0 2 0x1p+0\nend\n",      // Access type out of range.
+      "nchub 2\nhedge 0 0 64 1 1 0x1p+0\nend\n",  // Ring cursor past the ring.
   };
   for (const char* doc : corrupt) {
     const Status status = hub.Deserialize(doc);
@@ -595,6 +599,32 @@ TEST(TelemetryHubPersistTest, SaveAndLoadFileRoundTrips) {
   EXPECT_EQ(missing.LoadFromFile(path + ".does-not-exist").code(),
             StatusCode::kUnavailable);
   std::remove(path.c_str());
+}
+
+// SaveToFile writes "<path>.tmp" and renames it over the snapshot, so a
+// save that fails leaves the previous snapshot byte-identical. Here the
+// temp path is a directory, which cannot be opened for writing.
+TEST(TelemetryHubPersistTest, FailedSaveLeavesThePreviousSnapshot) {
+  const std::string path = ::testing::TempDir() + "/nchub_atomic_test.nchub";
+  const auto read = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  TelemetryHub saved;
+  FeedRandomly(&saved, 4);
+  ASSERT_TRUE(saved.SaveToFile(path).ok());
+  const std::string before = read();
+  ASSERT_EQ(before, saved.Serialize());
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+
+  TelemetryHub hub;
+  FeedRandomly(&hub, 5);
+  EXPECT_EQ(hub.SaveToFile(path).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(read(), before);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::remove(path);
 }
 
 TEST(TelemetryHubPersistTest, LoadedHealthWarmsAFreshFleet) {
