@@ -140,14 +140,12 @@ int main() {
     SRGPolicy policy(SRGConfig::Default(2));
     EngineOptions options;
     options.k = kK;
-    options.tracer = &tracer;
-    options.metrics = &metrics;
     TopKResult result;
     NC_CHECK(RunNC(&sources, &scoring, &policy, options, &result).ok());
-    obs::RecordSourceMetrics(&metrics, "NC", sources);
 
     const obs::RunReport report =
         obs::BuildRunReport(sources, &tracer, "NC", kK);
+    obs::RecordRunMetrics(&metrics, report);
     std::fputs(report.ToText().c_str(), stdout);
 
     const auto write_file = [](const char* path, auto&& emit) {

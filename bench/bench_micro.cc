@@ -5,14 +5,11 @@
 // and cache-served sorted accesses) - plus the observability layer's
 // overhead budget.
 //
-// The custom main additionally runs a paired A/B measurement (no tracer
-// vs. disabled tracer vs. enabled tracer+metrics on the same query) and
-// writes it to BENCH_OBSERVABILITY.json in the working directory; the
-// disabled-tracer configuration is required to stay within a few percent
-// of the untraced engine (see docs/OBSERVABILITY.md). A second paired
-// section does the same for the hot-path profiler over the planned query
-// path and writes BENCH_PROFILER.json - its disabled-profiler state is
-// the artifact CI's < 1% overhead gate reads.
+// The custom main additionally runs a paired A/B/C measurement of the
+// hot-path profiler (no profiler vs. disabled vs. enabled) over the
+// planned query path and writes BENCH_PROFILER.json in the working
+// directory - its disabled-profiler state is the artifact CI's < 1%
+// overhead gate reads (see docs/OBSERVABILITY.md).
 
 #include <benchmark/benchmark.h>
 
@@ -38,6 +35,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/run_report.h"
 #include "obs/tracer.h"
 
 namespace nc {
@@ -101,8 +99,8 @@ void BM_NCQueryUniformCosts(benchmark::State& state) {
 }
 BENCHMARK(BM_NCQueryUniformCosts)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Same query with a constructed-but-disabled tracer attached to both the
-// engine and the sources: the cost of the ShouldTrace() guards alone.
+// Same query with a constructed-but-disabled tracer attached to the
+// sources: the cost of the ShouldTrace() guards alone.
 void BM_NCQueryTracerDisabled(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset data = BenchData(n, 2);
@@ -116,7 +114,6 @@ void BM_NCQueryTracerDisabled(benchmark::State& state) {
     SRGPolicy policy(SRGConfig::Default(2));
     EngineOptions options;
     options.k = 10;
-    options.tracer = &tracer;
     TopKResult result;
     const Status status = RunNC(&sources, &avg, &policy, options, &result);
     benchmark::DoNotOptimize(status.ok());
@@ -124,8 +121,9 @@ void BM_NCQueryTracerDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_NCQueryTracerDisabled)->Arg(1000)->Arg(10000);
 
-// Full observability: enabled tracer plus a metrics registry. The upper
-// bound on what "turn everything on" costs per query.
+// Full observability: an enabled tracer, then the finished run folded
+// into a metrics registry. The upper bound on what "turn everything on"
+// costs per query.
 void BM_NCQueryFullyTraced(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset data = BenchData(n, 2);
@@ -139,10 +137,10 @@ void BM_NCQueryFullyTraced(benchmark::State& state) {
     SRGPolicy policy(SRGConfig::Default(2));
     EngineOptions options;
     options.k = 10;
-    options.tracer = &tracer;
-    options.metrics = &metrics;
     TopKResult result;
     const Status status = RunNC(&sources, &avg, &policy, options, &result);
+    obs::RecordRunMetrics(&metrics,
+                          obs::BuildRunReport(sources, &tracer, "NC", 10));
     benchmark::DoNotOptimize(status.ok());
   }
 }
@@ -253,116 +251,25 @@ void BM_CacheHitSortedAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitSortedAccess);
 
-// --- Observability overhead report ------------------------------------
-// Paired A/B/C measurement of one NC query (n=10000, m=2, k=10) under
-// the three instrumentation states. The states are interleaved within
-// every repetition (A,B,C,A,B,C,...) so clock drift, thermal throttling,
-// and background load hit all three equally. Each state does identical
-// deterministic work every repetition, so its *minimum* over the
-// repetitions is the least noise-contaminated estimate and is what the
-// overhead ratio uses; medians ride along in the JSON for context.
-
-double TimeOneRunNs(const Dataset& data, const CostModel& cost,
-                    const ScoringFunction& scoring, obs::QueryTracer* tracer,
-                    obs::MetricsRegistry* metrics) {
-  if (tracer != nullptr) tracer->Clear();
-  SourceSet sources(&data, cost);
-  if (tracer != nullptr) sources.set_tracer(tracer);
-  SRGPolicy policy(SRGConfig::Default(2));
-  EngineOptions options;
-  options.k = 10;
-  options.tracer = tracer;
-  options.metrics = metrics;
-  TopKResult result;
-  const auto start = std::chrono::steady_clock::now();
-  const Status status = RunNC(&sources, &scoring, &policy, options, &result);
-  const auto stop = std::chrono::steady_clock::now();
-  NC_CHECK(status.ok());
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-          .count());
-}
+// --- Profiler overhead report -----------------------------------------
+// Paired A/B/C measurement of the *planned* query path (RunOptimizedNC
+// re-plans every call, so the optimizer's simulate and hill-climb cost
+// centers fire alongside the access seam). Three states per repetition:
+// no profiler attached, a disabled profiler attached (the cost of the
+// ShouldProfile guards alone - CI holds this under 1%), and an enabled
+// profiler whose final report supplies the per-center self-time shares.
+// The states are interleaved within every repetition so clock drift,
+// thermal throttling, and background load hit all three equally. Each
+// state does identical deterministic work every repetition, so its
+// *minimum* is the least noise-contaminated estimate and is what the
+// overhead ratio uses; medians ride along in the JSON for context. The
+// last repetition's profiled and unprofiled answers must match bit for
+// bit - entries and certificate intervals.
 
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   return xs[xs.size() / 2];
 }
-
-void WriteObservabilityReport() {
-  constexpr int kReps = 61;
-  const Dataset data = BenchData(10000, 2);
-  AverageFunction avg(2);
-  const CostModel cost = CostModel::Uniform(2, 1.0, 1.0);
-
-  obs::QueryTracer disabled_tracer;
-  disabled_tracer.Disable();
-  obs::QueryTracer enabled_tracer;
-  obs::MetricsRegistry metrics;
-
-  std::vector<double> untraced, disabled, traced;
-  for (int r = -3; r < kReps; ++r) {
-    const double a = TimeOneRunNs(data, cost, avg, nullptr, nullptr);
-    const double b = TimeOneRunNs(data, cost, avg, &disabled_tracer, nullptr);
-    const double c =
-        TimeOneRunNs(data, cost, avg, &enabled_tracer, &metrics);
-    if (r < 0) continue;  // Warm-up rounds.
-    untraced.push_back(a);
-    disabled.push_back(b);
-    traced.push_back(c);
-  }
-  const auto min_of = [](const std::vector<double>& xs) {
-    return *std::min_element(xs.begin(), xs.end());
-  };
-  const double untraced_ns = min_of(untraced);
-  const double disabled_ns = min_of(disabled);
-  const double traced_ns = min_of(traced);
-
-  const auto pct = [&](double ns) {
-    return 100.0 * (ns - untraced_ns) / untraced_ns;
-  };
-
-  bench::WriteBenchJsonDoc(
-      "observability", "observability_overhead", [&](obs::JsonWriter& w) {
-        w.Key("query").BeginObject();
-        w.Key("objects").UInt(10000);
-        w.Key("predicates").UInt(2);
-        w.Key("k").UInt(10);
-        w.EndObject();
-        w.Key("repetitions").Int(kReps);
-        w.Key("min_ns").BeginObject();
-        w.Key("untraced").Number(untraced_ns);
-        w.Key("tracer_disabled").Number(disabled_ns);
-        w.Key("fully_traced").Number(traced_ns);
-        w.EndObject();
-        w.Key("median_ns").BeginObject();
-        w.Key("untraced").Number(Median(untraced));
-        w.Key("tracer_disabled").Number(Median(disabled));
-        w.Key("fully_traced").Number(Median(traced));
-        w.EndObject();
-        w.Key("overhead_pct_vs_untraced").BeginObject();
-        w.Key("tracer_disabled").Number(pct(disabled_ns));
-        w.Key("fully_traced").Number(pct(traced_ns));
-        w.EndObject();
-      });
-  std::printf(
-      "observability overhead (min of %d interleaved runs, n=10000 "
-      "query):\n"
-      "  untraced        %12.0f ns\n"
-      "  tracer disabled %12.0f ns  (%+.2f%%)\n"
-      "  fully traced    %12.0f ns  (%+.2f%%)\n",
-      kReps, untraced_ns, disabled_ns, pct(disabled_ns), traced_ns,
-      pct(traced_ns));
-}
-
-// --- Profiler overhead report -----------------------------------------
-// The same interleaved-minimum methodology over the *planned* query path
-// (RunOptimizedNC re-plans every call, so the optimizer's simulate and
-// hill-climb cost centers fire alongside the access seam). Three states
-// per repetition: no profiler attached, a disabled profiler attached
-// (the cost of the ShouldProfile guards alone - CI holds this under 1%),
-// and an enabled profiler whose final report supplies the per-center
-// self-time shares. The last repetition's profiled and unprofiled
-// answers must match bit for bit - entries and certificate intervals.
 
 double TimeOnePlannedRunNs(const Dataset& data, const CostModel& cost,
                            const ScoringFunction& scoring,
@@ -555,7 +462,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   nc::WriteMicroReport(reporter.rows());
-  nc::WriteObservabilityReport();
   nc::WriteProfilerReport();
   return 0;
 }

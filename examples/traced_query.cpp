@@ -4,18 +4,18 @@
 //   $ ./build/examples/traced_query
 //
 // Demonstrates the docs/OBSERVABILITY.md conventions:
-//   1. attach ONE QueryTracer to the sources (SourceSet::set_tracer) and
-//      stream its JSONL live to disk (set_streaming_jsonl) - every event
-//      is flushed as it happens, so a crash or kill mid-query still
-//      leaves a complete, parseable prefix,
+//   1. attach ONE QueryTracer to the sources (SourceSet::set_tracer) -
+//      every layer reads it from there - and stream its JSONL live to
+//      disk through a JsonlSink: every event is flushed as it happens,
+//      so a crash or kill mid-query still leaves a complete, parseable
+//      prefix,
 //   2. run through a QuerySession: the session owns the TelemetryHub
 //      (cross-query quantiles, cost EWMAs, fleet health) and diffs the
 //      planner's Eq. 1 prediction against the metered run (CostAudit),
-//   3. after the run, fold source-side tallies into a MetricsRegistry
-//      with RecordSourceMetrics + RecordCostAuditMetrics and build a
-//      RunReport - the per-predicate cost breakdown, the
-//      threshold-convergence timeline, and the predicted-vs-actual
-//      audit,
+//   3. after the run, build a RunReport - the per-predicate cost
+//      breakdown, the threshold-convergence timeline, and the
+//      predicted-vs-actual audit - and fold it into a MetricsRegistry
+//      with RecordRunMetrics,
 //   4. export: Chrome trace JSON (load traced_query.trace.json in
 //      https://ui.perfetto.dev or chrome://tracing), the streamed JSONL,
 //      Prometheus text, and the report as text + JSON.
@@ -42,7 +42,8 @@ int main() {
   // 1. One tracer, streaming JSONL live (flushed per event).
   nc::obs::QueryTracer tracer;
   std::ofstream live_events("traced_query.events.jsonl");
-  tracer.set_streaming_jsonl(&live_events);
+  nc::obs::JsonlSink sink(&live_events);
+  tracer.set_streaming_sink(&sink);
   nc::obs::MetricsRegistry metrics;
 
   nc::SourceSet sources(&data, cost);
@@ -58,12 +59,11 @@ int main() {
     return 1;
   }
 
-  // 3. Source-side tallies -> registry; then the run report, with the
-  //    plan's prediction so the report carries the cost audit.
-  nc::obs::RecordSourceMetrics(&metrics, "NC", sources);
+  // 3. The run report, with the plan's prediction so it carries the
+  //    cost audit; then the report -> registry.
   const nc::obs::RunReport report = nc::obs::BuildRunReport(
       sources, &tracer, "NC", 5, &session.last_plan().prediction);
-  nc::obs::RecordCostAuditMetrics(&metrics, "NC", report.cost_audit);
+  nc::obs::RecordRunMetrics(&metrics, report);
   std::fputs(report.ToText().c_str(), stdout);
 
   // 4. Exports. The JSONL was already streamed to

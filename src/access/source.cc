@@ -7,6 +7,7 @@
 
 #include "cache/cache.h"
 #include "common/check.h"
+#include "common/numeric.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -886,6 +887,28 @@ Status SourceSet::RestoreCheckpoint(const SourceCheckpoint& ck) {
     if (m < 64 && (mask >> m) != 0) {
       return Status::InvalidArgument("probed mask names unknown predicates");
     }
+  }
+  // Eq. 1: the accrued cost is the sum of the stats cells. The file
+  // carries both, so it could break billing conservation or hand a
+  // budgeted resume free budget. The cells are summed in another order
+  // than the accesses accrued, hence the billing oracle's tolerance.
+  const auto valid = [](double cost) {
+    return std::isfinite(cost) && cost >= 0.0;
+  };
+  bool costs_valid = valid(ck.accrued_cost) && valid(ck.total_penalty);
+  double cells = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    const double sorted = ck.stats.sorted_cost_accrued[i];
+    const double random = ck.stats.random_cost_accrued[i];
+    costs_valid = costs_valid && valid(sorted) && valid(random);
+    cells += sorted + random;
+  }
+  if (!costs_valid) {
+    return Status::InvalidArgument("negative or non-finite cost");
+  }
+  if (!NearlyEqual(cells, ck.accrued_cost, 1e-9)) {
+    return Status::InvalidArgument(
+        "accrued cost is not the sum of the Eq. 1 cost cells");
   }
   // RNG streams first: DeserializeState validates without touching the
   // rest of the state.

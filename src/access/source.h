@@ -416,7 +416,8 @@ class SourceSet {
   // least as long as the restored cursors). Each last-seen bound l_i is
   // derived from its cursor on this provider (read, not accessed).
   // InvalidArgument / FailedPrecondition on mismatch, with no partial
-  // state applied for shape mismatches.
+  // state applied for shape mismatches or for costs that are negative,
+  // non-finite, or not summing to the accrued cost (Eq. 1).
   Status RestoreCheckpoint(const SourceCheckpoint& checkpoint);
 
   // --- Access tracing --------------------------------------------------

@@ -9,9 +9,6 @@
 #include "baselines/ta.h"
 #include "baselines/taz.h"
 #include "baselines/upper.h"
-#include "obs/metrics.h"
-#include "obs/run_report.h"
-#include "obs/tracer.h"
 
 namespace nc {
 
@@ -119,40 +116,6 @@ const AlgorithmInfo* FindBaseline(const std::string& name) {
     if (info.name == name) return &info;
   }
   return nullptr;
-}
-
-Status RunBaselineInstrumented(const AlgorithmInfo& info, SourceSet* sources,
-                               const ScoringFunction& scoring, size_t k,
-                               const ObsHooks& hooks, TopKResult* out) {
-  obs::QueryTracer* const previous = sources->tracer();
-  sources->set_tracer(hooks.tracer);
-  const bool tracing = obs::ShouldTrace(hooks.tracer);
-  // Registry entries live in a function-local static, so info.name's
-  // storage satisfies BeginPhase's lifetime requirement.
-  if (tracing) hooks.tracer->BeginPhase(info.name.c_str());
-  const Status status = info.run(sources, scoring, k, out);
-  // Baseline loops build the certificate but do not trace it themselves;
-  // surface it here so engine and baseline runs emit the same event.
-  if (tracing && status.ok() && out->certificate.has_value()) {
-    hooks.tracer->RecordCertificate(
-        TerminationReasonName(out->certificate->reason),
-        out->certificate->epsilon, out->certificate->excluded_ceiling,
-        sources->accrued_cost());
-  }
-  if (tracing) hooks.tracer->EndPhase(info.name.c_str());
-  sources->set_tracer(previous);
-  if (hooks.metrics != nullptr) {
-    obs::RecordSourceMetrics(hooks.metrics, info.name, *sources);
-    if (status.ok() && out->certificate.has_value()) {
-      hooks.metrics
-          ->counter(
-              "nc_baseline_certified_runs_total",
-              {{"algorithm", info.name},
-               {"reason", TerminationReasonName(out->certificate->reason)}})
-          .Increment();
-    }
-  }
-  return status;
 }
 
 }  // namespace nc

@@ -14,11 +14,6 @@
 #include "core/result.h"
 #include "scoring/scoring_function.h"
 
-namespace nc::obs {
-class MetricsRegistry;
-class QueryTracer;
-}  // namespace nc::obs
-
 namespace nc {
 
 struct AlgorithmInfo {
@@ -41,22 +36,6 @@ const std::vector<AlgorithmInfo>& AllBaselines();
 
 // Looks up one baseline by name; nullptr if unknown.
 const AlgorithmInfo* FindBaseline(const std::string& name);
-
-// Optional observability sinks for an instrumented baseline run. Both
-// pointers may be null (and must outlive the run when set).
-struct ObsHooks {
-  obs::QueryTracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-// Runs `info` with observability attached: the tracer is installed on the
-// SourceSet for the duration (and detached on every exit path), the run
-// is bracketed in a phase span named after the algorithm, and the
-// finished AccessStats are flushed into the registry under
-// {algorithm=info.name} via obs::RecordSourceMetrics.
-Status RunBaselineInstrumented(const AlgorithmInfo& info, SourceSet* sources,
-                               const ScoringFunction& scoring, size_t k,
-                               const ObsHooks& hooks, TopKResult* out);
 
 }  // namespace nc
 

@@ -1,5 +1,6 @@
 #include "common/numeric.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <system_error>
@@ -69,6 +70,11 @@ bool ParseUInt64(std::string_view token, uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+bool NearlyEqual(double a, double b, double tol) {
+  return std::fabs(a - b) <=
+         tol * std::max({1.0, std::fabs(a), std::fabs(b)});
 }
 
 }  // namespace nc

@@ -1,4 +1,5 @@
-// Locale-independent numeric formatting and parsing.
+// Locale-independent numeric formatting and parsing, and the relative
+// tolerance comparison the Eq. 1 conservation checks share.
 //
 // std::strtod and std::snprintf("%g" / "%a") honor the process's global C
 // locale: under a comma-decimal locale (de_DE, fr_FR, ...) they emit
@@ -38,6 +39,10 @@ bool ParseDouble(std::string_view token, double* out);
 // Parses a complete token as a base-10 uint64_t (digits only: no sign,
 // whitespace, or base prefix). Returns false on failure, *out untouched.
 bool ParseUInt64(std::string_view token, uint64_t* out);
+
+// a == b within relative tolerance `tol` anchored at 1 (values near zero
+// compare absolutely): |a - b| <= tol * max(1, |a|, |b|).
+bool NearlyEqual(double a, double b, double tol);
 
 }  // namespace nc
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "core/checkpoint.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
 
@@ -133,7 +132,7 @@ Status NCEngine::Perform(const Access& access) {
 }
 
 void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
-  NC_PROFILE_SCOPE(options_.profiler, kCertificateBuild);
+  NC_PROFILE_SCOPE(sources_->profiler(), kCertificateBuild);
   // Certified anytime answer: the current top-k by maximal-possible
   // score, each entry carrying its proven [lower, upper] interval, plus
   // the epsilon those intervals imply against everything excluded.
@@ -161,10 +160,10 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   }
   if (out->entries.empty()) min_lower = kMinScore;
   cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
-  if (obs::ShouldTrace(options_.tracer)) {
-    options_.tracer->RecordCertificate(TerminationReasonName(reason),
-                                       cert.epsilon, cert.excluded_ceiling,
-                                       sources_->accrued_cost());
+  if (obs::ShouldTrace(sources_->tracer())) {
+    sources_->tracer()->RecordCertificate(TerminationReasonName(reason),
+                                          cert.epsilon, cert.excluded_ceiling,
+                                          sources_->accrued_cost());
   }
   out->certificate = std::move(cert);
   last_run_exact_ = false;
@@ -403,39 +402,11 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
 }
 
 Status NCEngine::InstrumentedLoop(const char* phase, TopKResult* out) {
-  const bool tracing = obs::ShouldTrace(options_.tracer);
-  if (tracing) options_.tracer->BeginPhase(phase);
-  const size_t accesses_before = accesses_;
+  obs::QueryTracer* const tracer = sources_->tracer();
+  const bool tracing = obs::ShouldTrace(tracer);
+  if (tracing) tracer->BeginPhase(phase);
   const Status status = Loop(out);
-  if (tracing) options_.tracer->EndPhase(phase);
-  if (options_.metrics != nullptr) {
-    const obs::LabelSet algo{{"algorithm", "NC"}};
-    options_.metrics
-        ->counter("nc_engine_runs_total",
-                  {{"algorithm", "NC"}, {"phase", phase}})
-        .Increment();
-    options_.metrics->counter("nc_engine_accesses_total", algo)
-        .Increment(static_cast<double>(accesses_ - accesses_before));
-    if (!status.ok()) {
-      options_.metrics->counter("nc_engine_errors_total", algo).Increment();
-    }
-    if (last_run_degraded_) {
-      options_.metrics->counter("nc_engine_degraded_runs_total", algo)
-          .Increment();
-    }
-    if (last_run_truncated_) {
-      options_.metrics->counter("nc_engine_truncated_runs_total", algo)
-          .Increment();
-    }
-    if (status.ok() && out->certificate.has_value()) {
-      options_.metrics
-          ->counter(
-              "nc_engine_certified_runs_total",
-              {{"algorithm", "NC"},
-               {"reason", TerminationReasonName(out->certificate->reason)}})
-          .Increment();
-    }
-  }
+  if (tracing) tracer->EndPhase(phase);
   return status;
 }
 
@@ -451,20 +422,14 @@ Status NCEngine::Loop(TopKResult* out) {
   constexpr size_t kMaxConsecutiveFailures = 32;
   last_run_truncated_ = false;
   last_run_degraded_ = false;
-  const bool tracing = obs::ShouldTrace(options_.tracer);
-  // Instrument handles are looked up once; recording is then lock-free
-  // (counter) or a single mutex (histogram) per event.
-  obs::Histogram* width_hist =
-      options_.metrics == nullptr
-          ? nullptr
-          : &options_.metrics->histogram("nc_engine_choice_width",
-                                         {1, 2, 4, 8, 16, 32},
-                                         {{"algorithm", "NC"}});
+  obs::QueryTracer* const tracer = sources_->tracer();
+  obs::Profiler* const profiler = sources_->profiler();
+  const bool tracing = obs::ShouldTrace(tracer);
 
   while (true) {
     std::span<const LazyBoundHeap::Entry> topk;
     {
-      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
+      NC_PROFILE_SCOPE(profiler, kCandidateHeap);
       topk = RankTopK(options_.k);
     }
     const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
@@ -528,9 +493,9 @@ Status NCEngine::Loop(TopKResult* out) {
         if (out->entries.empty()) min_exact = kMinScore;
         cert.epsilon = CertifiedEpsilon(min_exact, max_nonmember);
         if (tracing) {
-          options_.tracer->RecordCertificate(
-              TerminationReasonName(cert.reason), cert.epsilon,
-              cert.excluded_ceiling, sources_->accrued_cost());
+          tracer->RecordCertificate(TerminationReasonName(cert.reason),
+                                    cert.epsilon, cert.excluded_ceiling,
+                                    sources_->accrued_cost());
         }
         out->certificate = std::move(cert);
         last_run_exact_ = false;
@@ -613,12 +578,9 @@ Status NCEngine::Loop(TopKResult* out) {
     }
     consecutive_failures_ = 0;
     choice_width_total_ += static_cast<double>(alternatives_.size());
-    if (width_hist != nullptr) {
-      width_hist->Observe(static_cast<double>(alternatives_.size()));
-    }
     if (tracing) {
       LoadCeilings();
-      options_.tracer->RecordIteration(
+      tracer->RecordIteration(
           target, static_cast<uint32_t>(alternatives_.size()),
           scoring_->Evaluate(ceilings_), kth_bound, heap_.size(),
           sources_->accrued_cost());

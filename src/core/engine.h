@@ -36,13 +36,6 @@
 #include "core/topk_collector.h"
 #include "scoring/scoring_function.h"
 
-namespace nc::obs {
-class Histogram;
-class MetricsRegistry;
-class Profiler;
-class QueryTracer;
-}  // namespace nc::obs
-
 namespace nc {
 
 struct EngineCheckpoint;  // core/checkpoint.h
@@ -133,29 +126,12 @@ struct EngineOptions {
   // Invoked after every performed access with the running access count;
   // used by the adaptive executor to re-optimize mid-flight.
   std::function<void(size_t)> access_callback;
-
-  // --- Observability (see docs/OBSERVABILITY.md) -----------------------
-  // Optional tracer (must outlive the engine). The engine brackets each
-  // Run/Extend in a phase span and records one kIteration event per
-  // performed access: the chosen target, the necessary-choice width, the
-  // ceiling threshold theta, the k-th bound, and the heap size. Access
-  // events themselves come from the SourceSet's tracer - attach the same
-  // tracer to both for a complete timeline. nullptr (the default) and a
-  // disabled tracer cost one branch per iteration.
-  obs::QueryTracer* tracer = nullptr;
-
-  // Optional metrics registry (must outlive the engine): run/access
-  // totals and the choice-width histogram, labeled {algorithm="NC"}.
-  obs::MetricsRegistry* metrics = nullptr;
-
-  // Optional profiler (must outlive the engine; obs/profiler.h). The
-  // engine bills candidate-heap maintenance and certificate construction
-  // to their cost centers; access-level centers come from the SourceSet's
-  // profiler - attach the same profiler to both for a complete breakdown.
-  // nullptr (the default) costs one branch per scope.
-  obs::Profiler* profiler = nullptr;
 };
 
+// The engine's observers are its SourceSet's (docs/OBSERVABILITY.md): a
+// tracer there gets a phase span per Run/Extend/Resume and one kIteration
+// event per access; a profiler there is billed for candidate-heap and
+// certificate work. Absent or disabled, each costs one branch.
 class NCEngine {
  public:
   // All pointers must outlive the engine. `policy` may be shared across
@@ -244,7 +220,7 @@ class NCEngine {
   // tasks until the current top-k are all complete.
   Status Loop(TopKResult* out);
 
-  // Wraps Loop in a tracer phase span and records run-level metrics.
+  // Wraps Loop in the sources' tracer phase span.
   Status InstrumentedLoop(const char* phase, TopKResult* out);
 
   // Current bound of `u` against `ceilings`: its exact score once

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "core/candidate.h"
 #include "core/rank_order.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace nc {
@@ -307,10 +306,10 @@ void ParallelRun::EmitCertified(TerminationReason reason,
   }
   if (out->topk.entries.empty()) min_lower = kMinScore;
   cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
-  if (obs::ShouldTrace(options_.tracer)) {
-    options_.tracer->RecordCertificate(TerminationReasonName(reason),
-                                       cert.epsilon, cert.excluded_ceiling,
-                                       sources_->accrued_cost());
+  if (obs::ShouldTrace(sources_->tracer())) {
+    sources_->tracer()->RecordCertificate(TerminationReasonName(reason),
+                                          cert.epsilon, cert.excluded_ceiling,
+                                          sources_->accrued_cost());
   }
   out->topk.certificate = std::move(cert);
   out->exact = false;
@@ -342,7 +341,8 @@ Status ParallelRun::Execute(ParallelResult* out) {
   const size_t runaway_guard = 2 * n * m + options_.k + 64;
   // Matches the sequential engine's guard against persistent flaking.
   constexpr size_t kMaxConsecutiveFailures = 32;
-  const bool tracing = obs::ShouldTrace(options_.tracer);
+  obs::QueryTracer* const tracer = sources_->tracer();
+  const bool tracing = obs::ShouldTrace(tracer);
   std::vector<RankedEntry> ranked;
   std::vector<Access> alternatives;
   while (true) {
@@ -357,10 +357,10 @@ Status ParallelRun::Execute(ParallelResult* out) {
           break;
         }
       }
-      options_.tracer->RecordIteration(
-          epoch_target, 0, scoring_.Evaluate(visible_ceiling_),
-          ranked.empty() ? 0.0 : ranked.back().bound, pool_.size(),
-          sources_->accrued_cost());
+      tracer->RecordIteration(epoch_target, 0,
+                              scoring_.Evaluate(visible_ceiling_),
+                              ranked.empty() ? 0.0 : ranked.back().bound,
+                              pool_.size(), sources_->accrued_cost());
     }
     const bool all_complete =
         std::all_of(ranked.begin(), ranked.end(),
@@ -539,35 +539,11 @@ Status RunParallelNC(SourceSet* sources, const ScoringFunction& scoring,
   NC_CHECK(sources != nullptr);
   NC_CHECK(policy != nullptr);
   ParallelRun run(sources, scoring, policy, options);
-  const bool tracing = obs::ShouldTrace(options.tracer);
-  if (tracing) options.tracer->BeginPhase("parallel");
+  obs::QueryTracer* const tracer = sources->tracer();
+  const bool tracing = obs::ShouldTrace(tracer);
+  if (tracing) tracer->BeginPhase("parallel");
   const Status status = run.Execute(out);
-  if (tracing) options.tracer->EndPhase("parallel");
-  if (options.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options.metrics;
-    const obs::LabelSet algo{{"algorithm", "NC-parallel"}};
-    reg.counter("nc_parallel_runs_total", algo).Increment();
-    if (!status.ok()) {
-      reg.counter("nc_parallel_errors_total", algo).Increment();
-    } else {
-      reg.counter("nc_parallel_accesses_issued_total", algo)
-          .Increment(static_cast<double>(out->accesses_issued));
-      reg.counter("nc_parallel_wasted_accesses_total", algo)
-          .Increment(static_cast<double>(out->wasted_accesses));
-      reg.counter("nc_parallel_failed_accesses_total", algo)
-          .Increment(static_cast<double>(out->failed_accesses));
-      reg.histogram("nc_parallel_elapsed_time",
-                    {1.0, 10.0, 100.0, 1000.0, 10000.0}, algo)
-          .Observe(out->elapsed_time);
-      if (out->topk.certificate.has_value()) {
-        reg.counter("nc_parallel_certified_runs_total",
-                    {{"algorithm", "NC-parallel"},
-                     {"reason", TerminationReasonName(
-                                    out->topk.certificate->reason)}})
-            .Increment();
-      }
-    }
-  }
+  if (tracing) tracer->EndPhase("parallel");
   return status;
 }
 

@@ -49,18 +49,9 @@ struct ParallelOptions {
   // against the sources' cost clock and against the simulated makespan -
   // whichever trips first ends the run (conservative under concurrency,
   // where makespan runs behind total cost).
-
-  // --- Observability (see docs/OBSERVABILITY.md) -----------------------
-  // Optional tracer (must outlive the run): the whole execution is
-  // bracketed in a "parallel" phase span and each scheduling epoch emits
-  // one kIteration event against the *visible* ceiling, so convergence
-  // under concurrency plots on the same axes as the sequential engine.
-  // Attach the same tracer to the SourceSet for per-access events.
-  obs::QueryTracer* tracer = nullptr;
-  // Optional metrics registry (must outlive the run): issue/waste/failure
-  // totals and the elapsed-makespan histogram, labeled
-  // {algorithm="NC-parallel"}.
-  obs::MetricsRegistry* metrics = nullptr;
+  // So do observers: a tracer on the SourceSet gets a "parallel" phase
+  // span and one kIteration event per scheduling epoch, against the
+  // *visible* ceiling.
 };
 
 struct ParallelResult {

@@ -152,7 +152,6 @@ Status RunOptimizedNC(SourceSet* sources, const ScoringFunction& scoring,
   SRGPolicy policy(plan.config);
   EngineOptions engine_options;
   engine_options.k = k;
-  engine_options.profiler = sources->profiler();
   return RunNC(sources, &scoring, &policy, engine_options, out);
 }
 

@@ -56,15 +56,19 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
                            const QueryHooks& hooks, TopKResult* out) {
   NC_CHECK(sources != nullptr);
   NC_CHECK(out != nullptr);
+  // A query counts as failed until it answers, so an error return never
+  // reports the previous query's outcome, exactness or audit.
+  last_query_outcome_ = QueryOutcome::kError;
+  last_query_exact_ = false;
+  last_cost_audit_ = obs::CostAudit{};
   // The session's hub outlives every per-query SourceSet rewind: attach
   // it before planning so a replica fleet starts warm (breakers, deaths,
   // and EWMAs from earlier queries re-applied) and this query's accesses
   // feed the cross-query sketches.
   sources->set_telemetry_hub(active_hub_);
-  // A session-attached tracer covers the whole stack: the sources emit
-  // access/attempt/replica events, the engine its iteration and phase
-  // spans. Detached (nullptr), the caller's own sources tracer (if any)
-  // is left in place.
+  // A session-attached tracer covers the whole stack, because every
+  // layer reads it from the sources. Detached (nullptr), the caller's own
+  // sources tracer (if any) is left in place.
   if (tracer_ != nullptr) sources->set_tracer(tracer_);
   // Same contract for a session-attached profiler: attached before
   // planning so optimizer simulations bill to the query it plans for.
@@ -85,8 +89,6 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
   SRGPolicy policy(it->second.config);
   EngineOptions engine_options;
   engine_options.k = k;
-  if (tracer_ != nullptr) engine_options.tracer = tracer_;
-  if (profiler_ != nullptr) engine_options.profiler = profiler_;
   // The hook closes over a pointer filled right after construction: the
   // engine cannot invoke the callback before Run().
   NCEngine* engine_ptr = nullptr;
@@ -133,9 +135,8 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
   }
   active_hub_->NoteQuery();
 
-  if (!status.ok()) {
-    last_query_outcome_ = QueryOutcome::kError;
-  } else if (out->certificate.has_value()) {
+  if (!status.ok()) return status;
+  if (out->certificate.has_value()) {
     switch (out->certificate->reason) {
       case TerminationReason::kCostBudget:
       case TerminationReason::kDeadline:

@@ -97,25 +97,22 @@ class QuerySession {
   obs::TelemetryHub& hub() { return *active_hub_; }
   const obs::TelemetryHub& hub() const { return *active_hub_; }
 
-  // Attaches a tracer that every subsequent Query hands to both the
-  // sources (access/attempt/replica events) and the engine (iteration
-  // and phase events), completing the per-request timeline without the
-  // embedder reaching into the SourceSet. nullptr detaches: the session
-  // then leaves whatever tracer the caller set on the sources alone.
+  // Attaches a tracer that every subsequent Query attaches to the
+  // sources, where every layer reads it: one per-request timeline without
+  // the embedder reaching into the SourceSet. nullptr detaches: the
+  // session then leaves whatever tracer the caller set on the sources.
   // The tracer must outlive the session (or be detached first) and is
   // used from the querying thread only.
   void set_tracer(obs::QueryTracer* tracer) { tracer_ = tracer; }
-  obs::QueryTracer* tracer() const { return tracer_; }
 
   // Attaches a profiler (obs/profiler.h) that every subsequent Query
-  // hands to the sources and the engine, exactly as set_tracer does for
-  // tracers. The session only *attaches* it: the owner decides when to
-  // Clear(), add external cost centers (e.g. queue wait), and build the
-  // per-query ProfileReport — the session never resets or reads it.
-  // Must outlive the session (or be detached with nullptr first); used
-  // from the querying thread only.
+  // attaches to the sources, exactly as set_tracer does for tracers. The
+  // session only *attaches* it: the owner decides when to Clear(), add
+  // external cost centers (e.g. queue wait), and build the per-query
+  // ProfileReport — the session never resets or reads it. Must outlive
+  // the session (or be detached with nullptr first); used from the
+  // querying thread only.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  obs::Profiler* profiler() const { return profiler_; }
 
   // Predicted-vs-actual Eq. 1 audit of the most recent Query (invalid
   // before the first one or when the run errored out pre-execution).
@@ -130,8 +127,8 @@ class QuerySession {
   size_t failed_accesses() const { return failed_accesses_; }
   size_t source_deaths() const { return source_deaths_; }
 
-  // False when the most recent Query returned a degraded (best-effort)
-  // answer because sources failed mid-run.
+  // False when the most recent Query failed or returned an approximate
+  // answer (best-effort, degraded, or theta-approximate).
   bool last_query_exact() const { return last_query_exact_; }
 
   // Disposition of the most recent Query; kNone before the first one.

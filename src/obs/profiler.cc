@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 
 // --- Allocation accounting hook ---------------------------------------
@@ -298,26 +297,6 @@ std::string ProfileReport::ToJson() const {
   w.EndArray();
   w.EndObject();
   return os.str();
-}
-
-void RecordProfileMetrics(const ProfileReport& report,
-                          MetricsRegistry* metrics) {
-  NC_CHECK(metrics != nullptr);
-  for (const ProfileReport::FlatRow& row : report.flat) {
-    const LabelSet labels = {{"center", CostCenterName(row.center)}};
-    metrics->counter("nc_profile_count_total", labels)
-        .Increment(static_cast<double>(row.count));
-    metrics->counter("nc_profile_total_ns_total", labels)
-        .Increment(static_cast<double>(row.total_ns));
-    metrics->counter("nc_profile_self_ns_total", labels)
-        .Increment(static_cast<double>(row.self_ns));
-    if (report.alloc_accounting) {
-      metrics->counter("nc_profile_alloc_total", labels)
-          .Increment(static_cast<double>(row.alloc_count));
-      metrics->counter("nc_profile_alloc_bytes_total", labels)
-          .Increment(static_cast<double>(row.alloc_bytes));
-    }
-  }
 }
 
 // --- Profiler ----------------------------------------------------------

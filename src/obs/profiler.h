@@ -27,11 +27,11 @@
 // A Profiler is thread-confined like QueryTracer: one per query (or per
 // server worker), no locks on the hot path. Report() snapshots the tree
 // into a ProfileReport (tree + flat views, locale-safe text, JSON);
-// RecordProfileMetrics mirrors the flat view into nc_profile_* counters;
-// TelemetryHub::ObserveProfile rolls per-center self-times up across
-// queries as P-squared quantile sketches; attaching a QueryTracer makes
-// every closed scope a kProfile event that renders as a nested slice in
-// the Chrome trace exporter.
+// RecordRunMetrics (obs/run_report.h) mirrors the flat view into
+// nc_profile_* counters; TelemetryHub::ObserveProfile rolls per-center
+// self-times up across queries as P-squared quantile sketches;
+// attaching a QueryTracer makes every closed scope a kProfile event that
+// renders as a nested slice in the Chrome trace exporter.
 
 #ifndef NC_OBS_PROFILER_H_
 #define NC_OBS_PROFILER_H_
@@ -44,7 +44,6 @@
 
 namespace nc::obs {
 
-class MetricsRegistry;
 class QueryTracer;
 
 // The fixed cost-center vocabulary. Append-only: the hub's persisted
@@ -124,13 +123,6 @@ struct ProfileReport {
   // {"alloc_accounting":...,"total_ns":...,"flat":[...],"tree":[...]}
   std::string ToJson() const;
 };
-
-// Mirrors the flat view into the registry: nc_profile_self_ns_total,
-// nc_profile_total_ns_total, nc_profile_count_total, and (when
-// accounting is active) nc_profile_alloc_total / nc_profile_alloc_bytes_
-// total, all labeled {center="..."}.
-void RecordProfileMetrics(const ProfileReport& report,
-                          MetricsRegistry* metrics);
 
 // --- The profiler ----------------------------------------------------
 

@@ -103,6 +103,9 @@ RunReport BuildRunReport(const SourceSet& sources, const QueryTracer* tracer,
     row.random_cost = stats.random_cost_accrued[i];
     row.retried_attempts = stats.retried_attempts[i];
     row.source_down = sources.source_down(i);
+    if (sources.has_fleet() && sources.fleet().configured(i)) {
+      row.completion_latencies = sources.fleet().latency_samples(i);
+    }
     report.predicates.push_back(std::move(row));
   }
 
@@ -162,139 +165,112 @@ RunReport BuildRunReport(const SourceSet& sources, const QueryTracer* tracer,
   return report;
 }
 
-void RecordSourceMetrics(MetricsRegistry* registry,
-                         const std::string& algorithm,
-                         const SourceSet& sources) {
+void RecordRunMetrics(MetricsRegistry* registry, const RunReport& report) {
   NC_CHECK(registry != nullptr);
-  const AccessStats& stats = sources.stats();
-  const size_t m = sources.num_predicates();
-  for (PredicateId i = 0; i < m; ++i) {
-    const std::string predicate = PredicateLabel(sources, i);
-    const LabelSet sorted_labels{{"algorithm", algorithm},
-                                 {"predicate", predicate},
-                                 {"type", "sorted"}};
-    const LabelSet random_labels{{"algorithm", algorithm},
-                                 {"predicate", predicate},
-                                 {"type", "random"}};
-    if (stats.sorted_count[i] != 0) {
-      registry->counter("nc_accesses_total", sorted_labels)
-          .Increment(static_cast<double>(stats.sorted_count[i]));
-    }
-    if (stats.random_count[i] != 0) {
-      registry->counter("nc_accesses_total", random_labels)
-          .Increment(static_cast<double>(stats.random_count[i]));
-    }
-    if (stats.sorted_cost_accrued[i] != 0.0) {
-      registry->counter("nc_access_cost_total", sorted_labels)
-          .Increment(stats.sorted_cost_accrued[i]);
-    }
-    if (stats.random_cost_accrued[i] != 0.0) {
-      registry->counter("nc_access_cost_total", random_labels)
-          .Increment(stats.random_cost_accrued[i]);
-    }
-    if (stats.retried_attempts[i] != 0) {
-      registry
-          ->counter("nc_access_retries_total",
-                    {{"algorithm", algorithm}, {"predicate", predicate}})
-          .Increment(static_cast<double>(stats.retried_attempts[i]));
-    }
-  }
-  const auto fault_counter = [&](const char* kind, size_t count) {
-    if (count == 0) return;
-    registry
-        ->counter("nc_access_faults_total",
-                  {{"algorithm", algorithm}, {"kind", kind}})
-        .Increment(static_cast<double>(count));
+  const std::string& algorithm = report.algorithm;
+  // The zeros a run leaves add no series.
+  const auto add = [registry](const char* name, const LabelSet& labels,
+                              double value) {
+    if (value != 0.0) registry->counter(name, labels).Increment(value);
   };
-  fault_counter("transient", stats.transient_failures);
-  fault_counter("timeout", stats.timeout_failures);
-  fault_counter("abandoned", stats.abandoned_accesses);
-  fault_counter("source_down", stats.source_deaths);
-  if (stats.duplicate_random_count != 0) {
-    registry
-        ->counter("nc_duplicate_random_total", {{"algorithm", algorithm}})
-        .Increment(static_cast<double>(stats.duplicate_random_count));
-  }
-  const auto resilience_counter = [&](const char* name, size_t count) {
-    if (count == 0) return;
-    registry->counter(name, {{"algorithm", algorithm}})
-        .Increment(static_cast<double>(count));
+  const auto observe = [registry, &algorithm](
+                           const char* name, const std::vector<double>& bounds,
+                           double value) {
+    registry->histogram(name, bounds, {{"algorithm", algorithm}})
+        .Observe(value);
   };
-  resilience_counter("nc_breaker_trips_total", stats.TotalBreakerTrips());
-  resilience_counter("nc_breaker_fast_failures_total",
-                     stats.breaker_fast_failures);
-  resilience_counter("nc_budget_refusals_total", stats.budget_refusals);
-  if (sources.has_fleet()) {
-    const ReplicaFleet& fleet = sources.fleet();
-    for (PredicateId i = 0; i < m; ++i) {
-      if (!fleet.configured(i)) continue;
-      const std::string predicate = PredicateLabel(sources, i);
-      size_t predicate_hedges = 0;
-      size_t predicate_hedge_wins = 0;
-      for (size_t r = 0; r < fleet.num_replicas(i); ++r) {
-        const ReplicaRuntime& rt = fleet.runtime(i, r);
-        const LabelSet labels{{"algorithm", algorithm},
-                              {"predicate", predicate},
-                              {"replica", fleet.replica_name(i, r)}};
-        if (rt.served != 0) {
-          registry->counter("nc_replica_accesses_total", labels)
-              .Increment(static_cast<double>(rt.served));
-        }
-        if (rt.cost_accrued != 0.0) {
-          registry->counter("nc_replica_cost_total", labels)
-              .Increment(rt.cost_accrued);
-        }
-        if (rt.failovers != 0) {
-          registry->counter("nc_replica_failovers_total", labels)
-              .Increment(static_cast<double>(rt.failovers));
-        }
-        predicate_hedges += rt.hedges_issued;
-        predicate_hedge_wins += rt.hedge_wins;
-      }
-      if (predicate_hedges != 0) {
-        // One win-rate observation per predicate per run: the histogram
-        // accumulates the distribution across runs/predicates.
-        registry
-            ->histogram("nc_hedge_win_rate",
-                        {0.1, 0.25, 0.5, 0.75, 0.9, 1.0},
-                        {{"algorithm", algorithm}})
-            .Observe(static_cast<double>(predicate_hedge_wins) /
-                     static_cast<double>(predicate_hedges));
-      }
-      for (double sample : fleet.latency_samples(i)) {
-        registry
-            ->histogram("nc_replica_completion_latency",
-                        {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0},
-                        {{"algorithm", algorithm}})
-            .Observe(sample);
-      }
-    }
-    resilience_counter("nc_hedges_issued_total", stats.hedges_issued);
-    resilience_counter("nc_hedge_wins_total", stats.hedge_wins);
-  }
-}
+  const LabelSet run{{"algorithm", algorithm}};
 
-void RecordCostAuditMetrics(MetricsRegistry* registry,
-                            const std::string& algorithm,
-                            const CostAudit& audit) {
-  NC_CHECK(registry != nullptr);
-  if (!audit.valid) return;
-  const std::vector<double> error_bounds{0.05, 0.1, 0.25, 0.5, 1.0};
-  for (const PredicateAudit& row : audit.predicates) {
-    const LabelSet labels{{"algorithm", algorithm}, {"predicate", row.name}};
-    registry->counter("nc_cost_predicted_total", labels)
-        .Increment(row.predicted_cost);
-    registry->counter("nc_cost_actual_total", labels)
-        .Increment(row.actual_cost);
-    registry
-        ->histogram("nc_cost_audit_relative_error", error_bounds,
-                    {{"algorithm", algorithm}})
-        .Observe(row.cost_relative_error);
+  for (const PredicateCost& row : report.predicates) {
+    const LabelSet sorted{{"algorithm", algorithm},
+                          {"predicate", row.name},
+                          {"type", "sorted"}};
+    const LabelSet random{{"algorithm", algorithm},
+                          {"predicate", row.name},
+                          {"type", "random"}};
+    add("nc_accesses_total", sorted, row.sorted_accesses);
+    add("nc_accesses_total", random, row.random_accesses);
+    add("nc_access_cost_total", sorted, row.sorted_cost);
+    add("nc_access_cost_total", random, row.random_cost);
+    add("nc_access_retries_total",
+        {{"algorithm", algorithm}, {"predicate", row.name}},
+        row.retried_attempts);
   }
-  registry
-      ->histogram("nc_cost_audit_relative_error", error_bounds,
-                  {{"algorithm", algorithm}})
-      .Observe(audit.total_relative_error);
+  const auto fault = [&](const char* kind, size_t count) {
+    add("nc_access_faults_total", {{"algorithm", algorithm}, {"kind", kind}},
+        count);
+  };
+  fault("transient", report.transient_failures);
+  fault("timeout", report.timeout_failures);
+  fault("abandoned", report.abandoned_accesses);
+  fault("source_down", report.source_deaths);
+  add("nc_duplicate_random_total", run, report.duplicate_random);
+  add("nc_breaker_trips_total", run, report.breaker_trips);
+  add("nc_breaker_fast_failures_total", run, report.breaker_fast_failures);
+  add("nc_budget_refusals_total", run, report.budget_refusals);
+
+  // Replica rows come in predicate order, one block per fleet predicate.
+  size_t r = 0;
+  for (const PredicateCost& row : report.predicates) {
+    size_t hedges = 0;
+    size_t hedge_wins = 0;
+    for (; r < report.replicas.size() &&
+           report.replicas[r].predicate == row.name;
+         ++r) {
+      const ReplicaCost& replica = report.replicas[r];
+      const LabelSet labels{{"algorithm", algorithm},
+                            {"predicate", row.name},
+                            {"replica", replica.replica}};
+      add("nc_replica_accesses_total", labels, replica.served);
+      add("nc_replica_cost_total", labels, replica.cost);
+      add("nc_replica_failovers_total", labels, replica.failovers);
+      hedges += replica.hedges_issued;
+      hedge_wins += replica.hedge_wins;
+    }
+    // One win-rate observation per predicate per run: the histogram
+    // accumulates the distribution across runs and predicates.
+    if (hedges != 0) {
+      observe("nc_hedge_win_rate", {0.1, 0.25, 0.5, 0.75, 0.9, 1.0},
+              static_cast<double>(hedge_wins) / static_cast<double>(hedges));
+    }
+    for (const double sample : row.completion_latencies) {
+      observe("nc_replica_completion_latency",
+              {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}, sample);
+    }
+  }
+  add("nc_hedges_issued_total", run, report.hedges_issued);
+  add("nc_hedge_wins_total", run, report.hedge_wins);
+
+  const CostAudit& audit = report.cost_audit;
+  if (audit.valid) {
+    const std::vector<double> bounds{0.05, 0.1, 0.25, 0.5, 1.0};
+    for (const PredicateAudit& row : audit.predicates) {
+      const LabelSet labels{{"algorithm", algorithm},
+                            {"predicate", row.name}};
+      registry->counter("nc_cost_predicted_total", labels)
+          .Increment(row.predicted_cost);
+      registry->counter("nc_cost_actual_total", labels)
+          .Increment(row.actual_cost);
+      observe("nc_cost_audit_relative_error", bounds, row.cost_relative_error);
+    }
+    observe("nc_cost_audit_relative_error", bounds,
+            audit.total_relative_error);
+  }
+
+  for (const ProfileReport::FlatRow& row : report.profile.flat) {
+    const LabelSet labels{{"center", CostCenterName(row.center)}};
+    registry->counter("nc_profile_count_total", labels).Increment(row.count);
+    registry->counter("nc_profile_total_ns_total", labels)
+        .Increment(row.total_ns);
+    registry->counter("nc_profile_self_ns_total", labels)
+        .Increment(row.self_ns);
+    if (report.profile.alloc_accounting) {
+      registry->counter("nc_profile_alloc_total", labels)
+          .Increment(row.alloc_count);
+      registry->counter("nc_profile_alloc_bytes_total", labels)
+          .Increment(row.alloc_bytes);
+    }
+  }
 }
 
 std::string RunReport::ToText() const {

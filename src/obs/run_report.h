@@ -37,6 +37,9 @@ struct PredicateCost {
   double random_cost = 0.0;
   size_t retried_attempts = 0;
   bool source_down = false;
+  // The replica fleet's completion latencies on this predicate, in access
+  // order (empty without a fleet on it).
+  std::vector<double> completion_latencies;
 };
 
 // One replica's row of the fleet breakdown (fleet runs only): its share
@@ -179,38 +182,25 @@ RunReport BuildRunReport(const SourceSet& sources,
 
 class MetricsRegistry;
 
-// Flushes one finished run's AccessStats into `registry` under the shared
-// metric names every algorithm uses, so NC and baseline runs compare
-// series-by-series:
-//   nc_accesses_total{algorithm,predicate,type}
-//   nc_access_cost_total{algorithm,predicate,type}
-//   nc_access_retries_total{algorithm,predicate}
-//   nc_access_faults_total{algorithm,kind}
-//   nc_duplicate_random_total{algorithm}
-//   nc_breaker_trips_total{algorithm}
-//   nc_breaker_fast_failures_total{algorithm}
-//   nc_budget_refusals_total{algorithm}
-// With a replica fleet attached, additionally:
-//   nc_replica_accesses_total{algorithm,predicate,replica}
-//   nc_replica_cost_total{algorithm,predicate,replica}
-//   nc_replica_failovers_total{algorithm,predicate,replica}
-//   nc_hedges_issued_total{algorithm} / nc_hedge_wins_total{algorithm}
-//   nc_hedge_win_rate{algorithm}            (histogram, per predicate)
-//   nc_replica_completion_latency{algorithm} (histogram, cost units)
-// Call after the run, before Reset().
-void RecordSourceMetrics(MetricsRegistry* registry,
-                         const std::string& algorithm,
-                         const SourceSet& sources);
-
-// Flushes a cost audit into `registry` (no-op when the audit is
-// invalid):
-//   nc_cost_predicted_total{algorithm,predicate}
-//   nc_cost_actual_total{algorithm,predicate}
-//   nc_cost_audit_relative_error{algorithm}  (histogram; one observation
-//                                             per predicate + the total)
-void RecordCostAuditMetrics(MetricsRegistry* registry,
-                            const std::string& algorithm,
-                            const CostAudit& audit);
+// Folds one finished run into `registry` under {algorithm=
+// report.algorithm}: the one bridge from a run to /metrics, so every
+// embedder exports the same series. Access, fault and replica counters
+// that would read zero are skipped.
+//   nc_accesses_total, nc_access_cost_total{predicate,type},
+//   nc_access_retries_total{predicate}, nc_access_faults_total{kind},
+//   nc_duplicate_random_total, nc_breaker_trips_total,
+//   nc_breaker_fast_failures_total, nc_budget_refusals_total;
+// from the replica rows: nc_replica_{accesses,cost,failovers}_total
+//   {predicate,replica}, nc_hedges_issued_total, nc_hedge_wins_total,
+//   and the nc_hedge_win_rate (one observation per predicate) and
+//   nc_replica_completion_latency histograms;
+// from a valid cost audit: nc_cost_{predicted,actual}_total{predicate}
+//   and the nc_cost_audit_relative_error histogram (per predicate and
+//   the total);
+// from the profile: nc_profile_{count,total_ns,self_ns}_total{center},
+//   plus nc_profile_alloc{,_bytes}_total with allocation accounting.
+// Replica rows belong to the predicate row of the same name.
+void RecordRunMetrics(MetricsRegistry* registry, const RunReport& report);
 
 }  // namespace nc::obs
 

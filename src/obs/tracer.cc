@@ -299,13 +299,6 @@ void QueryTracer::RecordProfile(const char* center, uint64_t begin_us,
 
 void QueryTracer::Emit(const TraceEvent& e) {
   events_.push_back(e);
-  if (stream_ != nullptr) {
-    // One complete line per event, flushed: a kill mid-query truncates
-    // at a line boundary at worst.
-    WriteJsonlEvent(e, stream_);
-    (*stream_) << '\n';
-    stream_->flush();
-  }
   if (sink_ != nullptr) {
     // The whole line is built locally, then handed to the synchronized
     // sink as one atomic write: concurrent tracers sharing the sink can

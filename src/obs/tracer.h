@@ -264,19 +264,15 @@ class QueryTracer {
   uint64_t now_us() const { return Now(); }
 
   // --- Streaming sink --------------------------------------------------
-  // Mirrors every subsequently recorded event to *out immediately as one
-  // JSONL line, flushed per event, so abnormal termination (a kill or
+  // Mirrors every subsequently recorded event to the sink immediately as
+  // one JSONL line, flushed per event, so abnormal termination (a kill or
   // crash mid-query, an unwound exception) still leaves every event up
-  // to the failure point readable on disk. nullptr detaches; the
-  // buffering exporters below are unaffected. The stream must outlive
-  // the tracer (or be detached first).
-  void set_streaming_jsonl(std::ostream* out) { stream_ = out; }
-
-  // As set_streaming_jsonl, but through a synchronized JsonlSink shared
-  // by many tracers (the server's per-worker tracers all streaming into
-  // one file): each event becomes one atomic WriteLine, so concurrent
-  // workers cannot interleave characters. nullptr detaches. Both sinks
-  // may be attached; each event then goes to both.
+  // to the failure point readable on disk. The sink may be shared by
+  // many tracers (the server's per-worker tracers all streaming into one
+  // file): each event becomes one atomic WriteLine, so concurrent
+  // workers cannot interleave characters. nullptr detaches; the
+  // buffering exporters below are unaffected. The sink must outlive the
+  // tracer (or be detached first).
   void set_streaming_sink(JsonlSink* sink) { sink_ = sink; }
 
   // --- Exporters -------------------------------------------------------
@@ -304,7 +300,6 @@ class QueryTracer {
   bool enabled_ = true;
   std::vector<TraceEvent> events_;
   std::function<uint64_t()> clock_;
-  std::ostream* stream_ = nullptr;
   JsonlSink* sink_ = nullptr;
   TraceContext ctx_;
   // Monotonic anchor for the default clock.

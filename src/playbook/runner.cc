@@ -32,13 +32,6 @@ namespace {
 
 constexpr const char* kMetricsAlgorithm = "playbook";
 
-// a == b within a relative tolerance anchored at 1 (costs near zero
-// compare absolutely).
-bool NearlyEqual(double a, double b, double tol) {
-  return std::fabs(a - b) <=
-         tol * std::max({1.0, std::fabs(a), std::fabs(b)});
-}
-
 Score TrueScore(const Dataset& data, const ScoringFunction& scoring,
                 ObjectId u) {
   std::vector<Score> row(data.num_predicates());
@@ -216,8 +209,8 @@ void CheckCertificate(const Dataset& data, const ScoringFunction& scoring,
 }
 
 // Eq. 1 conservation: the per-predicate stats cells sum to the accrued
-// cost, and re-aggregating through RecordSourceMetrics reproduces the
-// same totals in a fresh registry.
+// cost, and re-aggregating through RecordRunMetrics reproduces the same
+// totals in a fresh registry.
 void CheckBilling(const SourceSet& sources, double tol,
                   VariantVerdict* verdict) {
   const AccessStats& stats = sources.stats();
@@ -232,7 +225,8 @@ void CheckBilling(const SourceSet& sources, double tol,
                      FormatDouble(sources.accrued_cost()));
   }
   obs::MetricsRegistry registry;
-  obs::RecordSourceMetrics(&registry, kMetricsAlgorithm, sources);
+  obs::RecordRunMetrics(&registry, obs::BuildRunReport(sources, nullptr,
+                                                       kMetricsAlgorithm));
   const double metric_cost = registry.CounterSum(
       "nc_access_cost_total", {{"algorithm", kMetricsAlgorithm}});
   if (!NearlyEqual(metric_cost, sources.accrued_cost(), tol)) {

@@ -14,7 +14,7 @@
 //       ceiling dominates every non-returned object, epsilon bounds the
 //       rank error in the (1 + eps) * score(y) >= score(z) sense.
 //   kBilling      - Eq. 1 conservation: the per-predicate AccessStats
-//       cost cells sum to accrued_cost(), and RecordSourceMetrics
+//       cost cells sum to accrued_cost(), and RecordRunMetrics
 //       re-aggregates to the same totals in a MetricsRegistry.
 //   kBudget       - a capped run stops within one worst-case access of
 //       its cost cap / deadline (fleet cost multipliers and hedging

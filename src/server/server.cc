@@ -504,9 +504,18 @@ void QueryServer::Serve(size_t index, QuerySession& session,
     tracer.Clear();
   }
 
-  // The /metrics mirror of this query: outcome, latency split into queue
-  // wait and service, the per-predicate access series, and (when the run
-  // produced one) the Eq. 1 cost audit.
+  // Queue wait is off-thread time the scoped timers never saw: fold it
+  // in as an external center so the profile covers admission to answer.
+  if (profiler != nullptr) {
+    profiler->AddExternal(obs::CostCenter::kServerQueue,
+                          (start_us - pending.admit_us) * 1000);
+  }
+  // One report of this query feeds /metrics (its access series, cost
+  // audit and profile), the hub and the /varz and /profilez mirrors.
+  obs::RunReport report = obs::BuildRunReport(
+      sources, /*tracer=*/nullptr, "server", pending.request.k,
+      /*prediction=*/nullptr, profiler);
+  report.cost_audit = session.last_cost_audit();
   metrics_
       .counter("nc_server_queries_total",
                {{"outcome", ServeOutcomeName(response.outcome)}})
@@ -515,24 +524,16 @@ void QueryServer::Serve(size_t index, QuerySession& session,
       .Observe(static_cast<double>(start_us - pending.admit_us));
   metrics_.histogram("nc_server_service_us", LatencyBucketsUs())
       .Observe(response.wall_micros);
-  obs::RecordSourceMetrics(&metrics_, "server", sources);
-  const obs::CostAudit& audit = session.last_cost_audit();
-  if (audit.valid) {
-    obs::RecordCostAuditMetrics(&metrics_, "server", audit);
+  obs::RecordRunMetrics(&metrics_, report);
+  if (report.cost_audit.valid) {
     const std::lock_guard<std::mutex> lock(audit_mu_);
-    last_audit_ = audit;
+    last_audit_ = std::move(report.cost_audit);
     last_audit_request_ = pending.request_id;
   }
   if (profiler != nullptr) {
-    // Queue wait is off-thread time the scoped timers never saw: fold it
-    // in as an external center so the report covers admission to answer.
-    profiler->AddExternal(obs::CostCenter::kServerQueue,
-                          (start_us - pending.admit_us) * 1000);
-    const obs::ProfileReport report = profiler->Report();
-    obs::RecordProfileMetrics(report, &metrics_);
-    hub_.ObserveProfile(report);
+    hub_.ObserveProfile(report.profile);
     const std::lock_guard<std::mutex> lock(profile_mu_);
-    last_profile_ = report;
+    last_profile_ = std::move(report.profile);
     last_profile_request_ = pending.request_id;
   }
   SyncTracerDropMetric();

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/fault.h"
@@ -566,6 +567,46 @@ TEST(CheckpointTest, ResumeRejectsCorruptCandidateScores) {
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   EXPECT_EQ(ResumeText(text, &sources).status.code(),
             StatusCode::kInvalidArgument);
+}
+
+// The Eq. 1 cells and the accrued cost are both restored, so a file can
+// make them disagree. At access 60 of the m=2, avg, k=5 run the cells sum
+// to 60; resuming with src_accrued_cost 0 finished with accrued_cost() 31
+// while the cells summed to 91, and a budgeted resume got 60 units free.
+// Restore rejects a disagreement, and a negative or non-finite cost field
+// even when the sum still agrees.
+TEST(CheckpointTest, ResumeRejectsAccruedCostThatBreaksEq1) {
+  const Dataset data = MakeData(38, 200, 2);
+  AverageFunction avg(2);
+  const RunOutcome run = RunWithKill(data, avg, 5, /*kill=*/60, nullptr);
+  ASSERT_TRUE(run.checkpoint.has_value());
+  const std::string text = SerializeCheckpoint(*run.checkpoint);
+  ASSERT_NE(text.find("\nsrc_accrued_cost 0x1.ep+5\n"), std::string::npos);
+  const std::vector<double>& sorted = run.checkpoint->sources.stats
+                                          .sorted_cost_accrued;
+  ASSERT_GT(sorted[0], 1.0);
+  const std::string shifted_cells =
+      "stats_sorted_cost 2 " + FormatHexDouble(-1.0) + " " +
+      FormatHexDouble(sorted[1] + sorted[0] + 1.0);
+
+  const std::vector<std::pair<std::string, std::string>> tampered = {
+      {"src_accrued_cost ", "src_accrued_cost 0x0p+0"},
+      {"src_accrued_cost ", "src_accrued_cost inf"},
+      {"src_total_penalty ", "src_total_penalty -0x1p+0"},
+      {"src_total_penalty ", "src_total_penalty nan"},
+      {"stats_sorted_cost ", shifted_cells},
+  };
+  for (const auto& [prefix, line] : tampered) {
+    SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+    EXPECT_EQ(ResumeText(ReplaceLine(text, prefix, line), &sources)
+                  .status.code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  const Resumed untouched = ResumeText(text, &sources);
+  ASSERT_TRUE(untouched.status.ok()) << untouched.status.ToString();
+  EXPECT_EQ(untouched.result, BruteForceTopK(data, avg, 5));
 }
 
 }  // namespace

@@ -17,12 +17,15 @@
 
 #include "access/budget.h"
 #include "access/source.h"
+#include "core/engine.h"
 #include "core/planner.h"
 #include "core/result.h"
+#include "core/srg_policy.h"
 #include "data/generator.h"
 #include "obs/json_parse.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/run_report.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "scoring/scoring_function.h"
@@ -202,7 +205,7 @@ TEST(ProfilerTest, ReportRendersTextAndValidJson) {
   EXPECT_EQ(tree->array.size(), 2u);
 }
 
-TEST(ProfilerTest, RecordProfileMetricsMirrorsTheFlatView) {
+TEST(ProfilerTest, RecordRunMetricsMirrorsTheFlatView) {
   Profiler profiler;
   FakeClock clock(&profiler);
   profiler.Begin(CostCenter::kSortedAccess);
@@ -212,8 +215,10 @@ TEST(ProfilerTest, RecordProfileMetricsMirrorsTheFlatView) {
   clock.Advance(300);
   profiler.End();
 
+  obs::RunReport run;
+  run.profile = profiler.Report();
   obs::MetricsRegistry metrics;
-  obs::RecordProfileMetrics(profiler.Report(), &metrics);
+  obs::RecordRunMetrics(&metrics, run);
   const obs::LabelSet labels = {{"center", "sorted_access"}};
   EXPECT_EQ(metrics.counter("nc_profile_count_total", labels).value(), 2.0);
   EXPECT_EQ(metrics.counter("nc_profile_total_ns_total", labels).value(),
@@ -397,6 +402,34 @@ TEST(ProfilerTest, DifferentialAnswersBitIdenticalProfilerOnOrOff) {
   EXPECT_FALSE(budgeted.certificate->intervals.empty());
 }
 
+// A profiler attached to the SourceSet alone also meters the engine's
+// own cost centers, not just the access seam's.
+TEST(ProfilerTest, AttachingToTheSourcesProfilesTheEngine) {
+  GeneratorOptions g;
+  g.num_objects = 300;
+  g.num_predicates = 2;
+  g.seed = 9;
+  const Dataset data = GenerateDataset(g);
+  const AverageFunction avg(2);
+  Profiler profiler;
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 2.0));
+  sources.set_profiler(&profiler);
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 5;
+  NCEngine engine(&sources, &avg, &policy, options);
+  TopKResult result;
+  ASSERT_TRUE(engine.Run(&result).ok());
+
+  bool saw_heap = false, saw_sorted = false;
+  for (const ProfileReport::FlatRow& row : profiler.Report().flat) {
+    saw_heap |= row.center == CostCenter::kCandidateHeap;
+    saw_sorted |= row.center == CostCenter::kSortedAccess;
+  }
+  EXPECT_TRUE(saw_sorted);
+  EXPECT_TRUE(saw_heap);
+}
+
 // Per-worker profilers are thread-confined; the shared surfaces are the
 // hub's rollup and the metrics registry. Run under tsan this is the
 // data-race proof for that fan-in.
@@ -419,9 +452,10 @@ TEST(ProfilerTest, ConcurrentReportsFanIntoSharedHubAndMetrics) {
         }
         profiler.AddExternal(CostCenter::kServerQueue,
                              static_cast<uint64_t>(t + 1) * 1000);
-        const ProfileReport report = profiler.Report();
-        hub.ObserveProfile(report);
-        obs::RecordProfileMetrics(report, &metrics);
+        obs::RunReport run;
+        run.profile = profiler.Report();
+        hub.ObserveProfile(run.profile);
+        obs::RecordRunMetrics(&metrics, run);
       }
     });
   }

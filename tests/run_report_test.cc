@@ -25,16 +25,13 @@ Dataset MakeData(size_t n, size_t m, uint64_t seed) {
 }
 
 void RunQuery(SourceSet* sources, const Dataset& data, size_t k,
-              QueryTracer* tracer = nullptr,
-              MetricsRegistry* metrics = nullptr) {
+              QueryTracer* tracer = nullptr) {
   const size_t m = sources->num_predicates();
   (void)data;
   MinFunction fmin(m);
   SRGPolicy policy(SRGConfig::Default(m));
   EngineOptions options;
   options.k = k;
-  options.tracer = tracer;
-  options.metrics = metrics;
   sources->set_tracer(tracer);
   TopKResult result;
   ASSERT_TRUE(RunNC(sources, &fmin, &policy, options, &result).ok());
@@ -157,8 +154,8 @@ TEST(RunReportTest, RecordedMetricsSumToEngineTotalCost) {
   const Dataset data = MakeData(700, 3, 26);
   SourceSet sources(&data, CostModel::Uniform(3, 1.0, 4.0));
   MetricsRegistry registry;
-  RunQuery(&sources, data, 5, nullptr, &registry);
-  RecordSourceMetrics(&registry, "NC", sources);
+  RunQuery(&sources, data, 5);
+  RecordRunMetrics(&registry, BuildRunReport(sources, nullptr, "NC", 5));
 
   EXPECT_DOUBLE_EQ(
       registry.CounterSum("nc_access_cost_total", {{"algorithm", "NC"}}),
@@ -167,17 +164,10 @@ TEST(RunReportTest, RecordedMetricsSumToEngineTotalCost) {
       registry.CounterSum("nc_accesses_total", {{"algorithm", "NC"}}),
       static_cast<double>(sources.stats().TotalSorted() +
                           sources.stats().TotalRandom()));
-  // The engine's own run counters landed under the same registry.
-  EXPECT_DOUBLE_EQ(registry.CounterValue(
-                       "nc_engine_runs_total",
-                       {{"algorithm", "NC"}, {"phase", "probe"}}),
-                   1.0);
   // And the Prometheus dump carries the series.
   std::ostringstream os;
   registry.WritePrometheusText(&os);
   EXPECT_NE(os.str().find("nc_access_cost_total{algorithm=\"NC\""),
-            std::string::npos);
-  EXPECT_NE(os.str().find("nc_engine_choice_width_bucket"),
             std::string::npos);
 }
 
@@ -278,8 +268,11 @@ TEST(RunReportTest, CostAuditMetricsLandInRegistry) {
   const CostAudit audit = BuildCostAudit(prediction, sources);
   ASSERT_TRUE(audit.valid);
 
+  RunReport report;
+  report.algorithm = "NC";
+  report.cost_audit = audit;
   MetricsRegistry registry;
-  RecordCostAuditMetrics(&registry, "NC", audit);
+  RecordRunMetrics(&registry, report);
   EXPECT_DOUBLE_EQ(
       registry.CounterSum("nc_cost_predicted_total", {{"algorithm", "NC"}}),
       audit.predicted_total);

@@ -189,17 +189,35 @@ TEST(SessionTest, TelemetryCreditedEvenWhenSourcesFail) {
   EXPECT_EQ(session.budget_exhausted_queries(), 0u);
 }
 
-TEST(SessionTest, PlanningErrorLeavesOutcomeUntouched) {
+// A failed Query reports its own failure: the outcome is kError, the
+// answer is not exact and there is no cost audit - whether it is the
+// session's first query or follows a successful one.
+TEST(SessionTest, FailedQueryDoesNotReportThePreviousQuery) {
   const Dataset data = MakeData(9, 50);
   AverageFunction avg(2);
   QuerySession session(&avg, SmallPlanner());
-  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   TopKResult result;
-  EXPECT_EQ(session.Query(&sources, 0, &result).code(),
+  const auto expect_failed = [&session] {
+    EXPECT_EQ(session.last_query_outcome(), QueryOutcome::kError);
+    EXPECT_FALSE(session.last_query_exact());
+    EXPECT_FALSE(session.last_cost_audit().valid);
+  };
+
+  SourceSet first(&data, CostModel::Uniform(2, 1.0, 1.0));
+  EXPECT_EQ(session.Query(&first, 0, &result).code(),
             StatusCode::kInvalidArgument);
-  // The error happened before any access was issued: no query was
-  // answered, so the disposition is still "none".
-  EXPECT_EQ(session.last_query_outcome(), QueryOutcome::kNone);
+  expect_failed();
+
+  SourceSet healthy(&data, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(session.Query(&healthy, 5, &result).ok());
+  EXPECT_EQ(session.last_query_outcome(), QueryOutcome::kExact);
+  EXPECT_TRUE(session.last_query_exact());
+  EXPECT_TRUE(session.last_cost_audit().valid);
+
+  SourceSet failing(&data, CostModel::Uniform(2, 1.0, 1.0));
+  EXPECT_EQ(session.Query(&failing, 0, &result).code(),
+            StatusCode::kInvalidArgument);
+  expect_failed();
 }
 
 // --- Cross-query telemetry -----------------------------------------------

@@ -8,13 +8,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/adaptive.h"
 #include "core/engine.h"
+#include "core/parallel_executor.h"
+#include "core/planner.h"
+#include "core/session.h"
 #include "core/srg_policy.h"
 #include "data/generator.h"
 
@@ -125,9 +130,9 @@ TEST(QueryTracerTest, ChromeTraceGolden) {
       "{\"name\":\"probe\",\"ph\":\"E\",\"ts\":30,\"pid\":1,\"tid\":1}]}");
 }
 
-// End-to-end: the engine and sources share one tracer, producing a
-// complete interleaved timeline; disabling the tracer reproduces the
-// identical query at zero event volume.
+// End-to-end: the tracer on the sources records the sources' and the
+// engine's events as one interleaved timeline; disabling the tracer
+// reproduces the identical query at zero event volume.
 TEST(QueryTracerTest, EngineAndSourcesShareOneTimeline) {
   GeneratorOptions g;
   g.num_objects = 300;
@@ -142,7 +147,6 @@ TEST(QueryTracerTest, EngineAndSourcesShareOneTimeline) {
     SRGPolicy policy(SRGConfig::Default(2));
     EngineOptions options;
     options.k = 3;
-    options.tracer = tracer;
     ASSERT_TRUE(RunNC(&sources, &fmin, &policy, options, result).ok());
   };
 
@@ -188,6 +192,105 @@ TEST(QueryTracerTest, EngineAndSourcesShareOneTimeline) {
   }
 }
 
+// A tracer attached to the SourceSet alone sees the whole run on every
+// execution path: the engine's (or executor's) phase span brackets every
+// access event, and the sequential paths record one kIteration per
+// engine access.
+TEST(QueryTracerTest, AttachingToTheSourcesTracesTheWholeRun) {
+  GeneratorOptions g;
+  g.num_objects = 300;
+  g.num_predicates = 2;
+  g.seed = 8;
+  const Dataset data = GenerateDataset(g);
+  const AverageFunction avg(2);
+  PlannerOptions planner;
+  planner.sample_size = 60;
+
+  struct Path {
+    const char* name;
+    const char* phase;
+    std::function<Status(SourceSet*, TopKResult*)> run;
+  };
+  const std::vector<Path> paths = {
+      {"NCEngine::Run", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         SRGPolicy policy(SRGConfig::Default(2));
+         EngineOptions options;
+         options.k = 5;
+         NCEngine engine(sources, &avg, &policy, options);
+         return engine.Run(out);
+       }},
+      {"RunOptimizedNC", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         return RunOptimizedNC(sources, avg, 5, planner, out);
+       }},
+      {"QuerySession::Query", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         QuerySession session(&avg, planner);
+         return session.Query(sources, 5, out);
+       }},
+      {"RunAdaptiveNC", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         AdaptiveOptions options;
+         options.k = 5;
+         options.reoptimize_every = 50;
+         options.planner = planner;
+         return RunAdaptiveNC(sources, avg, options, out);
+       }},
+      {"RunParallelNC", "parallel",
+       [&](SourceSet* sources, TopKResult* out) {
+         SRGPolicy policy(SRGConfig::Default(2));
+         ParallelOptions options;
+         options.k = 5;
+         ParallelResult result;
+         const Status status =
+             RunParallelNC(sources, avg, &policy, options, &result);
+         *out = result.topk;
+         return status;
+       }},
+  };
+
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    QueryTracer tracer;
+    SourceSet sources(&data, CostModel::Uniform(2, 1.0, 3.0));
+    sources.set_tracer(&tracer);
+    TopKResult result;
+    ASSERT_TRUE(path.run(&sources, &result).ok());
+
+    const std::vector<TraceEvent>& events = tracer.events();
+    size_t begin = events.size();
+    size_t end = events.size();
+    size_t accesses = 0;
+    size_t iterations = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+      const TraceEvent& e = events[i];
+      const bool ours =
+          e.phase != nullptr && std::string(e.phase) == path.phase;
+      if (e.kind == TraceEventKind::kPhaseBegin && ours &&
+          begin == events.size()) {
+        begin = i;
+      }
+      if (e.kind == TraceEventKind::kPhaseEnd && ours) end = i;
+      accesses += e.kind == TraceEventKind::kAccess;
+      iterations += e.kind == TraceEventKind::kIteration;
+    }
+    ASSERT_LT(begin, events.size()) << "no " << path.phase << " phase begin";
+    ASSERT_LT(end, events.size()) << "no " << path.phase << " phase end";
+    ASSERT_GT(accesses, 0u);
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind != TraceEventKind::kAccess) continue;
+      EXPECT_GT(i, begin) << "access before the phase span";
+      EXPECT_LT(i, end) << "access after the phase span";
+    }
+    if (std::string(path.phase) == "parallel") {
+      EXPECT_GE(iterations, 1u);
+    } else {
+      EXPECT_EQ(iterations, accesses);
+    }
+  }
+}
+
 // The flush guarantee: with a streaming JSONL sink attached, every event
 // recorded before an abnormal termination survives as a complete line.
 // A forked child runs a real traced query and dies with _Exit (no
@@ -211,8 +314,9 @@ TEST(QueryTracerTest, StreamingJsonlSurvivesMidQueryKill) {
     MinFunction fmin(2);
 
     std::ofstream out(path);
+    JsonlSink sink(&out);
     QueryTracer tracer;
-    tracer.set_streaming_jsonl(&out);
+    tracer.set_streaming_sink(&sink);
     auto ticks = std::make_shared<uint64_t>(0);
     tracer.set_clock_for_testing([ticks]() {
       if (++*ticks > 40) std::_Exit(17);
@@ -224,7 +328,6 @@ TEST(QueryTracerTest, StreamingJsonlSurvivesMidQueryKill) {
     SRGPolicy policy(SRGConfig::Default(2));
     EngineOptions options;
     options.k = 5;
-    options.tracer = &tracer;
     TopKResult result;
     (void)RunNC(&sources, &fmin, &policy, options, &result);
     std::_Exit(1);  // The query must NOT have finished first.
