@@ -201,13 +201,14 @@ BENCHMARK(BM_BruteForceOracle)->Arg(10000)->Arg(100000);
 void BM_SortedAccessThroughput(benchmark::State& state) {
   const Dataset data = BenchData(100000, 2);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  std::optional<SortedHit> hit;
   for (auto _ : state) {
     if (sources.exhausted(0)) {
       state.PauseTiming();
       sources.Reset();
       state.ResumeTiming();
     }
-    benchmark::DoNotOptimize(sources.SortedAccess(0));
+    benchmark::DoNotOptimize(sources.TrySortedAccess(0, &hit));
   }
 }
 BENCHMARK(BM_SortedAccessThroughput);
@@ -216,6 +217,7 @@ void BM_RandomAccessThroughput(benchmark::State& state) {
   const Dataset data = BenchData(100000, 2);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   ObjectId u = 0;
+  Score score = 0.0;
   for (auto _ : state) {
     if (u == data.num_objects()) {
       state.PauseTiming();
@@ -223,7 +225,7 @@ void BM_RandomAccessThroughput(benchmark::State& state) {
       u = 0;
       state.ResumeTiming();
     }
-    benchmark::DoNotOptimize(sources.RandomAccess(0, u++));
+    benchmark::DoNotOptimize(sources.TryRandomAccess(0, u++, &score));
   }
 }
 BENCHMARK(BM_RandomAccessThroughput);
@@ -236,7 +238,8 @@ void BM_CacheHitSortedAccess(benchmark::State& state) {
   cache::AccessCache cache;
   SourceSet writer(&data, cost);
   writer.set_access_cache(&cache);
-  while (!writer.exhausted(0)) writer.SortedAccess(0);
+  std::optional<SortedHit> hit;
+  while (!writer.exhausted(0)) NC_CHECK(writer.TrySortedAccess(0, &hit).ok());
   SourceSet reader(&data, cost);
   reader.set_access_cache(&cache);
   for (auto _ : state) {
@@ -245,7 +248,7 @@ void BM_CacheHitSortedAccess(benchmark::State& state) {
       reader.Reset();
       state.ResumeTiming();
     }
-    benchmark::DoNotOptimize(reader.SortedAccess(0));
+    benchmark::DoNotOptimize(reader.TrySortedAccess(0, &hit));
   }
   NC_CHECK(reader.cache_hits().sorted_hits > 0);
 }

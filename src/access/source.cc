@@ -463,13 +463,6 @@ void SourceSet::ReplicaEvent(const char* what, PredicateId i, size_t from,
   }
 }
 
-std::optional<SortedHit> SourceSet::SortedAccess(PredicateId i) {
-  std::optional<SortedHit> hit;
-  const Status status = TrySortedAccess(i, &hit);
-  NC_CHECK(status.ok());  // Fault-tolerant callers use TrySortedAccess.
-  return hit;
-}
-
 Status SourceSet::TrySortedAccess(PredicateId i,
                                   std::optional<SortedHit>* out) {
   NC_CHECK(out != nullptr);
@@ -553,13 +546,6 @@ Status SourceSet::TrySortedAccess(PredicateId i,
   last_seen_[i] = exhausted(i) ? kMinScore : hit.score;
   *out = std::move(hit);
   return Status::OK();
-}
-
-Score SourceSet::RandomAccess(PredicateId i, ObjectId u) {
-  Score score = 0.0;
-  const Status status = TryRandomAccess(i, u, &score);
-  NC_CHECK(status.ok());  // Fault-tolerant callers use TryRandomAccess.
-  return score;
 }
 
 Status SourceSet::TryRandomAccess(PredicateId i, ObjectId u, Score* out) {

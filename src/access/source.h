@@ -5,10 +5,11 @@
 // simulation substrate) with the capability/cost matrix of a scenario. It
 // implements the two access primitives of Section 3.2 with their defining
 // behaviors:
-//   * SortedAccess(i) is progressive - each call returns the next object
-//     in descending p_i order - and has the side effect of lowering the
-//     last-seen score l_i, which bounds every still-unseen object.
-//   * RandomAccess(i, u) returns p_i[u] exactly and should never be
+//   * TrySortedAccess(i) is progressive - each call returns the next
+//     object in descending p_i order - and has the side effect of
+//     lowering the last-seen score l_i, which bounds every still-unseen
+//     object.
+//   * TryRandomAccess(i, u) returns p_i[u] exactly and should never be
 //     repeated (repeats are tolerated but counted separately so tests can
 //     assert algorithms do not waste them).
 //
@@ -38,29 +39,29 @@
 // death (see access/fault.h). SourceSet retries failed attempts per its
 // RetryPolicy, charging each attempt (retries inflate accrued_cost() and
 // the AccessStats fault counters but never change what an access
-// returns, its cursor effects, or the trace). The fallible entry points
-// are TrySortedAccess/TryRandomAccess: they return kUnavailable when
-// retries are exhausted or the source is down, leaving cursors, bounds,
-// and probed-state untouched. A permanent death downgrades the
-// capability in the cost model itself (through the set_cost_model guard
-// path, which permits capability removal but never addition), so
-// has_sorted/has_random, planners, and plan caches all observe the
-// degraded scenario. The legacy SortedAccess/RandomAccess wrappers
-// crash on an unrecovered failure; fault-tolerant callers (the NC
-// engine, the parallel executor) use the Try* forms.
+// returns, its cursor effects, or the trace). Both entry points return
+// kUnavailable when retries are exhausted or the source is down, leaving
+// cursors, bounds, and probed-state untouched. A permanent death
+// downgrades the capability in the cost model itself (through the
+// set_cost_model guard path, which permits capability removal but never
+// addition), so has_sorted/has_random, planners, and plan caches all
+// observe the degraded scenario. The engines degrade around such a
+// failure; TG and the baselines return it.
 //
 // --- Budgets and the circuit breaker ------------------------------------
-// With a QueryBudget attached (set_budget), every Try* access first
-// checks the cost cap, the deadline, and the predicate's quota; a barred
-// access is refused with kResourceExhausted *before anything is billed*,
-// so the accrued cost can overshoot the cap by at most one access's
-// worst case. With a CircuitBreakerPolicy attached (set_circuit_breaker),
-// a predicate whose accesses keep getting abandoned trips open and
-// fast-fails (kUnavailable, nothing billed, nothing drawn from the
-// injector) until a cooldown admits a half-open probe. Engines observe
-// both conditions through quota_exhausted()/breaker_open() to steer
-// around barred predicates and to emit certified anytime answers when no
-// choice remains.
+// With a QueryBudget attached (set_budget), every access first checks the
+// cost cap, the deadline, and the predicate's quota; a barred access is
+// refused with kResourceExhausted *before anything is billed* and counted
+// once in AccessStats::budget_refusals, so the accrued cost can overshoot
+// the cap by at most one access's worst case. That refusal is the one
+// budget check: the engines and the baselines settle it with a certified
+// anytime answer (core/result.h's BudgetStopReason names why), TG returns
+// it, and the engines also read quota_exhausted() to steer around a
+// quota-spent predicate.
+// With a CircuitBreakerPolicy attached (set_circuit_breaker), a predicate
+// whose accesses keep getting abandoned trips open and fast-fails
+// (kUnavailable, nothing billed, nothing drawn from the injector) until a
+// cooldown admits a half-open probe (breaker_open()).
 
 #ifndef NC_ACCESS_SOURCE_H_
 #define NC_ACCESS_SOURCE_H_
@@ -232,25 +233,16 @@ class SourceSet {
   bool has_sorted(PredicateId i) const { return cost_.has_sorted(i); }
   bool has_random(PredicateId i) const { return cost_.has_random(i); }
 
-  // Performs one sorted access on predicate i. Returns nullopt when the
-  // source is exhausted. Must not be called on a predicate without sorted
-  // support, and crashes if fault injection makes the access fail
-  // unrecoverably - fault-tolerant callers use TrySortedAccess.
-  std::optional<SortedHit> SortedAccess(PredicateId i);
-
-  // Performs one random access for p_i[u]. Must not be called on a
-  // predicate without random support; crashes on unrecovered failure -
-  // fault-tolerant callers use TryRandomAccess.
-  Score RandomAccess(PredicateId i, ObjectId u);
-
-  // Fault-tolerant sorted access. On OK, *out is the hit (or nullopt when
-  // the stream is exhausted). Returns kUnavailable when the source is
+  // Performs one sorted access on predicate i. On OK, *out is the hit (or
+  // nullopt when the stream is exhausted). Returns kResourceExhausted when
+  // the budget refuses the access, and kUnavailable when the source is
   // down or every retry attempt failed; the cursor, last_seen bound,
   // stats counts, and trace are untouched by a failed access (only cost
-  // and the fault counters advance).
+  // and the fault counters advance). Must not be called on a predicate
+  // that never supported sorted access.
   Status TrySortedAccess(PredicateId i, std::optional<SortedHit>* out);
 
-  // Fault-tolerant random access; same failure contract as
+  // Performs one random access for p_i[u]; same contract as
   // TrySortedAccess.
   Status TryRandomAccess(PredicateId i, ObjectId u, Score* out);
 
@@ -279,8 +271,8 @@ class SourceSet {
   Status set_cost_model(CostModel cost);
 
   // --- Query budget ----------------------------------------------------
-  // Attaches a budget (validated against num_predicates()); every Try*
-  // access is checked against it before anything is billed. The budget
+  // Attaches a budget (validated against num_predicates()); every access
+  // is checked against it before anything is billed. The budget
   // is configuration: it persists across Reset(). Replace it with a
   // default-constructed QueryBudget to lift all limits.
   Status set_budget(QueryBudget budget);
@@ -322,12 +314,6 @@ class SourceSet {
   bool access_barred(PredicateId i) const {
     return budget_exhausted() || quota_exhausted(i);
   }
-
-  // Records one budget refusal in AccessStats. For callers that check
-  // access_barred() *before* issuing (the baselines' crashing wrappers
-  // leave them no other choice), so proactively barred accesses count
-  // exactly like Try*-level kResourceExhausted refusals.
-  void NoteBudgetRefusal() { ++stats_.budget_refusals; }
 
   // --- Circuit breaker -------------------------------------------------
   // Attaches a breaker policy (validated). Like the budget, the policy
@@ -385,9 +371,9 @@ class SourceSet {
   bool any_source_down() const { return sources_down_ > 0; }
 
   // Simulated extra latency (timeouts served, backoff waits) of the most
-  // recent Try*/plain access, in cost units. 0 when the access succeeded
-  // on the first attempt. The parallel executor folds this into the
-  // access's completion time.
+  // recent access, in cost units. 0 when the access succeeded on the
+  // first attempt. The parallel executor folds this into the access's
+  // completion time.
   double last_access_penalty() const { return last_access_penalty_; }
 
   const AccessStats& stats() const { return stats_; }

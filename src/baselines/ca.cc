@@ -37,15 +37,8 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   CandidatePool pool(m);
   BoundEvaluator bounds(&scoring);
   std::vector<Score> ceilings(m);
-  const auto emit_certified = [&](TerminationReason reason) {
-    for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources->last_seen(i);
-    std::vector<CertifiedRow> rows;
-    PoolCertifiedRows(pool, bounds, ceilings, &rows);
-    const Score unseen = pool.size() < sources->num_objects()
-                             ? scoring.Evaluate(ceilings)
-                             : kMinScore;
-    BuildCertifiedResult(rows, unseen, k, reason, out);
-    return Status::OK();
+  const auto settle = [&](const Status& refusal) {
+    return SettleRefusal(refusal, *sources, scoring, k, {}, &pool, out);
   };
 
   while (true) {
@@ -54,10 +47,9 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     for (size_t round = 0; round < h; ++round) {
       for (PredicateId i = 0; i < m; ++i) {
         if (sources->exhausted(i)) continue;
-        if (BudgetBarred(*sources, i)) {
-          return emit_certified(BudgetBarReason(sources, i));
-        }
-        const std::optional<SortedHit> hit = sources->SortedAccess(i);
+        std::optional<SortedHit> hit;
+        const Status status = sources->TrySortedAccess(i, &hit);
+        if (!status.ok()) return settle(status);
         if (!hit.has_value()) continue;
         live = true;
         Candidate& c = pool.GetOrCreate(hit->object);
@@ -83,13 +75,12 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     }
     if (best_incomplete != nullptr) {
       for (PredicateId i = 0; i < m; ++i) {
-        if (!best_incomplete->IsEvaluated(i)) {
-          if (BudgetBarred(*sources, i)) {
-            return emit_certified(BudgetBarReason(sources, i));
-          }
-          best_incomplete->SetScore(
-              i, sources->RandomAccess(i, best_incomplete->id));
-        }
+        if (best_incomplete->IsEvaluated(i)) continue;
+        Score score = 0.0;
+        const Status status =
+            sources->TryRandomAccess(i, best_incomplete->id, &score);
+        if (!status.ok()) return settle(status);
+        best_incomplete->SetScore(i, score);
       }
     }
 

@@ -22,26 +22,9 @@ std::vector<PredicateId> RandomCapable(const CostModel& model) {
   return out;
 }
 
-bool BudgetBarred(const SourceSet& sources, PredicateId next_predicate) {
-  return sources.access_barred(next_predicate);
-}
-
-TerminationReason BudgetBarReason(SourceSet* sources,
-                                  PredicateId next_predicate) {
-  // The access the caller was about to issue was refused by the budget;
-  // account it like a Try*-level refusal (nothing was billed).
-  sources->NoteBudgetRefusal();
-  if (sources->cost_budget_exhausted()) {
-    return TerminationReason::kCostBudget;
-  }
-  if (sources->deadline_exceeded()) return TerminationReason::kDeadline;
-  NC_CHECK(sources->quota_exhausted(next_predicate));
-  return TerminationReason::kQuota;
-}
-
-CertifiedRow PartialRow(const ScoringFunction& scoring, ObjectId object,
-                        const std::vector<Score>& row, uint64_t known_mask,
-                        std::span<const Score> ceilings) {
+CertifiedRow PartialRow(const SourceSet& sources,
+                        const ScoringFunction& scoring, ObjectId object,
+                        const std::vector<Score>& row, uint64_t known_mask) {
   const size_t m = row.size();
   std::vector<Score> filled(m);
   CertifiedRow out;
@@ -51,27 +34,53 @@ CertifiedRow PartialRow(const ScoringFunction& scoring, ObjectId object,
   }
   out.lower = scoring.Evaluate(filled);
   for (PredicateId i = 0; i < m; ++i) {
-    filled[i] = ((known_mask >> i) & 1) != 0 ? row[i] : ceilings[i];
+    filled[i] = ((known_mask >> i) & 1) != 0 ? row[i] : sources.last_seen(i);
   }
   out.upper = scoring.Evaluate(filled);
   return out;
 }
 
-void PoolCertifiedRows(CandidatePool& pool, BoundEvaluator& bounds,
-                       std::span<const Score> ceilings,
-                       std::vector<CertifiedRow>* rows) {
-  const size_t m = pool.num_predicates();
-  rows->clear();
-  rows->reserve(pool.size());
-  for (Candidate& c : pool) {
-    if (c.IsComplete(m)) {
-      const Score exact = bounds.Exact(c);
-      rows->push_back(CertifiedRow{c.id, exact, exact});
-    } else {
-      rows->push_back(
+Status CompleteRow(SourceSet* sources, const ScoringFunction& scoring,
+                   ObjectId object, PredicateId seen, std::vector<Score>* row,
+                   std::vector<CertifiedRow>* rows) {
+  uint64_t known = uint64_t{1} << seen;
+  for (PredicateId j = 0; j < row->size(); ++j) {
+    if (j == seen) continue;
+    const Status status = sources->TryRandomAccess(j, object, &(*row)[j]);
+    if (!status.ok()) {
+      // Stopped mid-row: the object enters the answer with its partial
+      // interval.
+      rows->push_back(PartialRow(*sources, scoring, object, *row, known));
+      return status;
+    }
+    known |= uint64_t{1} << j;
+  }
+  const Score exact = scoring.Evaluate(*row);
+  rows->push_back(CertifiedRow{object, exact, exact});
+  return Status::OK();
+}
+
+Status SettleRefusal(const Status& refusal, const SourceSet& sources,
+                     const ScoringFunction& scoring, size_t k,
+                     std::vector<CertifiedRow> rows, CandidatePool* pool,
+                     TopKResult* out) {
+  NC_CHECK(!refusal.ok());
+  if (refusal.code() != StatusCode::kResourceExhausted) return refusal;
+  const size_t m = sources.num_predicates();
+  std::vector<Score> ceilings(m);
+  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources.last_seen(i);
+  Score unseen = scoring.Evaluate(ceilings);
+  if (pool != nullptr) {
+    // A complete candidate's Lower and Upper both equal its exact score.
+    BoundEvaluator bounds(&scoring);
+    for (Candidate& c : *pool) {
+      rows.push_back(
           CertifiedRow{c.id, bounds.Lower(c), bounds.Upper(c, ceilings)});
     }
+    if (pool->size() >= sources.num_objects()) unseen = kMinScore;
   }
+  BuildCertifiedResult(rows, unseen, k, BudgetStopReason(sources), out);
+  return Status::OK();
 }
 
 Status RequireUniformCapabilities(const SourceSet& sources, bool need_sorted,

@@ -9,7 +9,6 @@
 #ifndef NC_BASELINES_CANDIDATE_TABLE_H_
 #define NC_BASELINES_CANDIDATE_TABLE_H_
 
-#include <span>
 #include <vector>
 
 #include "access/source.h"
@@ -32,35 +31,40 @@ std::vector<PredicateId> RandomCapable(const CostModel& model);
 Status RequireUniformCapabilities(const SourceSet& sources, bool need_sorted,
                                   bool need_random, const char* algorithm);
 
-// --- Budget support (access/budget.h) ----------------------------------
-// True when the access layer would refuse the next access on predicate
-// `next_predicate` (cost cap, deadline, or per-predicate quota). The
-// baselines' crashing access wrappers abort on a refusal, so every
-// baseline access site tests this first and settles with a certified
-// anytime answer (BuildCertifiedResult) instead. Unlike NC, the published
-// control loops are rigid - they cannot steer around one quota-spent
-// predicate - so any bar ends the whole run.
-bool BudgetBarred(const SourceSet& sources, PredicateId next_predicate);
-
-// The TerminationReason behind a bar observed on `next_predicate`. Also
-// records the refused access in AccessStats::budget_refusals - call it
-// exactly once, at the access site that stopped the run.
-TerminationReason BudgetBarReason(SourceSet* sources,
-                                  PredicateId next_predicate);
+// --- Stopping (access/budget.h, access/fault.h) -------------------------
+// Every baseline access goes through SourceSet::TrySortedAccess /
+// TryRandomAccess. Unlike NC, the published control loops are rigid - they
+// cannot steer around one quota-spent or dead predicate - so the first
+// access the sources refuse or fail ends the whole run through
+// SettleRefusal.
 
 // Proven [lower, upper] interval of a partially evaluated row: unknown
 // predicates (unset bits of `known_mask`) read as 0 for the lower bound
-// and as ceilings[j] for the upper bound.
-CertifiedRow PartialRow(const ScoringFunction& scoring, ObjectId object,
-                        const std::vector<Score>& row, uint64_t known_mask,
-                        std::span<const Score> ceilings);
+// and as the last-seen score l_j for the upper bound.
+CertifiedRow PartialRow(const SourceSet& sources,
+                        const ScoringFunction& scoring, ObjectId object,
+                        const std::vector<Score>& row, uint64_t known_mask);
 
-// Certified rows for every candidate in `pool` (exact for complete
-// candidates, [Lower, Upper-vs-ceilings] otherwise) - shared by the
-// pool-based baselines when a budget bar stops the run.
-void PoolCertifiedRows(CandidatePool& pool, BoundEvaluator& bounds,
-                       std::span<const Score> ceilings,
-                       std::vector<CertifiedRow>* rows);
+// Completes the row of `object`, first returned by sorted access on
+// `seen` (row[seen] holds that score), by random access on every other
+// predicate in index order - the TA family's exhaustive probing. On OK
+// appends the exact row to *rows; when an access fails, appends the
+// object's PartialRow instead and returns the failure.
+Status CompleteRow(SourceSet* sources, const ScoringFunction& scoring,
+                   ObjectId object, PredicateId seen, std::vector<Score>* row,
+                   std::vector<CertifiedRow>* rows);
+
+// Ends a run whose access returned `refusal` (not OK). A budget refusal
+// (kResourceExhausted, already counted in AccessStats::budget_refusals)
+// returns OK with the certified anytime answer under BudgetStopReason:
+// `rows` plus, when `pool` is given, every pool candidate at [Lower,
+// Upper at the last-seen scores l], against F(l) for every object no
+// sorted access has returned (none once `pool` holds the whole universe).
+// Any other failure - a source that failed for good - is returned as is.
+Status SettleRefusal(const Status& refusal, const SourceSet& sources,
+                     const ScoringFunction& scoring, size_t k,
+                     std::vector<CertifiedRow> rows, CandidatePool* pool,
+                     TopKResult* out);
 
 }  // namespace nc
 

@@ -20,20 +20,18 @@ Status RunFA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   // Phase 1: drain lists round-robin until k objects carry the full mask.
   std::unordered_map<ObjectId, uint64_t> seen_mask;
   std::unordered_map<ObjectId, std::vector<Score>> partial;
-  // A budget bar settles with a certified answer assembled from every
+  // A budget refusal settles with a certified answer assembled from every
   // seen object's interval (phase 2 keeps the masks current, so this
   // works mid-completion too).
-  const auto emit_certified = [&](TerminationReason reason) {
-    std::vector<Score> ceilings(m);
-    for (PredicateId j = 0; j < m; ++j) ceilings[j] = sources->last_seen(j);
+  const auto settle = [&](const Status& refusal) {
     std::vector<CertifiedRow> rows;
     rows.reserve(seen_mask.size());
     for (const auto& [object, mask] : seen_mask) {
       rows.push_back(
-          PartialRow(scoring, object, partial[object], mask, ceilings));
+          PartialRow(*sources, scoring, object, partial[object], mask));
     }
-    BuildCertifiedResult(rows, scoring.Evaluate(ceilings), k, reason, out);
-    return Status::OK();
+    return SettleRefusal(refusal, *sources, scoring, k, std::move(rows),
+                         nullptr, out);
   };
   size_t fully_seen = 0;
   bool any_stream_live = true;
@@ -41,10 +39,9 @@ Status RunFA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     any_stream_live = false;
     for (PredicateId i = 0; i < m && fully_seen < k; ++i) {
       if (sources->exhausted(i)) continue;
-      if (BudgetBarred(*sources, i)) {
-        return emit_certified(BudgetBarReason(sources, i));
-      }
-      const std::optional<SortedHit> hit = sources->SortedAccess(i);
+      std::optional<SortedHit> hit;
+      const Status status = sources->TrySortedAccess(i, &hit);
+      if (!status.ok()) return settle(status);
       if (!hit.has_value()) continue;
       any_stream_live = true;
       uint64_t& mask = seen_mask[hit->object];
@@ -64,13 +61,10 @@ Status RunFA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   for (auto& [object, mask] : seen_mask) {
     std::vector<Score>& row = partial[object];
     for (PredicateId i = 0; i < m; ++i) {
-      if ((mask & (uint64_t{1} << i)) == 0) {
-        if (BudgetBarred(*sources, i)) {
-          return emit_certified(BudgetBarReason(sources, i));
-        }
-        row[i] = sources->RandomAccess(i, object);
-        mask |= uint64_t{1} << i;
-      }
+      if ((mask & (uint64_t{1} << i)) != 0) continue;
+      const Status status = sources->TryRandomAccess(i, object, &row[i]);
+      if (!status.ok()) return settle(status);
+      mask |= uint64_t{1} << i;
     }
     collector.Offer(object, scoring.Evaluate(row));
   }

@@ -48,13 +48,6 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     if (c->IsComplete(m)) return bounds.Exact(*c);
     return bounds.Upper(*c, ceilings);
   };
-  // The whole universe is seeded into the pool, so no unseen ceiling.
-  const auto emit_certified = [&](TerminationReason reason) {
-    std::vector<CertifiedRow> rows;
-    PoolCertifiedRows(pool, bounds, ceilings, &rows);
-    BuildCertifiedResult(rows, kMinScore, k, reason, out);
-    return Status::OK();
-  };
 
   while (true) {
     const std::span<const LazyBoundHeap::Entry> top = heap.TopK(k, bound_fn);
@@ -76,13 +69,15 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     // Probe the next unevaluated predicate in global-schedule order.
     Candidate* c = pool.Find(next_probe->id);
     for (PredicateId i : order) {
-      if (!c->IsEvaluated(i)) {
-        if (BudgetBarred(*sources, i)) {
-          return emit_certified(BudgetBarReason(sources, i));
-        }
-        c->SetScore(i, sources->RandomAccess(i, c->id));
-        break;
+      if (c->IsEvaluated(i)) continue;
+      Score score = 0.0;
+      const Status status = sources->TryRandomAccess(i, c->id, &score);
+      if (!status.ok()) {
+        // The whole universe is seeded into the pool: no unseen ceiling.
+        return SettleRefusal(status, *sources, scoring, k, {}, &pool, out);
       }
+      c->SetScore(i, score);
+      break;
     }
   }
 }

@@ -12,19 +12,16 @@ namespace nc {
 namespace {
 
 // One full round of sorted accesses; returns false when every stream is
-// exhausted. A budget bar cuts the round short: *bar receives the reason
-// and the round reports whatever it managed before the bar.
-bool SortedRound(SourceSet* sources, CandidatePool* pool,
-                 std::optional<TerminationReason>* bar) {
+// exhausted. An access that fails cuts the round short: *stop receives
+// its status and the round reports whatever it managed before.
+bool SortedRound(SourceSet* sources, CandidatePool* pool, Status* stop) {
   bool any = false;
   const size_t m = sources->num_predicates();
   for (PredicateId i = 0; i < m; ++i) {
     if (sources->exhausted(i)) continue;
-    if (BudgetBarred(*sources, i)) {
-      *bar = BudgetBarReason(sources, i);
-      return any;
-    }
-    const std::optional<SortedHit> hit = sources->SortedAccess(i);
+    std::optional<SortedHit> hit;
+    *stop = sources->TrySortedAccess(i, &hit);
+    if (!stop->ok()) return any;
     if (!hit.has_value()) continue;
     any = true;
     Candidate& c = pool->GetOrCreate(hit->object);
@@ -136,27 +133,18 @@ Status RunNRA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   BoundEvaluator bounds(&scoring);
 
   while (true) {
-    std::optional<TerminationReason> bar;
-    const bool live = SortedRound(sources, &pool, &bar);
+    Status stop;
+    const bool live = SortedRound(sources, &pool, &stop);
     const bool halted =
         mode == NRAMode::kSetOnly
             ? SetOnlyHalted(*sources, pool, bounds, k, out)
             : ExactHalted(*sources, pool, bounds, k, out);
     if (halted) return Status::OK();
-    if (bar.has_value()) {
-      // The budget bars further reads and the halting test has not
-      // fired: settle with a certified answer over the current bounds.
-      std::vector<Score> ceilings(m);
-      for (PredicateId i = 0; i < m; ++i) {
-        ceilings[i] = sources->last_seen(i);
-      }
-      std::vector<CertifiedRow> rows;
-      PoolCertifiedRows(pool, bounds, ceilings, &rows);
-      const Score unseen = pool.size() < sources->num_objects()
-                               ? scoring.Evaluate(ceilings)
-                               : kMinScore;
-      BuildCertifiedResult(rows, unseen, k, *bar, out);
-      return Status::OK();
+    if (!stop.ok()) {
+      // Further reads are barred and the halting test has not fired: a
+      // budget refusal settles with a certified answer over the current
+      // bounds.
+      return SettleRefusal(stop, *sources, scoring, k, {}, &pool, out);
     }
     if (!live) {
       // Streams drained: every candidate is complete; rank them directly.

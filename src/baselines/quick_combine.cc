@@ -56,11 +56,9 @@ Status RunQuickCombine(SourceSet* sources, const ScoringFunction& scoring,
   std::vector<Score> ceilings(m, kMaxScore);
   std::vector<Score> row(m);
   std::vector<CertifiedRow> rows;
-  const auto emit_certified = [&](TerminationReason reason) {
-    std::vector<Score> bounds(m);
-    for (PredicateId j = 0; j < m; ++j) bounds[j] = sources->last_seen(j);
-    BuildCertifiedResult(rows, scoring.Evaluate(bounds), k, reason, out);
-    return Status::OK();
+  const auto settle = [&](const Status& refusal) {
+    return SettleRefusal(refusal, *sources, scoring, k, std::move(rows),
+                         nullptr, out);
   };
 
   while (true) {
@@ -82,34 +80,18 @@ Status RunQuickCombine(SourceSet* sources, const ScoringFunction& scoring,
       return Status::OK();
     }
 
-    if (BudgetBarred(*sources, pick)) {
-      return emit_certified(BudgetBarReason(sources, pick));
-    }
-    const std::optional<SortedHit> hit = sources->SortedAccess(pick);
+    std::optional<SortedHit> hit;
+    Status status = sources->TrySortedAccess(pick, &hit);
+    if (!status.ok()) return settle(status);
     NC_CHECK(hit.has_value());
     ceilings[pick] = sources->last_seen(pick);
     drops.Record(pick, ceilings[pick]);
 
     if (completed.insert(hit->object).second) {
       row[pick] = hit->score;
-      uint64_t known = uint64_t{1} << pick;
-      for (PredicateId j = 0; j < m; ++j) {
-        if (j == pick) continue;
-        if (BudgetBarred(*sources, j)) {
-          std::vector<Score> bounds(m);
-          for (PredicateId b = 0; b < m; ++b) {
-            bounds[b] = sources->last_seen(b);
-          }
-          rows.push_back(
-              PartialRow(scoring, hit->object, row, known, bounds));
-          return emit_certified(BudgetBarReason(sources, j));
-        }
-        row[j] = sources->RandomAccess(j, hit->object);
-        known |= uint64_t{1} << j;
-      }
-      const Score exact = scoring.Evaluate(row);
-      collector.Offer(hit->object, exact);
-      rows.push_back(CertifiedRow{hit->object, exact, exact});
+      status = CompleteRow(sources, scoring, hit->object, pick, &row, &rows);
+      if (!status.ok()) return settle(status);
+      collector.Offer(hit->object, rows.back().upper);
     }
 
     const Score threshold = scoring.Evaluate(ceilings);

@@ -126,19 +126,11 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
       return Status::OK();
     }
 
-    if (BudgetBarred(*sources, pick)) {
-      // Ceilings were refreshed this iteration and no access has happened
-      // since, so the pool bounds are current.
-      std::vector<CertifiedRow> rows;
-      PoolCertifiedRows(pool, bounds, ceilings, &rows);
-      const Score unseen = pool.size() < sources->num_objects()
-                               ? scoring.Evaluate(ceilings)
-                               : kMinScore;
-      BuildCertifiedResult(rows, unseen, k, BudgetBarReason(sources, pick),
-                           out);
-      return Status::OK();
+    std::optional<SortedHit> hit;
+    const Status status = sources->TrySortedAccess(pick, &hit);
+    if (!status.ok()) {
+      return SettleRefusal(status, *sources, scoring, k, {}, &pool, out);
     }
-    const std::optional<SortedHit> hit = sources->SortedAccess(pick);
     NC_CHECK(hit.has_value());
     Candidate& c = pool.GetOrCreate(hit->object);
     if (!c.IsEvaluated(pick)) c.SetScore(pick, hit->score);

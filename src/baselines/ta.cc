@@ -20,16 +20,12 @@ Status RunTA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   std::unordered_set<ObjectId> completed;
   std::vector<Score> row(m);
   // Exact scores of every completed object, for the certified answer a
-  // budget bar settles with.
+  // budget refusal settles with.
   std::vector<CertifiedRow> rows;
   std::vector<Score> ceilings(m);
-  const auto refresh_ceilings = [&] {
-    for (PredicateId j = 0; j < m; ++j) ceilings[j] = sources->last_seen(j);
-  };
-  const auto emit_certified = [&](TerminationReason reason) {
-    refresh_ceilings();
-    BuildCertifiedResult(rows, scoring.Evaluate(ceilings), k, reason, out);
-    return Status::OK();
+  const auto settle = [&](const Status& refusal) {
+    return SettleRefusal(refusal, *sources, scoring, k, std::move(rows),
+                         nullptr, out);
   };
 
   bool any_stream_live = true;
@@ -37,36 +33,21 @@ Status RunTA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     any_stream_live = false;
     for (PredicateId i = 0; i < m; ++i) {
       if (sources->exhausted(i)) continue;
-      if (BudgetBarred(*sources, i)) {
-        return emit_certified(BudgetBarReason(sources, i));
-      }
-      const std::optional<SortedHit> hit = sources->SortedAccess(i);
+      std::optional<SortedHit> hit;
+      Status status = sources->TrySortedAccess(i, &hit);
+      if (!status.ok()) return settle(status);
       if (!hit.has_value()) continue;
       any_stream_live = true;
       if (completed.insert(hit->object).second) {
         // Exhaustive random access: complete the object right away.
         row[i] = hit->score;
-        uint64_t known = uint64_t{1} << i;
-        for (PredicateId j = 0; j < m; ++j) {
-          if (j == i) continue;
-          if (BudgetBarred(*sources, j)) {
-            // Barred mid-row: the object in progress enters the answer
-            // with its partial interval.
-            refresh_ceilings();
-            rows.push_back(
-                PartialRow(scoring, hit->object, row, known, ceilings));
-            return emit_certified(BudgetBarReason(sources, j));
-          }
-          row[j] = sources->RandomAccess(j, hit->object);
-          known |= uint64_t{1} << j;
-        }
-        const Score exact = scoring.Evaluate(row);
-        collector.Offer(hit->object, exact);
-        rows.push_back(CertifiedRow{hit->object, exact, exact});
+        status = CompleteRow(sources, scoring, hit->object, i, &row, &rows);
+        if (!status.ok()) return settle(status);
+        collector.Offer(hit->object, rows.back().upper);
       }
       // Early stop: k collected objects already at or above the
       // maximal-possible score of anything unseen.
-      refresh_ceilings();
+      for (PredicateId j = 0; j < m; ++j) ceilings[j] = sources->last_seen(j);
       const Score threshold = scoring.Evaluate(ceilings);
       if (collector.full() && collector.kth_score() >= threshold) {
         *out = collector.Take();

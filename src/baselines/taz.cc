@@ -31,13 +31,9 @@ Status RunTAz(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   // there.
   std::vector<Score> ceilings(m, kMaxScore);
   std::vector<CertifiedRow> rows;
-  const auto refresh_ceilings = [&] {
-    for (const PredicateId s : streams) ceilings[s] = sources->last_seen(s);
-  };
-  const auto emit_certified = [&](TerminationReason reason) {
-    refresh_ceilings();
-    BuildCertifiedResult(rows, scoring.Evaluate(ceilings), k, reason, out);
-    return Status::OK();
+  const auto settle = [&](const Status& refusal) {
+    return SettleRefusal(refusal, *sources, scoring, k, std::move(rows),
+                         nullptr, out);
   };
 
   bool any_stream_live = true;
@@ -45,29 +41,16 @@ Status RunTAz(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     any_stream_live = false;
     for (const PredicateId i : streams) {
       if (sources->exhausted(i)) continue;
-      if (BudgetBarred(*sources, i)) {
-        return emit_certified(BudgetBarReason(sources, i));
-      }
-      const std::optional<SortedHit> hit = sources->SortedAccess(i);
+      std::optional<SortedHit> hit;
+      Status status = sources->TrySortedAccess(i, &hit);
+      if (!status.ok()) return settle(status);
       if (!hit.has_value()) continue;
       any_stream_live = true;
       if (completed.insert(hit->object).second) {
         row[i] = hit->score;
-        uint64_t known = uint64_t{1} << i;
-        for (PredicateId j = 0; j < m; ++j) {
-          if (j == i) continue;
-          if (BudgetBarred(*sources, j)) {
-            refresh_ceilings();
-            rows.push_back(
-                PartialRow(scoring, hit->object, row, known, ceilings));
-            return emit_certified(BudgetBarReason(sources, j));
-          }
-          row[j] = sources->RandomAccess(j, hit->object);
-          known |= uint64_t{1} << j;
-        }
-        const Score exact = scoring.Evaluate(row);
-        collector.Offer(hit->object, exact);
-        rows.push_back(CertifiedRow{hit->object, exact, exact});
+        status = CompleteRow(sources, scoring, hit->object, i, &row, &rows);
+        if (!status.ok()) return settle(status);
+        collector.Offer(hit->object, rows.back().upper);
       }
       // Threshold: last-seen on the streams in z, ceiling 1 elsewhere.
       for (const PredicateId s : streams) ceilings[s] = sources->last_seen(s);

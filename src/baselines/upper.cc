@@ -56,15 +56,8 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     if (c->IsComplete(m)) return bounds.Exact(*c);
     return bounds.Upper(*c, ceilings);
   };
-  const auto emit_certified = [&](TerminationReason reason) {
-    refresh_ceilings();
-    std::vector<CertifiedRow> rows;
-    PoolCertifiedRows(pool, bounds, ceilings, &rows);
-    const Score unseen = (discovery && pool.size() < n)
-                             ? scoring.Evaluate(ceilings)
-                             : kMinScore;
-    BuildCertifiedResult(rows, unseen, k, reason, out);
-    return Status::OK();
+  const auto settle = [&](const Status& refusal) {
+    return SettleRefusal(refusal, *sources, scoring, k, {}, &pool, out);
   };
 
   PredicateId rr_sorted = 0;
@@ -99,10 +92,9 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         const PredicateId i = rr_sorted % m;
         rr_sorted = (rr_sorted + 1) % m;
         if (!sources->has_sorted(i) || sources->exhausted(i)) continue;
-        if (BudgetBarred(*sources, i)) {
-          return emit_certified(BudgetBarReason(sources, i));
-        }
-        const std::optional<SortedHit> hit = sources->SortedAccess(i);
+        std::optional<SortedHit> hit;
+        const Status status = sources->TrySortedAccess(i, &hit);
+        if (!status.ok()) return settle(status);
         NC_CHECK(hit.has_value());
         bool created = false;
         Candidate& c = pool.GetOrCreate(hit->object, &created);
@@ -129,10 +121,10 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         }
       }
       NC_CHECK(best < m);
-      if (BudgetBarred(*sources, best)) {
-        return emit_certified(BudgetBarReason(sources, best));
-      }
-      c->SetScore(best, sources->RandomAccess(best, c->id));
+      Score score = 0.0;
+      const Status status = sources->TryRandomAccess(best, c->id, &score);
+      if (!status.ok()) return settle(status);
+      c->SetScore(best, score);
     }
   }
 }

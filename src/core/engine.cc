@@ -48,47 +48,42 @@ std::span<const LazyBoundHeap::Entry> NCEngine::RankTopK(size_t k) {
       k, [this](ObjectId u) { return BoundOf(u, ceilings_, &bounds_); });
 }
 
-void NCEngine::BuildAlternatives(ObjectId target) {
-  // Quota-spent predicates are withheld (a hard, permanent bar);
-  // breaker-open predicates are NOT - their fast-fails are transient,
-  // unbilled, and bounded by the consecutive-failure guard.
-  alternatives_.clear();
-  skipped_quota_ = false;
-  const size_t m = sources_->num_predicates();
-  if (target == kUnseenObject) {
-    // No-wild-guesses: an unseen object admits only sorted accesses.
-    for (PredicateId i = 0; i < m; ++i) {
-      if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
-        if (sources_->quota_exhausted(i)) {
-          skipped_quota_ = true;
-          continue;
-        }
-        alternatives_.push_back(Access::Sorted(i));
-      }
-    }
-    return;
-  }
-  const Candidate* c = pool_.Find(target);
-  NC_CHECK(c != nullptr);
+bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
+                      std::vector<Access>* out) {
+  out->clear();
+  bool skipped_quota = false;
+  const size_t m = sources.num_predicates();
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
-    if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
-      if (sources_->quota_exhausted(i)) {
-        skipped_quota_ = true;
-        continue;
-      }
-      alternatives_.push_back(Access::Sorted(i));
+    if (target != nullptr && target->IsEvaluated(i)) continue;
+    if (!sources.has_sorted(i) || sources.exhausted(i)) continue;
+    if (sources.quota_exhausted(i)) {
+      skipped_quota = true;
+      continue;
     }
+    out->push_back(Access::Sorted(i));
   }
+  // No wild guesses: an unseen object admits only sorted accesses.
+  if (target == nullptr) return skipped_quota;
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
-    if (sources_->has_random(i)) {
-      if (sources_->quota_exhausted(i)) {
-        skipped_quota_ = true;
-        continue;
-      }
-      alternatives_.push_back(Access::Random(i, target));
+    if (target->IsEvaluated(i) || !sources.has_random(i)) continue;
+    if (sources.quota_exhausted(i)) {
+      skipped_quota = true;
+      continue;
     }
+    out->push_back(Access::Random(i, target->id));
+  }
+  return skipped_quota;
+}
+
+void SettleCertified(const SourceSet& sources,
+                     const std::vector<CertifiedRow>& rows,
+                     Score unseen_ceiling, size_t k, TerminationReason reason,
+                     TopKResult* out) {
+  BuildCertifiedResult(rows, unseen_ceiling, k, reason, out);
+  if (obs::ShouldTrace(sources.tracer())) {
+    sources.tracer()->RecordCertificate(
+        TerminationReasonName(reason), out->certificate->epsilon,
+        out->certificate->excluded_ceiling, sources.accrued_cost());
   }
 }
 
@@ -133,39 +128,22 @@ Status NCEngine::Perform(const Access& access) {
 
 void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   NC_PROFILE_SCOPE(sources_->profiler(), kCertificateBuild);
-  // Certified anytime answer: the current top-k by maximal-possible
-  // score, each entry carrying its proven [lower, upper] interval, plus
-  // the epsilon those intervals imply against everything excluded.
   // Deriving the top k+1 verifies one bound past the answer, and every
   // entry outside those k+1 ranks below it, so the excluded ceiling is
   // sound without a global rescan. (The sentinel stands for no concrete
-  // object; it is folded into the excluded ceiling, not returned.)
-  const std::span<const LazyBoundHeap::Entry> ranked =
-      RankTopK(options_.k + 1);
-  out->entries.clear();
-  AnytimeCertificate cert;
-  cert.reason = reason;
-  Score min_lower = kMaxScore;
-  for (const LazyBoundHeap::Entry& e : ranked) {
-    if (e.object == kUnseenObject || out->entries.size() == options_.k) {
-      cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
+  // object: its bound is the unseen ceiling.)
+  std::vector<CertifiedRow> rows;
+  Score unseen = kMinScore;
+  for (const LazyBoundHeap::Entry& e : RankTopK(options_.k + 1)) {
+    if (e.object == kUnseenObject) {
+      unseen = e.bound;
       continue;
     }
     const Candidate* c = pool_.Find(e.object);
     NC_CHECK(c != nullptr);
-    const Score lower = bounds_.Lower(*c);
-    out->entries.push_back(TopKEntry{e.object, e.bound});
-    cert.intervals.push_back(ScoreInterval{lower, e.bound});
-    min_lower = std::min(min_lower, lower);
+    rows.push_back(CertifiedRow{e.object, bounds_.Lower(*c), e.bound});
   }
-  if (out->entries.empty()) min_lower = kMinScore;
-  cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
-  if (obs::ShouldTrace(sources_->tracer())) {
-    sources_->tracer()->RecordCertificate(TerminationReasonName(reason),
-                                          cert.epsilon, cert.excluded_ceiling,
-                                          sources_->accrued_cost());
-  }
-  out->certificate = std::move(cert);
+  SettleCertified(*sources_, rows, unseen, options_.k, reason, out);
   last_run_exact_ = false;
   last_run_truncated_ = true;
 }
@@ -436,10 +414,10 @@ Status NCEngine::Loop(TopKResult* out) {
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
     ObjectId target = kUnseenObject;
+    const Candidate* target_state = nullptr;
     bool found_incomplete = false;
     for (const LazyBoundHeap::Entry& e : topk) {
       if (e.object == kUnseenObject) {
-        target = e.object;
         found_incomplete = true;
         break;
       }
@@ -447,6 +425,7 @@ Status NCEngine::Loop(TopKResult* out) {
       NC_CHECK(c != nullptr);
       if (!c->IsComplete(m)) {
         target = e.object;
+        target_state = c;
         found_incomplete = true;
         break;
       }
@@ -476,28 +455,17 @@ Status NCEngine::Loop(TopKResult* out) {
       if (max_nonmember >= 0.0 &&
           options_.approximation_theta * complete_topk_->kth_score() >=
               max_nonmember) {
-        *out = complete_topk_->Take();
         // Theta answers are complete, but still carry their proof: the
         // returned scores are exact (degenerate intervals) and every
         // excluded object is bounded by max_nonmember, which dominates
         // everything outside K_P. The halting test then caps epsilon at
         // theta - 1.
-        AnytimeCertificate cert;
-        cert.reason = TerminationReason::kTheta;
-        cert.excluded_ceiling = max_nonmember;
-        Score min_exact = kMaxScore;
-        for (const TopKEntry& e : out->entries) {
-          cert.intervals.push_back(ScoreInterval{e.score, e.score});
-          min_exact = std::min(min_exact, e.score);
+        std::vector<CertifiedRow> rows;
+        for (const TopKEntry& e : complete_topk_->Take().entries) {
+          rows.push_back(CertifiedRow{e.object, e.score, e.score});
         }
-        if (out->entries.empty()) min_exact = kMinScore;
-        cert.epsilon = CertifiedEpsilon(min_exact, max_nonmember);
-        if (tracing) {
-          tracer->RecordCertificate(TerminationReasonName(cert.reason),
-                                    cert.epsilon, cert.excluded_ceiling,
-                                    sources_->accrued_cost());
-        }
-        out->certificate = std::move(cert);
+        SettleCertified(*sources_, rows, max_nonmember, options_.k,
+                        TerminationReason::kTheta, out);
         last_run_exact_ = false;
         return Status::OK();
       }
@@ -507,23 +475,21 @@ Status NCEngine::Loop(TopKResult* out) {
     // The exact- and theta-termination tests above run first, so a query
     // whose answer is already proven keeps it even at the budget edge.
     if (sources_->budget_exhausted()) {
-      EmitCertified(sources_->cost_budget_exhausted()
-                        ? TerminationReason::kCostBudget
-                        : TerminationReason::kDeadline,
-                    out);
+      EmitCertified(BudgetStopReason(*sources_), out);
       return Status::OK();
     }
 
-    BuildAlternatives(target);
+    const bool skipped_quota =
+        NecessaryChoices(*sources_, target_state, &alternatives_);
     if (alternatives_.empty()) {
-      if (skipped_quota_) {
+      if (skipped_quota) {
         // Every remaining choice for the task needs a quota-spent
         // predicate: the per-predicate budget, not the scenario, is what
-        // blocks progress.
-        EmitCertified(TerminationReason::kQuota, out);
+        // blocks progress (the global budget was checked above).
+        EmitCertified(BudgetStopReason(*sources_), out);
         return Status::OK();
       }
-      if (options_.tolerate_source_failure && sources_->any_source_down()) {
+      if (sources_->any_source_down()) {
         // A death made the task unsatisfiable mid-run: rather than fail,
         // return what the surviving accesses established.
         EmitCertified(TerminationReason::kSourceFailure, out);
@@ -540,7 +506,7 @@ Status NCEngine::Loop(TopKResult* out) {
     view.scoring = scoring_;
     view.k = options_.k;
     view.target = target;
-    view.target_state = target == kUnseenObject ? nullptr : pool_.Find(target);
+    view.target_state = target_state;
 
     const Access access = policy_->Select(alternatives_, view);
     const bool offered =
@@ -552,14 +518,9 @@ Status NCEngine::Loop(TopKResult* out) {
     if (performed.code() == StatusCode::kResourceExhausted) {
       // The access layer refused to start the access: the budget or a
       // quota ran out under the engine (defensive - the loop-top check
-      // and BuildAlternatives normally catch both first). Nothing was
+      // and NecessaryChoices normally catch both first). Nothing was
       // billed, so the current answer certifies as-is.
-      EmitCertified(sources_->cost_budget_exhausted()
-                        ? TerminationReason::kCostBudget
-                        : (sources_->deadline_exceeded()
-                               ? TerminationReason::kDeadline
-                               : TerminationReason::kQuota),
-                    out);
+      EmitCertified(BudgetStopReason(*sources_), out);
       return Status::OK();
     }
     if (!performed.ok()) {
@@ -568,7 +529,6 @@ Status NCEngine::Loop(TopKResult* out) {
       // whatever capabilities survive.
       NC_CHECK(performed.code() == StatusCode::kUnavailable);
       last_run_degraded_ = true;
-      if (!options_.tolerate_source_failure) return performed;
       ++consecutive_failures_;
       if (consecutive_failures_ >= kMaxConsecutiveFailures) {
         EmitCertified(TerminationReason::kSourceFailure, out);

@@ -112,21 +112,30 @@ struct EngineOptions {
   // answer degrades gracefully with the budget.)
   bool best_effort = false;
 
-  // Graceful degradation under source failure (access/fault.h). When an
-  // access fails unrecoverably (kUnavailable: retries exhausted or the
-  // source died), the engine re-derives the necessary choices against the
-  // surviving capabilities and keeps going; if a scoring task becomes
-  // unsatisfiable because of a death, it returns OK with the current
-  // top-k by maximal-possible score through the best-effort machinery
-  // (last_run_exact() false) instead of failing. With the flag off, the
-  // first unrecovered failure surfaces as a kUnavailable error. Runs
-  // without fault injection never hit either path.
-  bool tolerate_source_failure = true;
-
   // Invoked after every performed access with the running access count;
   // used by the adaptive executor to re-optimize mid-flight.
   std::function<void(size_t)> access_callback;
 };
+
+// Definition 2: the necessary choices of the task `target` designates (a
+// candidate, or nullptr for the unseen sentinel, which admits only sorted
+// accesses under no-wild-guesses), into *out in deterministic order:
+// sorted accesses by predicate, then random accesses by predicate. Dead
+// sources offer nothing, so a mid-run death re-derives the choices.
+// Quota-spent predicates are withheld (a hard, permanent bar) and the
+// return value says whether one was; breaker-open predicates are NOT -
+// their fast-fails are transient, unbilled, and bounded by the engines'
+// consecutive-failure guard. Both engines derive their choices here.
+bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
+                      std::vector<Access>* out);
+
+// Settles a run with BuildCertifiedResult over `rows` (in rank order)
+// and records the certificate event on the sources' tracer. Both engines
+// certify through it.
+void SettleCertified(const SourceSet& sources,
+                     const std::vector<CertifiedRow>& rows,
+                     Score unseen_ceiling, size_t k, TerminationReason reason,
+                     TopKResult* out);
 
 // The engine's observers are its SourceSet's (docs/OBSERVABILITY.md): a
 // tracer there gets a phase span per Run/Extend/Resume and one kIteration
@@ -201,9 +210,13 @@ class NCEngine {
   // Extended. Theta-approximate answers are complete, not truncated.
   bool last_run_truncated() const { return last_run_truncated_; }
 
-  // True iff the last Run/Extend hit an unrecoverable source failure and
-  // finished in degraded mode (whether or not the final answer still
-  // completed exactly on the surviving capabilities).
+  // True iff the last Run/Extend hit an unrecoverable source failure
+  // (access/fault.h: retries exhausted or the source died) and finished in
+  // degraded mode, whether or not the final answer still completed
+  // exactly on the surviving capabilities. Such a failure never fails the
+  // run: the engine re-derives the necessary choices against what
+  // survives, and certifies kSourceFailure once a death leaves a task
+  // unsatisfiable.
   bool last_run_degraded() const { return last_run_degraded_; }
 
   // Mean size of the necessary-choice sets offered to the policy - the
@@ -243,21 +256,15 @@ class NCEngine {
   // span is valid until the next RankTopK.
   std::span<const LazyBoundHeap::Entry> RankTopK(size_t k);
 
-  // Fills `alternatives_` with the necessary choices for `target`
-  // (Definition 2) in deterministic order: sorted accesses by predicate,
-  // then random accesses by predicate. Dead sources offer nothing, so a
-  // mid-run death re-derives the choices automatically.
-  void BuildAlternatives(ObjectId target);
-
   // Performs `access`, updating candidates and the heap. kUnavailable
   // when the access failed unrecoverably (no state was consumed).
   Status Perform(const Access& access);
 
   // Emits the current top-k by maximal-possible score into *out with an
-  // AnytimeCertificate: per-object [lower, upper] score intervals and
-  // the proven precision bound epsilon against everything excluded
-  // (including the unseen remainder). Scores are upper bounds; the
-  // unseen sentinel never appears as an entry. Flags the run truncated.
+  // AnytimeCertificate (SettleCertified): per-object [lower, upper] score
+  // intervals and the proven epsilon against everything excluded
+  // (including the unseen remainder). Scores are upper bounds; the unseen
+  // sentinel never appears as an entry. Flags the run truncated.
   void EmitCertified(TerminationReason reason, TopKResult* out);
 
   SourceSet* sources_;
@@ -281,9 +288,6 @@ class NCEngine {
   // sources flake persistently without dying.
   size_t consecutive_failures_ = 0;
   double choice_width_total_ = 0.0;
-  // Set by BuildAlternatives when a quota-spent predicate was withheld
-  // from the offered choices; empty alternatives then certify as kQuota.
-  bool skipped_quota_ = false;
   bool universe_seeded_ = false;
   bool has_run_ = false;
   bool last_run_exact_ = true;

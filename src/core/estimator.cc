@@ -56,23 +56,9 @@ SimulationCostEstimator::SimulationCostEstimator(std::vector<Dataset> samples,
   }
 }
 
-double SimulationCostEstimator::EstimateCost(const SRGConfig& config) {
-  const std::string key = ConfigKey(config);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-
-  // Malformed configs (bad depths, non-permutation schedules) surface as
-  // infinite cost so searches steer away instead of crashing mid-climb.
-  if (!config.Validate(cost_.num_predicates()).ok()) {
-    const double inf = std::numeric_limits<double>::infinity();
-    memo_.emplace(key, inf);
-    return inf;
-  }
-
-  // Only live simulations are billed; memoized repeats return above
-  // without touching the profiler. The inner engines run unprofiled so
-  // simulation work never pollutes the access-level cost centers.
-  NC_PROFILE_SCOPE(profiler_, kOptimizerSimulate);
+SimulationCostEstimator::Simulation SimulationCostEstimator::Simulate(
+    const SRGConfig& config) const {
+  Simulation sim;
   double total = 0.0;
   for (const Dataset& sample : samples_) {
     SourceSet sources(&sample, cost_);
@@ -80,20 +66,32 @@ double SimulationCostEstimator::EstimateCost(const SRGConfig& config) {
     EngineOptions options;
     options.k = k_prime_;
     TopKResult ignored;
-    const Status status =
-        RunNC(&sources, scoring_, &policy, options, &ignored);
-    if (!status.ok()) {
-      total = std::numeric_limits<double>::infinity();
-      break;
+    if (!RunNC(&sources, scoring_, &policy, options, &ignored).ok()) {
+      return Simulation{};
     }
     total += sources.accrued_cost();
+    sim.stats.push_back(sources.stats());
   }
-  const double cost = std::isinf(total)
-                          ? total
-                          : total / static_cast<double>(samples_.size());
-  ++simulations_;
-  memo_.emplace(key, cost);
-  return cost;
+  sim.cost = total / static_cast<double>(samples_.size());
+  return sim;
+}
+
+double SimulationCostEstimator::EstimateCost(const SRGConfig& config) {
+  const std::string key = ConfigKey(config);
+  auto it = memo_.find(key);
+  if (it != memo_.end()) return it->second.cost;
+  // Malformed configs (bad depths, non-permutation schedules) surface as
+  // infinite cost so searches steer away instead of crashing mid-climb.
+  Simulation sim;
+  if (config.Validate(cost_.num_predicates()).ok()) {
+    // Only live simulations are billed; memoized repeats return above
+    // without touching the profiler. The inner engines run unprofiled so
+    // simulation work never pollutes the access-level cost centers.
+    NC_PROFILE_SCOPE(profiler_, kOptimizerSimulate);
+    ++simulations_;
+    sim = Simulate(config);
+  }
+  return memo_.emplace(key, std::move(sim)).first->second.cost;
 }
 
 void SimulationCostEstimator::Predict(const SRGConfig& config, size_t full_n,
@@ -102,22 +100,16 @@ void SimulationCostEstimator::Predict(const SRGConfig& config, size_t full_n,
   *out = CostPrediction{};
   const size_t m = cost_.num_predicates();
   if (!config.Validate(m).ok()) return;
+  const auto it = memo_.find(ConfigKey(config));
+  const Simulation sim = it != memo_.end() ? it->second : Simulate(config);
+  if (sim.stats.empty()) return;  // A simulation failed.
   out->sorted_accesses.assign(m, 0.0);
   out->random_accesses.assign(m, 0.0);
   out->cost.assign(m, 0.0);
-  for (const Dataset& sample : samples_) {
-    SourceSet sources(&sample, cost_);
-    SRGPolicy policy(config);
-    EngineOptions options;
-    options.k = k_prime_;
-    TopKResult ignored;
-    if (!RunNC(&sources, scoring_, &policy, options, &ignored).ok()) {
-      *out = CostPrediction{};
-      return;
-    }
-    const AccessStats& stats = sources.stats();
+  for (size_t j = 0; j < samples_.size(); ++j) {
+    const AccessStats& stats = sim.stats[j];
     const double scale = static_cast<double>(full_n) /
-                         static_cast<double>(sample.num_objects());
+                         static_cast<double>(samples_[j].num_objects());
     for (PredicateId i = 0; i < m; ++i) {
       out->sorted_accesses[i] +=
           static_cast<double>(stats.sorted_count[i]) * scale;

@@ -10,10 +10,13 @@
 #ifndef NC_CORE_ESTIMATOR_H_
 #define NC_CORE_ESTIMATOR_H_
 
+#include <limits>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "access/cost_model.h"
+#include "access/source.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "core/srg_policy.h"
@@ -93,14 +96,27 @@ class SimulationCostEstimator final : public CostEstimator {
   size_t num_predicates() const override { return cost_.num_predicates(); }
   size_t simulations() const override { return simulations_; }
 
-  // Re-simulates `config` over the samples capturing the per-predicate
-  // access tallies, and scales them to a database of `full_n` objects.
-  // *out is invalid (valid == false) when the config does not validate
-  // or a simulation fails. Does not count toward simulations() - it is
-  // audit bookkeeping for an already-chosen plan, not search work.
+  // Scales the per-predicate access tallies of `config`'s simulations to
+  // a database of `full_n` objects - read from the memo when EstimateCost
+  // simulated the config, simulated afresh otherwise. *out is invalid
+  // (valid == false) when the config does not validate or a simulation
+  // fails. Does not count toward simulations() - it is audit bookkeeping
+  // for an already-chosen plan, not search work.
   void Predict(const SRGConfig& config, size_t full_n, CostPrediction* out);
 
  private:
+  // One config run over every sample: the mean accrued cost, and each
+  // sample's access tallies (empty, at infinite cost, when the config is
+  // malformed or a simulation failed).
+  struct Simulation {
+    double cost = std::numeric_limits<double>::infinity();
+    std::vector<AccessStats> stats;
+  };
+
+  // The one simulation loop, shared by EstimateCost and Predict. `config`
+  // must validate.
+  Simulation Simulate(const SRGConfig& config) const;
+
   std::vector<Dataset> samples_;
   CostModel cost_;
   const ScoringFunction* scoring_;
@@ -108,7 +124,7 @@ class SimulationCostEstimator final : public CostEstimator {
   size_t simulations_ = 0;
   // Memo keyed by the config's canonical string; hill climbing revisits
   // neighbors constantly.
-  std::unordered_map<std::string, double> memo_;
+  std::unordered_map<std::string, Simulation> memo_;
 };
 
 }  // namespace nc

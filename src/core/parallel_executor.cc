@@ -68,10 +68,9 @@ class ParallelRun {
   // not returned, which is what certifies the excluded ceiling.
   void VisibleTopK(std::vector<RankedEntry>* out, size_t extra = 0);
 
-  // Necessary choices of `target` against the visible state, minus
-  // accesses already in flight and physically impossible ones.
-  // Quota-spent predicates are withheld; epoch_skipped_quota_ records
-  // that some choice was barred by quota this epoch.
+  // NecessaryChoices of `target` against the visible state, minus the
+  // random probes already in flight; epoch_skipped_quota_ records that
+  // some choice was withheld by a spent quota this epoch.
   void BuildAlternatives(ObjectId target, std::vector<Access>* out);
 
   // Performs the access against the sources now (accounting happens at
@@ -147,43 +146,16 @@ void ParallelRun::VisibleTopK(std::vector<RankedEntry>* out, size_t extra) {
 
 void ParallelRun::BuildAlternatives(ObjectId target,
                                     std::vector<Access>* out) {
-  out->clear();
-  const size_t m = sources_->num_predicates();
-  if (target == kUnseenObject) {
-    for (PredicateId i = 0; i < m; ++i) {
-      if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
-        if (sources_->quota_exhausted(i)) {
-          epoch_skipped_quota_ = true;
-          continue;
-        }
-        out->push_back(Access::Sorted(i));
-      }
-    }
-    return;
+  const Candidate* state = nullptr;
+  if (target != kUnseenObject) {
+    state = pool_.Find(target);
+    NC_CHECK(state != nullptr);
   }
-  const Candidate* c = pool_.Find(target);
-  NC_CHECK(c != nullptr);
-  for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
-    if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
-      if (sources_->quota_exhausted(i)) {
-        epoch_skipped_quota_ = true;
-        continue;
-      }
-      out->push_back(Access::Sorted(i));
-    }
-  }
-  for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
-    if (sources_->has_random(i) &&
-        random_in_flight_.find({i, target}) == random_in_flight_.end()) {
-      if (sources_->quota_exhausted(i)) {
-        epoch_skipped_quota_ = true;
-        continue;
-      }
-      out->push_back(Access::Random(i, target));
-    }
-  }
+  if (NecessaryChoices(*sources_, state, out)) epoch_skipped_quota_ = true;
+  std::erase_if(*out, [this](const Access& a) {
+    return a.type == AccessType::kRandom &&
+           random_in_flight_.count({a.predicate, a.object}) != 0;
+  });
 }
 
 bool ParallelRun::Issue(const Access& access, Status* status) {
@@ -282,36 +254,23 @@ void ParallelRun::EmitCertified(TerminationReason reason,
                                 ParallelResult* out) {
   // Ranking k + 1 entries verifies one bound past the answer, which
   // dominates every visible object not returned; the sentinel (no
-  // concrete object) folds into the excluded ceiling, covering the
-  // unseen remainder. Results still in flight were paid for but are not
+  // concrete object) is the unseen ceiling, covering the unseen
+  // remainder. Results still in flight were paid for but are not
   // visible, so they contribute nothing the intervals must explain.
   std::vector<RankedEntry> ranked;
   VisibleTopK(&ranked, /*extra=*/1);
-  out->topk.entries.clear();
-  AnytimeCertificate cert;
-  cert.reason = reason;
-  Score min_lower = kMaxScore;
+  std::vector<CertifiedRow> rows;
+  Score unseen = kMinScore;
   for (const RankedEntry& e : ranked) {
-    if (e.object == kUnseenObject ||
-        out->topk.entries.size() == options_.k) {
-      cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
+    if (e.object == kUnseenObject) {
+      unseen = e.bound;
       continue;
     }
-    Candidate* c = pool_.Find(e.object);
+    const Candidate* c = pool_.Find(e.object);
     NC_CHECK(c != nullptr);
-    const Score lower = e.complete ? e.bound : bounds_.Lower(*c);
-    out->topk.entries.push_back(TopKEntry{e.object, e.bound});
-    cert.intervals.push_back(ScoreInterval{lower, e.bound});
-    min_lower = std::min(min_lower, lower);
+    rows.push_back(CertifiedRow{e.object, bounds_.Lower(*c), e.bound});
   }
-  if (out->topk.entries.empty()) min_lower = kMinScore;
-  cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
-  if (obs::ShouldTrace(sources_->tracer())) {
-    sources_->tracer()->RecordCertificate(TerminationReasonName(reason),
-                                          cert.epsilon, cert.excluded_ceiling,
-                                          sources_->accrued_cost());
-  }
-  out->topk.certificate = std::move(cert);
+  SettleCertified(*sources_, rows, unseen, options_.k, reason, &out->topk);
   out->exact = false;
   FillAccounting(out);
 }
@@ -332,8 +291,9 @@ Status ParallelRun::Execute(ParallelResult* out) {
   }
 
   policy_->Reset(*sources_);
-  universe_seeded_ =
-      !options_.no_wild_guesses || !sources_->cost_model().any_sorted();
+  // Without sorted access anywhere no object can be discovered, so the
+  // universe is known up front (MPro's probe-only setting).
+  universe_seeded_ = !sources_->cost_model().any_sorted();
   if (universe_seeded_) {
     for (ObjectId u = 0; u < n; ++u) pool_.GetOrCreate(u);
   }
@@ -378,18 +338,11 @@ Status ParallelRun::Execute(ParallelResult* out) {
     // Budget exhaustion settles with a certified answer (the exact
     // check above runs first). The deadline trips on whichever clock
     // crosses first: the sources' cost clock or the simulated makespan.
-    {
-      const QueryBudget& budget = sources_->budget();
-      const bool cost_stop = sources_->cost_budget_exhausted();
-      const bool deadline_stop =
-          sources_->deadline_exceeded() ||
-          (budget.deadline > 0.0 && now_ >= budget.deadline);
-      if (cost_stop || deadline_stop) {
-        EmitCertified(cost_stop ? TerminationReason::kCostBudget
-                                : TerminationReason::kDeadline,
-                      out);
-        return Status::OK();
-      }
+    const double deadline = sources_->budget().deadline;
+    const bool late = deadline > 0.0 && now_ >= deadline;
+    if (sources_->budget_exhausted() || late) {
+      EmitCertified(BudgetStopReason(*sources_, late), out);
+      return Status::OK();
     }
     epoch_skipped_quota_ = false;
 
@@ -397,7 +350,9 @@ Status ParallelRun::Execute(ParallelResult* out) {
     // while slots remain.
     bool issued_any = false;
     bool failed_this_round = false;
-    const auto select_and_issue = [&](const RankedEntry& e) -> Status {
+    // False when the issue failed unrecoverably (a budget refusal stops
+    // the epoch through budget_stopped_ instead).
+    const auto select_and_issue = [&](const RankedEntry& e) {
       EngineView view;
       view.sources = sources_;
       view.scoring = &scoring_;
@@ -417,18 +372,18 @@ Status ParallelRun::Execute(ParallelResult* out) {
         // One access per task per epoch; a failed issue stays eligible
         // for retry against the re-derived capabilities.
         issued_this_epoch_.insert(e.object);
-        return Status::OK();
+        return true;
       }
       if (status.code() == StatusCode::kResourceExhausted) {
         // The budget crossed mid-epoch (an earlier issue's cost or retry
         // penalty pushed it over); nothing was billed for the refusal.
         budget_stopped_ = true;
-        return Status::OK();
+        return true;
       }
       NC_CHECK(status.code() == StatusCode::kUnavailable);
       failed_this_round = true;
       ++consecutive_failures_;
-      return status;
+      return false;
     };
 
     // Discovery (the unseen sentinel's sorted reads) is the speculative
@@ -452,18 +407,15 @@ Status ParallelRun::Execute(ParallelResult* out) {
       if (issued_this_epoch_.count(e.object) != 0) continue;
       BuildAlternatives(e.object, &alternatives);
       if (alternatives.empty()) continue;  // Waiting on in-flight results.
-      const Status status = select_and_issue(e);
-      if (!status.ok() && !options_.tolerate_source_failure) return status;
-      if (status.ok() && e.object != kUnseenObject) issued_concrete = true;
+      if (select_and_issue(e) && e.object != kUnseenObject) {
+        issued_concrete = true;
+      }
     }
     if (deferred_sentinel != nullptr && !issued_concrete &&
         !budget_stopped_ && pending_.size() < options_.concurrency &&
         issued_this_epoch_.count(kUnseenObject) == 0) {
       BuildAlternatives(kUnseenObject, &alternatives);
-      if (!alternatives.empty()) {
-        const Status status = select_and_issue(*deferred_sentinel);
-        if (!status.ok() && !options_.tolerate_source_failure) return status;
-      }
+      if (!alternatives.empty()) select_and_issue(*deferred_sentinel);
     }
 
     // Optional speculation: read streams ahead for the highest-ranked task
@@ -479,12 +431,7 @@ Status ParallelRun::Execute(ParallelResult* out) {
         std::erase_if(alternatives, [](const Access& a) {
           return a.type != AccessType::kSorted;
         });
-        if (alternatives.empty()) continue;
-        const Status status = select_and_issue(e);
-        if (!status.ok()) {
-          if (!options_.tolerate_source_failure) return status;
-          continue;
-        }
+        if (alternatives.empty() || !select_and_issue(e)) continue;
         launched = true;
         break;
       }
@@ -494,12 +441,7 @@ Status ParallelRun::Execute(ParallelResult* out) {
     if (budget_stopped_) {
       // Mid-epoch refusal: settle now with whatever is visible (results
       // still in flight were paid for and count as wasted).
-      EmitCertified(sources_->cost_budget_exhausted()
-                        ? TerminationReason::kCostBudget
-                        : (sources_->deadline_exceeded()
-                               ? TerminationReason::kDeadline
-                               : TerminationReason::kQuota),
-                    out);
+      EmitCertified(BudgetStopReason(*sources_), out);
       return Status::OK();
     }
     if (consecutive_failures_ >= kMaxConsecutiveFailures) {
@@ -516,11 +458,12 @@ Status ParallelRun::Execute(ParallelResult* out) {
     } else if (!issued_any) {
       if (failed_this_round) continue;  // Retry against what survives.
       if (epoch_skipped_quota_) {
-        // Every remaining choice needs a quota-spent predicate.
-        EmitCertified(TerminationReason::kQuota, out);
+        // Every remaining choice needs a quota-spent predicate (nothing
+        // was issued or billed since the global budget check above).
+        EmitCertified(BudgetStopReason(*sources_), out);
         return Status::OK();
       }
-      if (options_.tolerate_source_failure && sources_->any_source_down()) {
+      if (sources_->any_source_down()) {
         // A death left the remaining tasks unsatisfiable; degrade.
         EmitCertified(TerminationReason::kSourceFailure, out);
         return Status::OK();

@@ -27,7 +27,6 @@ struct ParallelOptions {
   // Maximum accesses in flight; 1 degenerates to the sequential engine's
   // behavior (elapsed == total cost when latency == unit cost).
   size_t concurrency = 4;
-  bool no_wild_guesses = true;
   // Extra *speculative* sorted accesses allowed per scheduling epoch (the
   // span between two completions), beyond the one access each unsatisfied
   // task may issue. Speculation reads streams ahead of proven need: it
@@ -35,14 +34,13 @@ struct ParallelOptions {
   // the sequential plan might never perform - the paper's "unrestrained
   // concurrency abuses resources" trade-off, exposed as a dial.
   size_t max_speculation = 0;
-  // Graceful degradation under source failure, mirroring
-  // EngineOptions::tolerate_source_failure: unrecoverable accesses are
-  // skipped and the run completes on the surviving capabilities, falling
-  // back to a certified anytime answer (ParallelResult::exact false) when
-  // a death leaves the query unsatisfiable. Off, the first unrecovered
-  // failure surfaces as a kUnavailable error.
-  bool tolerate_source_failure = true;
 
+  // Like the sequential engine, the executor degrades under source
+  // failure: unrecoverable accesses are skipped and the run completes on
+  // the surviving capabilities, falling back to a certified anytime
+  // answer (ParallelResult::exact false) when a death leaves the query
+  // unsatisfiable.
+  //
   // Budgets (QueryBudget) attach to the SourceSet (set_budget), not here:
   // the access layer refuses accesses past the cap and the executor
   // settles with a certified answer. The wall deadline is enforced both
@@ -64,7 +62,7 @@ struct ParallelResult {
   // Accesses still in flight when the top-k settled.
   size_t wasted_accesses = 0;
   // Issue attempts that failed unrecoverably (retries exhausted or the
-  // source died) and were skipped under tolerate_source_failure.
+  // source died) and were skipped.
   size_t failed_accesses = 0;
   // False when the answer is an anytime one (budget exhaustion or source
   // failure forced an early settle); reported scores are then upper

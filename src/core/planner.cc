@@ -132,9 +132,9 @@ Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
     NC_RETURN_IF_ERROR(optimize_depths(schedule, out));
   }
 
-  // Full-scale prediction of the chosen plan: the same sample simulation
-  // that scored it, re-run once to capture the per-predicate footprint
-  // the post-run CostAudit diffs against metered actuals.
+  // Full-scale prediction of the chosen plan: the per-predicate footprint
+  // of the sample simulation that scored it, which the post-run CostAudit
+  // diffs against metered actuals.
   estimator.Predict(out->config, sources.num_objects(), &out->prediction);
   return Status::OK();
 }

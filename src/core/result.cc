@@ -5,10 +5,24 @@
 #include <limits>
 #include <sstream>
 
+#include "access/source.h"
 #include "common/check.h"
 #include "core/rank_order.h"
 
 namespace nc {
+
+namespace {
+
+// The proven epsilon for a returned set whose smallest lower bound is
+// `min_lower` against excluded objects bounded by `excluded_ceiling`.
+double CertifiedEpsilon(Score min_lower, Score excluded_ceiling) {
+  if (excluded_ceiling <= 0.0) return 0.0;
+  if (min_lower <= 0.0) return std::numeric_limits<double>::infinity();
+  const double epsilon = excluded_ceiling / min_lower - 1.0;
+  return epsilon > 0.0 ? epsilon : 0.0;
+}
+
+}  // namespace
 
 const char* TerminationReasonName(TerminationReason reason) {
   switch (reason) {
@@ -28,11 +42,12 @@ const char* TerminationReasonName(TerminationReason reason) {
   return "Unknown";
 }
 
-double CertifiedEpsilon(Score min_lower, Score excluded_ceiling) {
-  if (excluded_ceiling <= 0.0) return 0.0;
-  if (min_lower <= 0.0) return std::numeric_limits<double>::infinity();
-  const double epsilon = excluded_ceiling / min_lower - 1.0;
-  return epsilon > 0.0 ? epsilon : 0.0;
+TerminationReason BudgetStopReason(const SourceSet& sources, bool late) {
+  if (sources.cost_budget_exhausted()) return TerminationReason::kCostBudget;
+  if (sources.deadline_exceeded() || late) {
+    return TerminationReason::kDeadline;
+  }
+  return TerminationReason::kQuota;
 }
 
 std::string AnytimeCertificate::ToString() const {

@@ -13,6 +13,8 @@
 
 namespace nc {
 
+class SourceSet;
+
 struct TopKEntry {
   ObjectId object = 0;
   Score score = 0.0;
@@ -34,6 +36,14 @@ enum class TerminationReason {
 
 // "CostBudget", "Deadline", ... for logs and trace events.
 const char* TerminationReasonName(TerminationReason reason);
+
+// Why the budget bars `sources` (access/budget.h), for every algorithm
+// that stops on it: kCostBudget once the cost cap is spent, else
+// kDeadline once the deadline passed on the sources' clock or `late` (a
+// caller's own clock, the parallel makespan) says so, else kQuota - a
+// per-predicate quota refused the access.
+TerminationReason BudgetStopReason(const SourceSet& sources,
+                                   bool late = false);
 
 // Proven score interval for one returned entry: the object's aggregate
 // score lies in [lower, upper]. For fully probed objects lower == upper.
@@ -64,10 +74,6 @@ struct AnytimeCertificate {
   std::string ToString() const;
 };
 
-// The proven epsilon for a returned set whose smallest lower bound is
-// `min_lower` against excluded objects bounded by `excluded_ceiling`.
-double CertifiedEpsilon(Score min_lower, Score excluded_ceiling);
-
 // The answer to a top-k query: entries ranked by descending score, ties by
 // descending ObjectId (the deterministic tie-breaker of Section 3.1).
 // Contains min(k, n) entries. Early-terminated runs carry a certificate;
@@ -86,20 +92,21 @@ struct TopKResult {
   }
 };
 
-// One candidate row for assembling a certified answer outside the NC
-// engine (the baselines): the object's proven score interval at the
-// moment the run stopped.
+// One candidate row for assembling a certified answer: the object's
+// proven score interval at the moment the run stopped.
 struct CertifiedRow {
   ObjectId object = 0;
   Score lower = kMinScore;
   Score upper = kMaxScore;
 };
 
+// The one certificate builder, for the engines and the baselines alike.
 // Assembles a certified anytime TopKResult from candidate rows: ranks all
-// rows by upper bound (the maximal-possible order the engines use), keeps
-// the top k as entries scored by their upper bound, and folds the rest -
-// plus `unseen_ceiling`, the largest possible score of any never-seen
-// object - into the certificate's excluded ceiling and epsilon.
+// rows by upper bound (RanksAbove, the maximal-possible order the engines
+// use; rows already in that order stay in place), keeps the top k as
+// entries scored by their upper bound, and folds the rest - plus
+// `unseen_ceiling`, the largest possible score of any never-seen object -
+// into the certificate's excluded ceiling and epsilon.
 void BuildCertifiedResult(const std::vector<CertifiedRow>& rows,
                           Score unseen_ceiling, size_t k,
                           TerminationReason reason, TopKResult* out);

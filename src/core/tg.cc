@@ -107,8 +107,7 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
   CandidatePool pool(m);
   BoundEvaluator bounds(&scoring);
   policy->Reset(*sources);
-  const bool universe_seeded =
-      !options.no_wild_guesses || !sources->cost_model().any_sorted();
+  const bool universe_seeded = !sources->cost_model().any_sorted();
   if (universe_seeded) {
     for (ObjectId u = 0; u < n; ++u) pool.GetOrCreate(u);
   }
@@ -137,8 +136,8 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
     NC_CHECK(offered);
 
     if (access.type == AccessType::kSorted) {
-      const std::optional<SortedHit> hit =
-          sources->SortedAccess(access.predicate);
+      std::optional<SortedHit> hit;
+      NC_RETURN_IF_ERROR(sources->TrySortedAccess(access.predicate, &hit));
       NC_CHECK(hit.has_value());
       Candidate& c = pool.GetOrCreate(hit->object);
       if (!c.IsEvaluated(access.predicate)) {
@@ -150,8 +149,10 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
     } else {
       Candidate* c = pool.Find(access.object);
       NC_CHECK(c != nullptr);
-      c->SetScore(access.predicate,
-                  sources->RandomAccess(access.predicate, access.object));
+      Score score = 0.0;
+      NC_RETURN_IF_ERROR(
+          sources->TryRandomAccess(access.predicate, access.object, &score));
+      c->SetScore(access.predicate, score);
     }
     ++accesses;
     if (accesses > runaway_guard) {

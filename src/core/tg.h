@@ -69,7 +69,6 @@ class TGRandomPolicy final : public TGSelectPolicy {
 
 struct TGOptions {
   size_t k = 1;
-  bool no_wild_guesses = true;
 };
 
 struct TGReport {
@@ -80,6 +79,9 @@ struct TGReport {
 };
 
 // Runs a TG algorithm to completion. On OK, *out holds the exact top-k.
+// The object universe is seeded up front exactly when the scenario has no
+// sorted access (no object could be discovered otherwise). An access the
+// sources refuse or fail for good ends the run with that status.
 Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
              TGSelectPolicy* policy, const TGOptions& options,
              TopKResult* out, TGReport* report = nullptr);

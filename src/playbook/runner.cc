@@ -21,6 +21,7 @@
 #include "core/srg_policy.h"
 #include "data/generator.h"
 #include "obs/json.h"
+#include "obs/json_parse.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/telemetry.h"
@@ -739,116 +740,53 @@ std::string PlaybookReport::ToJson() const {
   return os.str();
 }
 
-namespace {
-
-// Minimal cursor over the JSON subset bench_playbook emits.
-struct JsonCursor {
-  std::string_view text;
-  size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\n' || text[pos] == '\t' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  // Parses a quoted string (escapes rejected - names are plain tokens).
-  bool TakeString(std::string* out) {
-    if (!Expect('"')) return false;
-    const size_t start = pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') return false;
-      ++pos;
-    }
-    if (pos >= text.size()) return false;
-    *out = std::string(text.substr(start, pos - start));
-    ++pos;
-    return true;
-  }
-
-  bool TakeNumber(double* out) {
-    SkipSpace();
-    const size_t start = pos;
-    while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-           text[pos] != ']' && text[pos] != ' ' && text[pos] != '\n') {
-      ++pos;
-    }
-    return ParseDouble(text.substr(start, pos - start), out);
-  }
-};
-
-}  // namespace
-
 Status LoadBaseline(const std::string& json,
                     std::map<std::string, BaselineEntry>* out) {
-  const size_t key = json.find("\"baseline\"");
-  if (key == std::string::npos) {
+  obs::JsonValue doc;
+  NC_RETURN_IF_ERROR(obs::ParseJson(json, &doc));
+  const obs::JsonValue* object = doc.Find("baseline");
+  if (object == nullptr) {
     return Status::InvalidArgument("no \"baseline\" object in document");
   }
-  JsonCursor cur{json, key + std::string("\"baseline\"").size()};
-  if (!cur.Expect(':') || !cur.Expect('{')) {
+  if (!object->is_object()) {
     return Status::InvalidArgument("malformed baseline object");
   }
   std::map<std::string, BaselineEntry> baseline;
-  if (!cur.Peek('}')) {
-    while (true) {
-      std::string name;
-      if (!cur.TakeString(&name) || !cur.Expect(':') || !cur.Expect('{')) {
-        return Status::InvalidArgument("malformed baseline entry");
+  for (const auto& [name, fields] : object->object) {
+    if (!fields.is_object()) {
+      return Status::InvalidArgument("malformed baseline entry for \"" +
+                                     name + "\"");
+    }
+    BaselineEntry entry;
+    bool saw_cost = false, saw_accesses = false;
+    for (const auto& [field, value] : fields.object) {
+      if (!value.is_number()) {
+        return Status::InvalidArgument("malformed baseline field for \"" +
+                                       name + "\"");
       }
-      BaselineEntry entry;
-      bool saw_cost = false, saw_accesses = false;
-      while (true) {
-        std::string field;
-        double value = 0.0;
-        if (!cur.TakeString(&field) || !cur.Expect(':') ||
-            !cur.TakeNumber(&value)) {
-          return Status::InvalidArgument("malformed baseline field for \"" +
-                                         name + "\"");
+      if (field == "cost") {
+        entry.cost = value.number;
+        saw_cost = true;
+      } else if (field == "accesses") {
+        // A count: a non-negative integer that fits in size_t.
+        if (!(value.number >= 0.0 && value.number < 0x1p64) ||
+            value.number != std::floor(value.number)) {
+          return Status::InvalidArgument("baseline accesses for \"" + name +
+                                         "\" is not a count");
         }
-        if (field == "cost") {
-          entry.cost = value;
-          saw_cost = true;
-        } else if (field == "accesses") {
-          entry.accesses = static_cast<size_t>(value);
-          saw_accesses = true;
-        } else {
-          return Status::InvalidArgument("unknown baseline field \"" +
-                                         field + "\"");
-        }
-        if (cur.Peek('}')) break;
-        if (!cur.Expect(',')) {
-          return Status::InvalidArgument("malformed baseline entry for \"" +
-                                         name + "\"");
-        }
-      }
-      cur.Expect('}');
-      if (!saw_cost || !saw_accesses) {
-        return Status::InvalidArgument("baseline entry \"" + name +
-                                       "\" missing cost or accesses");
-      }
-      baseline[name] = entry;
-      if (cur.Peek('}')) break;
-      if (!cur.Expect(',')) {
-        return Status::InvalidArgument("malformed baseline object");
+        entry.accesses = static_cast<size_t>(value.number);
+        saw_accesses = true;
+      } else {
+        return Status::InvalidArgument("unknown baseline field \"" + field +
+                                       "\"");
       }
     }
+    if (!saw_cost || !saw_accesses) {
+      return Status::InvalidArgument("baseline entry \"" + name +
+                                     "\" missing cost or accesses");
+    }
+    baseline[name] = entry;
   }
-  cur.Expect('}');
   *out = std::move(baseline);
   return Status::OK();
 }

@@ -182,10 +182,11 @@ class PlaybookRunner {
   RunnerOptions options_;
 };
 
-// Extracts the {"baseline": {"<name>": {"cost": c, "accesses": a}}} map
-// from a BENCH_PLAYBOOK.json document (the subset of JSON bench_playbook
-// emits; not a general parser). InvalidArgument when the document has no
-// well-formed baseline object.
+// Extracts the top-level {"baseline": {"<name>": {"cost": c, "accesses":
+// a}}} member of a BENCH_PLAYBOOK.json document (parsed by
+// obs::ParseJson). InvalidArgument when the document is not one valid
+// JSON document or its baseline object is malformed: a missing field, an
+// unknown one, or an access count that is not a non-negative integer.
 Status LoadBaseline(const std::string& json,
                     std::map<std::string, BaselineEntry>* out);
 

@@ -683,7 +683,10 @@ void ScriptedBudget(SeamDump* dump) {
   EXPECT_EQ(call.Random(2, 1).code(), StatusCode::kResourceExhausted);
   // An exhausted stream under a spent budget returns OK, no refusal.
   EXPECT_TRUE(call.Sorted(2).ok());
-  sources.NoteBudgetRefusal();
+  // A refusal counts whether or not the caller reports it.
+  Score unreported = 0.0;
+  EXPECT_EQ(sources.TryRandomAccess(0, 4, &unreported).code(),
+            StatusCode::kResourceExhausted);
   // A deadline on the Eq. 1 clock, elapsed by a timeout penalty.
   QueryBudget deadline;
   deadline.deadline = sources.elapsed_time() + 1.5;

@@ -14,6 +14,13 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
 Dataset MakeData(uint64_t seed, size_t n = 500, size_t m = 3) {
   GeneratorOptions g;
   g.num_objects = n;
@@ -43,7 +50,7 @@ TEST(BundlingTest, ValidationRules) {
 TEST(BundlingTest, SortedHitCarriesGroupRow) {
   const Dataset data = MakeData(1, 10, 3);
   SourceSet sources(&data, GroupedModel(3, 1.0, 1.0));
-  const auto hit = sources.SortedAccess(1);
+  const auto hit = ReadSorted(&sources, 1);
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->bundled.size(), 2u);
   for (const auto& [predicate, score] : hit->bundled) {
@@ -57,9 +64,9 @@ TEST(BundlingTest, PartialGroupsBundleOnlySiblings) {
   CostModel model = CostModel::Uniform(3, 1.0, 1.0);
   model.attribute_groups = {0, 7, 7};  // p1 and p2 share a source.
   SourceSet sources(&data, model);
-  const auto solo = sources.SortedAccess(0);
+  const auto solo = ReadSorted(&sources, 0);
   EXPECT_TRUE(solo->bundled.empty());
-  const auto pair = sources.SortedAccess(1);
+  const auto pair = ReadSorted(&sources, 1);
   ASSERT_EQ(pair->bundled.size(), 1u);
   EXPECT_EQ(pair->bundled[0].first, 2u);
 }
@@ -67,7 +74,7 @@ TEST(BundlingTest, PartialGroupsBundleOnlySiblings) {
 TEST(BundlingTest, UngroupedHitsHaveNoBundle) {
   const Dataset data = MakeData(3, 10, 2);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  EXPECT_TRUE(sources.SortedAccess(0)->bundled.empty());
+  EXPECT_TRUE(ReadSorted(&sources, 0)->bundled.empty());
 }
 
 TEST(BundlingTest, EngineExactAndNeverProbes) {

@@ -9,6 +9,13 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
 // Dataset 1 of the paper (Figure 3): u1 = (0.65, 0.9), u2 = (0.6, 0.8),
 // u3 = (0.7, 0.7); u3 is the top-1 under F = min with score 0.7
 // (Example 6). 0-based ids: u1 -> 0, u2 -> 1, u3 -> 2.
@@ -149,7 +156,7 @@ TEST(EngineTest, RejectsConsumedSources) {
   const Dataset data = PaperDataset();
   AverageFunction avg(2);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   SRGPolicy policy(SRGConfig::Default(2));
   EngineOptions options;
   options.k = 1;

@@ -9,6 +9,7 @@
 #include "access/budget.h"
 #include "access/fault.h"
 #include "access/source.h"
+#include "baselines/registry.h"
 #include "core/engine.h"
 #include "core/parallel_executor.h"
 #include "core/reference.h"
@@ -17,6 +18,13 @@
 
 namespace nc {
 namespace {
+
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
 
 Dataset MakeData(uint64_t seed, size_t n = 200, size_t m = 2) {
   GeneratorOptions g;
@@ -52,7 +60,7 @@ TEST(FaultInjectorTest, ScriptsRunBeforeRatesAndResetRestoresThem) {
 TEST(FaultToleranceTest, ScriptedTransientsRetryUntilSuccess) {
   const Dataset data = MakeData(11);
   SourceSet plain(&data, CostModel::Uniform(2, 1.0, 1.0));
-  const auto undisturbed = plain.SortedAccess(0);
+  const auto undisturbed = ReadSorted(&plain, 0);
   ASSERT_TRUE(undisturbed.has_value());
 
   FaultInjector injector(/*seed=*/2);
@@ -198,23 +206,25 @@ TEST(FaultToleranceTest, SourceDeathMidRunReturnsBestEffort) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(FaultToleranceTest, DeathSurfacesAsErrorWhenNotTolerated) {
-  const Dataset data = MakeData(15, 80, 2);
-  MinFunction fmin(2);
+// The baselines' published control loops cannot steer around a dead
+// predicate, but a source that fails for good surfaces as kUnavailable
+// instead of aborting the process.
+TEST(FaultToleranceTest, BaselinesReturnUnavailableWhenASourceDies) {
+  const Dataset data = MakeData(16, 80, 3);
+  AverageFunction avg(3);
   FaultProfile deadly;
   deadly.die_after_attempts = 3;
-  FaultInjector injector(/*seed=*/5);
-  injector.set_profile(0, deadly);
-
-  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.set_fault_injector(&injector);
-  SRGPolicy policy(SRGConfig::Default(2));
-  EngineOptions options;
-  options.k = 3;
-  options.tolerate_source_failure = false;
-  NCEngine engine(&sources, &fmin, &policy, options);
-  TopKResult result;
-  EXPECT_EQ(engine.Run(&result).code(), StatusCode::kUnavailable);
+  for (const AlgorithmInfo& info : AllBaselines()) {
+    FaultInjector injector(/*seed=*/6);
+    injector.set_profile(1, deadly);
+    SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
+    sources.set_fault_injector(&injector);
+    TopKResult result;
+    const Status status = info.run(&sources, avg, 5, &result);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+        << info.name << ": " << status;
+    EXPECT_TRUE(sources.source_down(1)) << info.name;
+  }
 }
 
 // Replays a fixed access sequence; the fault scenarios below need exact

@@ -12,10 +12,15 @@
 // plan a theta = 1.2 run, a cost-budgeted (certified) run, a best-effort
 // max_accesses run, a fault-injected run and Extend(k -> 2k), plus MPro
 // and Upper.
+//
+// A second matrix, committed as testdata/golden_stops.txt, pins every way
+// a budget stops a run (see StopsMatrix).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,9 +29,11 @@
 #include "access/source.h"
 #include "access/trace_format.h"
 #include "baselines/mpro.h"
+#include "baselines/registry.h"
 #include "baselines/upper.h"
 #include "common/numeric.h"
 #include "core/engine.h"
+#include "core/parallel_executor.h"
 #include "core/planner.h"
 #include "core/srg_policy.h"
 #include "data/generator.h"
@@ -36,6 +43,7 @@ namespace nc {
 namespace {
 
 constexpr char kGoldenPath[] = NC_TESTDATA_DIR "/golden_access_sequences.txt";
+constexpr char kStopsPath[] = NC_TESTDATA_DIR "/golden_stops.txt";
 
 Dataset Corpus() {
   GeneratorOptions g;
@@ -195,19 +203,168 @@ std::string ReplayMatrix() {
   return out;
 }
 
-TEST(GoldenTraceTest, MatrixReplaysByteIdentically) {
-  const std::string actual = ReplayMatrix();
-  std::ifstream in(kGoldenPath, std::ios::binary);
-  ASSERT_TRUE(in.is_open()) << "missing golden file " << kGoldenPath;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  if (golden.str() != actual) {
-    std::ofstream("golden_access_sequences.actual", std::ios::binary)
-        << actual;
+// --- Stops ----------------------------------------------------------------
+// Every way a budget stops a run, with what the certificate, the refusal
+// counter and both clocks say: each AllBaselines() entry, the sequential
+// engine and the parallel executor under a cost cap, a deadline and a
+// per-predicate quota. Each budget is sized from the same run unbudgeted,
+// over n = 150 objects and 3 predicates with unequal unit costs.
+
+Dataset StopsCorpus() {
+  GeneratorOptions g;
+  g.num_objects = 150;
+  g.num_predicates = 3;
+  g.seed = 20050406;
+  return GenerateDataset(g);
+}
+
+void AppendStop(const std::string& label, const Status& status,
+                const SourceSet& sources, const TopKResult& result,
+                std::string* out) {
+  AppendRun(label, status, sources, result, out);
+  *out += "elapsed " + FormatHexDouble(sources.elapsed_time()) +
+          " refusals " + std::to_string(sources.stats().budget_refusals) +
+          "\n";
+}
+
+// The budgets, sized from an unbudgeted run: half its cost as a cap,
+// half its `clock` (the Eq. 1 clock, or the parallel makespan) as a
+// deadline, and half its accesses on predicate 0 as that predicate's
+// quota; plus a cap of 2 that bars one of the first few accesses (for
+// the parallel executor, in the middle of its first epoch).
+std::vector<std::pair<std::string, QueryBudget>> StopBudgets(
+    const SourceSet& unbudgeted, double clock) {
+  QueryBudget cost;
+  cost.max_cost = unbudgeted.accrued_cost() / 2.0;
+  QueryBudget early;
+  early.max_cost = 2.0;
+  QueryBudget deadline;
+  deadline.deadline = clock / 2.0;
+  QueryBudget quota;
+  const AccessStats& stats = unbudgeted.stats();
+  quota.predicate_quota = {
+      std::max<size_t>(1, (stats.sorted_count[0] + stats.random_count[0]) / 2),
+      0, 0};
+  return {{"cost", cost},
+          {"deadline", deadline},
+          {"quota", quota},
+          {"early", early}};
+}
+
+// Runs one algorithm on `sources`: the parallel executor answers into
+// the ParallelResult, every other algorithm into the TopKResult.
+using StopRun =
+    std::function<Status(SourceSet*, TopKResult*, ParallelResult*)>;
+
+void AppendStops(const Dataset& data, const CostModel& cost,
+                 const std::string& label, bool parallel, const StopRun& run,
+                 std::string* out) {
+  const auto fresh = [&](SourceSet* sources) {
+    sources->EnableTrace();
+    // Latency above the unit cost lets the makespan run ahead of the
+    // Eq. 1 clock, so the parallel deadline can trip on either.
+    if (parallel) sources->set_latency_jitter(3.0, /*seed=*/17);
+  };
+  SourceSet unbudgeted(&data, cost);
+  fresh(&unbudgeted);
+  TopKResult result;
+  ParallelResult presult;
+  const Status full = run(&unbudgeted, &result, &presult);
+  if (!full.ok()) {
+    AppendStop(label + " unbudgeted", full, unbudgeted, result, out);
+    return;
   }
+  const double clock =
+      parallel ? presult.elapsed_time : unbudgeted.elapsed_time();
+  for (const auto& [name, budget] : StopBudgets(unbudgeted, clock)) {
+    SourceSet sources(&data, cost);
+    fresh(&sources);
+    EXPECT_TRUE(sources.set_budget(budget).ok());
+    const Status status = run(&sources, &result, &presult);
+    const TopKResult& answer = parallel ? presult.topk : result;
+    AppendStop(label + " " + name + " " + budget.ToString(), status, sources,
+               answer, out);
+    if (parallel) {
+      *out += "makespan " + FormatHexDouble(presult.elapsed_time) +
+              " issued " + std::to_string(presult.accesses_issued) +
+              " wasted " + std::to_string(presult.wasted_accesses) + "\n";
+    }
+  }
+}
+
+std::string StopsMatrix() {
+  const Dataset data = StopsCorpus();
+  const CostModel cost({1.0, 2.0, 1.0}, {3.0, 1.0, 2.0});
+  const AverageFunction avg(3);
+  const MinFunction fmin(3);
+  std::string out;
+  for (const ScoringFunction* scoring :
+       {static_cast<const ScoringFunction*>(&avg),
+        static_cast<const ScoringFunction*>(&fmin)}) {
+    for (const size_t k : {size_t{1}, size_t{10}}) {
+      const std::string cell = std::string("F=") +
+                               (scoring == &avg ? "avg" : "min") +
+                               " k=" + std::to_string(k);
+      for (const AlgorithmInfo& info : AllBaselines()) {
+        EXPECT_TRUE(info.applicable(cost)) << info.name;
+        AppendStops(data, cost, cell + " " + info.name, /*parallel=*/false,
+                    [&](SourceSet* s, TopKResult* r, ParallelResult*) {
+                      return info.run(s, *scoring, k, r);
+                    },
+                    &out);
+      }
+      AppendStops(data, cost, cell + " NC", /*parallel=*/false,
+                  [&](SourceSet* s, TopKResult* r, ParallelResult*) {
+                    SRGPolicy policy(SRGConfig::Default(3));
+                    EngineOptions options;
+                    options.k = k;
+                    NCEngine engine(s, scoring, &policy, options);
+                    return engine.Run(r);
+                  },
+                  &out);
+      // Two in flight: the makespan runs ahead of the Eq. 1 clock. Eight
+      // in flight with speculation: several issues per epoch, so a budget
+      // can bar one mid-epoch.
+      for (const size_t concurrency : {size_t{2}, size_t{8}}) {
+        AppendStops(data, cost,
+                    cell + " parallel c=" + std::to_string(concurrency),
+                    /*parallel=*/true,
+                    [&](SourceSet* s, TopKResult*, ParallelResult* r) {
+                      SRGPolicy policy(SRGConfig::Default(3));
+                      ParallelOptions options;
+                      options.k = k;
+                      options.concurrency = concurrency;
+                      options.max_speculation = concurrency / 4;
+                      return RunParallelNC(s, *scoring, &policy, options, r);
+                    },
+                    &out);
+      }
+    }
+  }
+  return out;
+}
+
+// Compares `actual` with the committed golden file at `path`; on a
+// mismatch writes it to `actual_name` in the working directory.
+void ExpectGolden(const std::string& actual, const char* path,
+                  const char* actual_name) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream golden;
+  if (in.is_open()) golden << in.rdbuf();
+  if (golden.str() != actual) {
+    std::ofstream(actual_name, std::ios::binary) << actual;
+  }
+  ASSERT_TRUE(in.is_open()) << "missing golden file " << path;
   EXPECT_TRUE(golden.str() == actual)
-      << "golden access sequences moved; the replay was written to "
-         "golden_access_sequences.actual";
+      << "golden bytes moved; the replay was written to " << actual_name;
+}
+
+TEST(GoldenTraceTest, MatrixReplaysByteIdentically) {
+  ExpectGolden(ReplayMatrix(), kGoldenPath, "golden_access_sequences.actual");
+}
+
+TEST(GoldenTraceTest, StopsReplayByteIdentically) {
+  ExpectGolden(StopsMatrix(), kStopsPath, "golden_stops.actual");
 }
 
 }  // namespace

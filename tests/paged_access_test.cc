@@ -11,6 +11,13 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
 Dataset MakeData(uint64_t seed, size_t n = 500) {
   GeneratorOptions g;
   g.num_objects = n;
@@ -44,7 +51,7 @@ TEST(PagedAccessTest, ChargePerPageNotPerEntry) {
   SourceSet sources(&data, PagedModel(3.0, 1.0, 4));
   // Seven entries = two pages (4 + 3).
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(sources.SortedAccess(0).has_value());
+    ASSERT_TRUE(ReadSorted(&sources, 0).has_value());
   }
   EXPECT_DOUBLE_EQ(sources.accrued_cost(), 6.0);
   EXPECT_EQ(sources.stats().sorted_count[0], 7u);
@@ -55,10 +62,10 @@ TEST(PagedAccessTest, ChargePerPageNotPerEntry) {
 TEST(PagedAccessTest, PageBoundaryAfterReset) {
   const Dataset data = MakeData(2, 20);
   SourceSet sources(&data, PagedModel(1.0, 1.0, 5));
-  sources.SortedAccess(0);
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
+  ReadSorted(&sources, 0);
   sources.Reset();
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   // Fresh page after reset: exactly one charge.
   EXPECT_DOUBLE_EQ(sources.accrued_cost(), 1.0);
 }
@@ -68,8 +75,8 @@ TEST(PagedAccessTest, UnitPageMatchesClassicModel) {
   SourceSet classic(&data, CostModel::Uniform(2, 2.0, 1.0));
   SourceSet paged(&data, PagedModel(2.0, 1.0, 1));
   for (int i = 0; i < 10; ++i) {
-    classic.SortedAccess(0);
-    paged.SortedAccess(0);
+    ReadSorted(&classic, 0);
+    ReadSorted(&paged, 0);
   }
   EXPECT_DOUBLE_EQ(classic.accrued_cost(), paged.accrued_cost());
 }

@@ -366,6 +366,34 @@ TEST(PlaybookBaselineTest, LoadBaselineParsesBenchDocument) {
   EXPECT_FALSE(LoadBaseline("{\"baseline\": [1, 2]}", &untouched).ok());
   EXPECT_FALSE(
       LoadBaseline("{\"baseline\": {\"a\": {\"cost\": }}}", &untouched).ok());
+
+  // Only the top-level member counts: a nested "baseline" key or a
+  // scenario named "baseline" does not hide it.
+  const auto load_a = [](const std::string& doc) {
+    std::map<std::string, BaselineEntry> loaded;
+    const Status loaded_status = LoadBaseline(doc, &loaded);
+    EXPECT_TRUE(loaded_status.ok()) << doc << ": " << loaded_status;
+    EXPECT_EQ(loaded.size(), 1u) << doc;
+    EXPECT_EQ(loaded["a"].cost, 1.0) << doc;
+    EXPECT_EQ(loaded["a"].accesses, 2u) << doc;
+  };
+  load_a(
+      "{\"meta\":{\"baseline\":{}},"
+      "\"baseline\":{\"a\":{\"cost\":1,\"accesses\":2}}}");
+  load_a(
+      "{\"rows\": [{\"name\": \"baseline\", \"cost\": 3}],\n"
+      " \"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2}}}\n");
+  // Text after the document, and access counts that are not
+  // non-negative integers, are rejected.
+  EXPECT_FALSE(LoadBaseline("{\"baseline\": {}} {}", &untouched).ok());
+  EXPECT_FALSE(
+      LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, \"accesses\": -1}}}",
+                   &untouched)
+          .ok());
+  EXPECT_FALSE(
+      LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2.7}}}",
+                   &untouched)
+          .ok());
   EXPECT_TRUE(untouched.empty());
 }
 

@@ -15,6 +15,13 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
 // A provider that computes scores from a closed-form formula instead of a
 // table - the shape a live-service adapter has. Rank orders are derived
 // once, on demand.
@@ -142,16 +149,16 @@ TEST(ScoreProviderTest, ExhaustionAndResetOverCustomProvider) {
   SourceSet sources(&provider, CostModel::Uniform(1, 1.0, 1.0));
   Score last = 1.0;
   for (int i = 0; i < 5; ++i) {
-    const auto hit = sources.SortedAccess(0);
+    const auto hit = ReadSorted(&sources, 0);
     ASSERT_TRUE(hit.has_value());
     EXPECT_LE(hit->score, last);
     last = hit->score;
   }
   EXPECT_TRUE(sources.exhausted(0));
-  EXPECT_FALSE(sources.SortedAccess(0).has_value());
+  EXPECT_FALSE(ReadSorted(&sources, 0).has_value());
   sources.Reset();
   EXPECT_FALSE(sources.exhausted(0));
-  EXPECT_TRUE(sources.SortedAccess(0).has_value());
+  EXPECT_TRUE(ReadSorted(&sources, 0).has_value());
 }
 
 }  // namespace

@@ -12,6 +12,20 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
+// A random access that must be served.
+Score ReadRandom(SourceSet* sources, PredicateId i, ObjectId u) {
+  Score score = 0.0;
+  EXPECT_TRUE(sources->TryRandomAccess(i, u, &score).ok());
+  return score;
+}
+
 // The paper's Dataset 1 (Figure 3): three objects, two predicates.
 //   u1 = (0.65, 0.9), u2 = (0.6, 0.8), u3 = (0.7, 0.7)
 // so sa_1 yields .7, .65, .6 and sa_2 yields .9, .8, .7, and u3 is the
@@ -31,17 +45,17 @@ TEST(SourceTest, SortedAccessDescendingOrder) {
 
   // sa_0 (the "rating" list of the running example): .7, .65, .6,
   // hitting u3, u1, u2 in that order (Figure 3(b)).
-  auto hit = sources.SortedAccess(0);
+  auto hit = ReadSorted(&sources, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->object, 2u);
   EXPECT_DOUBLE_EQ(hit->score, 0.7);
 
-  hit = sources.SortedAccess(0);
+  hit = ReadSorted(&sources, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->object, 0u);
   EXPECT_DOUBLE_EQ(hit->score, 0.65);
 
-  hit = sources.SortedAccess(0);
+  hit = ReadSorted(&sources, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->object, 1u);
   EXPECT_DOUBLE_EQ(hit->score, 0.6);
@@ -51,9 +65,9 @@ TEST(SourceTest, SortedAccessSideEffectLowersLastSeen) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   EXPECT_DOUBLE_EQ(sources.last_seen(0), 1.0);
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   EXPECT_DOUBLE_EQ(sources.last_seen(0), 0.7);
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   EXPECT_DOUBLE_EQ(sources.last_seen(0), 0.65);
   // Lists are independent.
   EXPECT_DOUBLE_EQ(sources.last_seen(1), 1.0);
@@ -63,12 +77,12 @@ TEST(SourceTest, ExhaustionReturnsNulloptAndZeroBound) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(sources.SortedAccess(0).has_value());
+    EXPECT_TRUE(ReadSorted(&sources, 0).has_value());
   }
   EXPECT_TRUE(sources.exhausted(0));
   // No unseen object remains on this list: its ceiling collapses.
   EXPECT_DOUBLE_EQ(sources.last_seen(0), 0.0);
-  EXPECT_FALSE(sources.SortedAccess(0).has_value());
+  EXPECT_FALSE(ReadSorted(&sources, 0).has_value());
   // The failed attempt is not charged.
   EXPECT_EQ(sources.stats().sorted_count[0], 3u);
 }
@@ -76,19 +90,19 @@ TEST(SourceTest, ExhaustionReturnsNulloptAndZeroBound) {
 TEST(SourceTest, RandomAccessReturnsExactScore) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  EXPECT_DOUBLE_EQ(sources.RandomAccess(1, 0), 0.9);
-  EXPECT_DOUBLE_EQ(sources.RandomAccess(1, 2), 0.7);
-  EXPECT_DOUBLE_EQ(sources.RandomAccess(0, 1), 0.6);
+  EXPECT_DOUBLE_EQ(ReadRandom(&sources, 1, 0), 0.9);
+  EXPECT_DOUBLE_EQ(ReadRandom(&sources, 1, 2), 0.7);
+  EXPECT_DOUBLE_EQ(ReadRandom(&sources, 0, 1), 0.6);
 }
 
 TEST(SourceTest, AccountingCountsAndPricesAccesses) {
   const Dataset data = PaperDataset();
   // The Example 4 scenario: cs = (1, 1), cr = (100, 100) scaled down.
   SourceSet sources(&data, CostModel({1.0, 1.0}, {100.0, 100.0}));
-  sources.SortedAccess(0);
-  sources.SortedAccess(0);
-  sources.SortedAccess(1);
-  sources.RandomAccess(0, 2);
+  ReadSorted(&sources, 0);
+  ReadSorted(&sources, 0);
+  ReadSorted(&sources, 1);
+  ReadRandom(&sources, 0, 2);
   EXPECT_EQ(sources.stats().sorted_count[0], 2u);
   EXPECT_EQ(sources.stats().sorted_count[1], 1u);
   EXPECT_EQ(sources.stats().random_count[0], 1u);
@@ -101,20 +115,20 @@ TEST(SourceTest, AccountingCountsAndPricesAccesses) {
 TEST(SourceTest, DuplicateRandomAccessCounted) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.RandomAccess(0, 1);
+  ReadRandom(&sources, 0, 1);
   EXPECT_EQ(sources.stats().duplicate_random_count, 0u);
-  sources.RandomAccess(0, 1);
+  ReadRandom(&sources, 0, 1);
   EXPECT_EQ(sources.stats().duplicate_random_count, 1u);
   // Different predicate on the same object is not a duplicate.
-  sources.RandomAccess(1, 1);
+  ReadRandom(&sources, 1, 1);
   EXPECT_EQ(sources.stats().duplicate_random_count, 1u);
 }
 
 TEST(SourceTest, ResetRestoresInitialState) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.SortedAccess(0);
-  sources.RandomAccess(1, 0);
+  ReadSorted(&sources, 0);
+  ReadRandom(&sources, 1, 0);
   sources.Reset();
   EXPECT_EQ(sources.stats().TotalSorted(), 0u);
   EXPECT_EQ(sources.stats().TotalRandom(), 0u);
@@ -122,7 +136,7 @@ TEST(SourceTest, ResetRestoresInitialState) {
   EXPECT_DOUBLE_EQ(sources.last_seen(0), 1.0);
   EXPECT_EQ(sources.sorted_position(0), 0u);
   // The first access after reset replays the stream from the top.
-  const auto hit = sources.SortedAccess(0);
+  const auto hit = ReadSorted(&sources, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->object, 2u);
 }
@@ -130,10 +144,10 @@ TEST(SourceTest, ResetRestoresInitialState) {
 TEST(SourceTest, CostModelSwapRepricesFutureAccesses) {
   const Dataset data = PaperDataset();
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   EXPECT_DOUBLE_EQ(sources.accrued_cost(), 1.0);
   ASSERT_TRUE(sources.set_cost_model(CostModel::Uniform(2, 5.0, 1.0)).ok());
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   EXPECT_DOUBLE_EQ(sources.accrued_cost(), 6.0);
 }
 
@@ -242,10 +256,10 @@ TEST(SourceTest, TieBreakingMatchesDatasetOrder) {
   Dataset data;
   ASSERT_TRUE(Dataset::FromRows({{0.5}, {0.5}, {0.9}}, &data).ok());
   SourceSet sources(&data, CostModel::Uniform(1, 1.0, 1.0));
-  EXPECT_EQ(sources.SortedAccess(0)->object, 2u);
+  EXPECT_EQ(ReadSorted(&sources, 0)->object, 2u);
   // Equal scores: higher ObjectId first.
-  EXPECT_EQ(sources.SortedAccess(0)->object, 1u);
-  EXPECT_EQ(sources.SortedAccess(0)->object, 0u);
+  EXPECT_EQ(ReadSorted(&sources, 0)->object, 1u);
+  EXPECT_EQ(ReadSorted(&sources, 0)->object, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,13 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
 Dataset SmallData() {
   Dataset data;
   const Status s = Dataset::FromRows(
@@ -153,9 +160,9 @@ TEST(SRGPolicyTest, QualificationTracksLastSeen) {
 
   // l_0 = 1.0 > 0.7: sorted attractive.
   EXPECT_EQ(policy.Select(alts, view).type, AccessType::kSorted);
-  sources.SortedAccess(0);  // Returns 0.9: still above.
+  ReadSorted(&sources, 0);  // Returns 0.9: still above.
   EXPECT_EQ(policy.Select(alts, view).type, AccessType::kSorted);
-  sources.SortedAccess(0);  // Returns 0.6: now below the depth.
+  ReadSorted(&sources, 0);  // Returns 0.6: now below the depth.
   EXPECT_EQ(policy.Select(alts, view).type, AccessType::kRandom);
 }
 

@@ -15,6 +15,20 @@
 namespace nc {
 namespace {
 
+// A sorted access that must be served.
+std::optional<SortedHit> ReadSorted(SourceSet* sources, PredicateId i) {
+  std::optional<SortedHit> hit;
+  EXPECT_TRUE(sources->TrySortedAccess(i, &hit).ok());
+  return hit;
+}
+
+// A random access that must be served.
+Score ReadRandom(SourceSet* sources, PredicateId i, ObjectId u) {
+  Score score = 0.0;
+  EXPECT_TRUE(sources->TryRandomAccess(i, u, &score).ok());
+  return score;
+}
+
 Dataset MakeData(uint64_t seed, size_t n = 400, size_t m = 2) {
   GeneratorOptions g;
   g.num_objects = n;
@@ -26,8 +40,8 @@ Dataset MakeData(uint64_t seed, size_t n = 400, size_t m = 2) {
 TEST(TraceTest, DisabledByDefault) {
   const Dataset data = MakeData(1, 20);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  sources.SortedAccess(0);
-  sources.RandomAccess(1, 0);
+  ReadSorted(&sources, 0);
+  ReadRandom(&sources, 1, 0);
   EXPECT_TRUE(sources.trace().empty());
 }
 
@@ -35,9 +49,9 @@ TEST(TraceTest, RecordsAccessesInOrder) {
   const Dataset data = MakeData(2, 20);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   sources.EnableTrace();
-  sources.SortedAccess(0);
-  sources.RandomAccess(1, 3);
-  sources.SortedAccess(1);
+  ReadSorted(&sources, 0);
+  ReadRandom(&sources, 1, 3);
+  ReadSorted(&sources, 1);
   ASSERT_EQ(sources.trace().size(), 3u);
   EXPECT_EQ(sources.trace()[0], Access::Sorted(0));
   EXPECT_EQ(sources.trace()[1], Access::Random(1, 3));
@@ -48,7 +62,7 @@ TEST(TraceTest, ResetClearsTrace) {
   const Dataset data = MakeData(3, 20);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   sources.EnableTrace();
-  sources.SortedAccess(0);
+  ReadSorted(&sources, 0);
   sources.Reset();
   EXPECT_TRUE(sources.trace().empty());
 }
