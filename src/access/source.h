@@ -69,6 +69,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -252,6 +253,8 @@ class SourceSet {
   // the bound is vacuous). A dead source's l_i stays frozen at its last
   // value - still a sound bound, since object scores do not change.
   Score last_seen(PredicateId i) const { return last_seen_[i]; }
+  // All m of them, the ceilings of Eq. 3.
+  std::span<const Score> last_seen() const { return last_seen_; }
 
   // True once every object has been returned by sa_i.
   bool exhausted(PredicateId i) const {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "baselines/candidate_table.h"
 #include "common/check.h"
 #include "core/candidate.h"
+#include "core/rank_order.h"
 
 namespace nc {
 
@@ -36,7 +38,7 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   const size_t m = sources->num_predicates();
   CandidatePool pool(m);
   BoundEvaluator bounds(&scoring);
-  std::vector<Score> ceilings(m);
+  const std::span<const Score> ceilings = sources->last_seen();
   const auto settle = [&](const Status& refusal) {
     return SettleRefusal(refusal, *sources, scoring, k, {}, &pool, out);
   };
@@ -57,8 +59,6 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       }
     }
 
-    for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources->last_seen(i);
-
     // Probe phase: completely evaluate the most promising incomplete
     // candidate.
     Candidate* best_incomplete = nullptr;
@@ -66,9 +66,8 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     for (Candidate& c : pool) {
       if (c.IsComplete(m)) continue;
       const Score upper = bounds.Upper(c, ceilings);
-      if (upper > best_upper ||
-          (upper == best_upper && best_incomplete != nullptr &&
-           c.id > best_incomplete->id)) {
+      if (best_incomplete == nullptr ||
+          RanksAbove(upper, c.id, best_upper, best_incomplete->id)) {
         best_incomplete = &c;
         best_upper = upper;
       }

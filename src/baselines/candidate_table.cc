@@ -1,6 +1,7 @@
 #include "baselines/candidate_table.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 
@@ -66,9 +67,7 @@ Status SettleRefusal(const Status& refusal, const SourceSet& sources,
                      TopKResult* out) {
   NC_CHECK(!refusal.ok());
   if (refusal.code() != StatusCode::kResourceExhausted) return refusal;
-  const size_t m = sources.num_predicates();
-  std::vector<Score> ceilings(m);
-  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources.last_seen(i);
+  const std::span<const Score> ceilings = sources.last_seen();
   Score unseen = scoring.Evaluate(ceilings);
   if (pool != nullptr) {
     // A complete candidate's Lower and Upper both equal its exact score.

@@ -1,10 +1,12 @@
 // Shared plumbing for the baseline algorithms (Figure 2's matrix).
 //
 // Every baseline works off the same primitives as the NC engine - the
-// access layer, the candidate pool, and bound evaluation - but implements
-// its published control loop independently, so cost comparisons between
-// NC and a baseline compare genuinely different schedulers rather than
-// two spellings of one engine.
+// access layer, the candidate pool, and bound evaluation - and those that
+// halt on Theorem 1's test (Upper, MPro, NRA's exact mode) share its
+// ranked pool (core/bound_heap.h) too. None shares its scheduler: each
+// implements its published control loop independently, so cost
+// comparisons between NC and a baseline compare genuinely different
+// schedulers rather than two spellings of one engine.
 
 #ifndef NC_BASELINES_CANDIDATE_TABLE_H_
 #define NC_BASELINES_CANDIDATE_TABLE_H_

@@ -6,7 +6,6 @@
 #include "baselines/candidate_table.h"
 #include "common/check.h"
 #include "core/bound_heap.h"
-#include "core/candidate.h"
 
 namespace nc {
 
@@ -30,51 +29,28 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     return Status::InvalidArgument("schedule must cover every predicate");
   }
 
-  CandidatePool pool(m);
-  BoundEvaluator bounds(&scoring);
+  RankedPool ranked(&scoring, n, /*seed_universe=*/true);
   // Probes only - no sorted streams - so ceilings stay at 1.
   const std::vector<Score> ceilings(m, kMaxScore);
 
-  LazyBoundHeap heap;
-  const Score initial = scoring.Evaluate(ceilings);
-  for (ObjectId u = 0; u < n; ++u) {
-    pool.GetOrCreate(u);
-    heap.Push(u, initial);
-  }
-
-  const auto bound_fn = [&](ObjectId u) -> std::optional<Score> {
-    const Candidate* c = pool.Find(u);
-    NC_CHECK(c != nullptr);
-    if (c->IsComplete(m)) return bounds.Exact(*c);
-    return bounds.Upper(*c, ceilings);
-  };
-
   while (true) {
-    const std::span<const LazyBoundHeap::Entry> top = heap.TopK(k, bound_fn);
-    const Candidate* next_probe = nullptr;
-    for (const LazyBoundHeap::Entry& e : top) {
-      const Candidate* c = pool.Find(e.object);
-      if (!c->IsComplete(m)) {
-        next_probe = c;
-        break;
-      }
-    }
-    if (next_probe == nullptr) {
-      out->entries.clear();
-      for (const LazyBoundHeap::Entry& e : top) {
-        out->entries.push_back(TopKEntry{e.object, e.bound});
-      }
+    const std::span<const RankedPool::Entry> top = ranked.TopK(k, ceilings);
+    const std::optional<Candidate*> next_probe = ranked.FirstIncomplete(top);
+    if (!next_probe.has_value()) {
+      RankedPool::Answer(top, out);
       return Status::OK();
     }
-    // Probe the next unevaluated predicate in global-schedule order.
-    Candidate* c = pool.Find(next_probe->id);
+    // Probe the next unevaluated predicate in global-schedule order (the
+    // universe is seeded, so the member is never the unseen sentinel).
+    Candidate* c = *next_probe;
     for (PredicateId i : order) {
       if (c->IsEvaluated(i)) continue;
       Score score = 0.0;
       const Status status = sources->TryRandomAccess(i, c->id, &score);
       if (!status.ok()) {
         // The whole universe is seeded into the pool: no unseen ceiling.
-        return SettleRefusal(status, *sources, scoring, k, {}, &pool, out);
+        return SettleRefusal(status, *sources, scoring, k, {},
+                             &ranked.candidates(), out);
       }
       c->SetScore(i, score);
       break;

@@ -5,7 +5,8 @@
 
 #include "baselines/candidate_table.h"
 #include "common/check.h"
-#include "core/candidate.h"
+#include "core/bound_heap.h"
+#include "core/rank_order.h"
 
 namespace nc {
 
@@ -14,7 +15,7 @@ namespace {
 // One full round of sorted accesses; returns false when every stream is
 // exhausted. An access that fails cuts the round short: *stop receives
 // its status and the round reports whatever it managed before.
-bool SortedRound(SourceSet* sources, CandidatePool* pool, Status* stop) {
+bool SortedRound(SourceSet* sources, RankedPool* ranked, Status* stop) {
   bool any = false;
   const size_t m = sources->num_predicates();
   for (PredicateId i = 0; i < m; ++i) {
@@ -24,8 +25,7 @@ bool SortedRound(SourceSet* sources, CandidatePool* pool, Status* stop) {
     if (!stop->ok()) return any;
     if (!hit.has_value()) continue;
     any = true;
-    Candidate& c = pool->GetOrCreate(hit->object);
-    if (!c.IsEvaluated(i)) c.SetScore(i, hit->score);
+    ranked->Discover(i, hit->object, hit->score, {}, sources->last_seen());
   }
   return any;
 }
@@ -35,9 +35,7 @@ bool SortedRound(SourceSet* sources, CandidatePool* pool, Status* stop) {
 // fills `out` with the winners (scores = lower bounds at halt).
 bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
                    BoundEvaluator& bounds, size_t k, TopKResult* out) {
-  const size_t m = sources.num_predicates();
-  std::vector<Score> ceilings(m);
-  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources.last_seen(i);
+  const std::span<const Score> ceilings = sources.last_seen();
 
   struct State {
     ObjectId object;
@@ -52,11 +50,10 @@ bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
   }
   if (states.size() < k) return false;
 
-  // Top-k by lower bound (ties by ObjectId, descending).
+  // Top-k by lower bound.
   std::partial_sort(states.begin(), states.begin() + k, states.end(),
                     [](const State& a, const State& b) {
-                      if (a.lower != b.lower) return a.lower > b.lower;
-                      return a.object > b.object;
+                      return RanksAbove(a.lower, a.object, b.lower, b.object);
                     });
   const Score kth_lower = states[k - 1].lower;
 
@@ -76,47 +73,14 @@ bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
   return true;
 }
 
-// Exact-score halting (Theorem 1 shape): true when the k best candidates
-// by upper bound are all complete; fills `out` with their exact scores.
-bool ExactHalted(const SourceSet& sources, CandidatePool& pool,
-                 BoundEvaluator& bounds, size_t k, TopKResult* out) {
-  const size_t m = sources.num_predicates();
-  std::vector<Score> ceilings(m);
-  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources.last_seen(i);
-
-  struct State {
-    ObjectId object;
-    Score upper;
-    bool complete;
-  };
-  std::vector<State> states;
-  states.reserve(pool.size());
-  for (Candidate& c : pool) {
-    states.push_back(
-        State{c.id, bounds.Upper(c, ceilings), c.IsComplete(m)});
-  }
-  const size_t take = std::min(k, states.size());
-  if (take == 0) return false;
-  std::partial_sort(states.begin(), states.begin() + take, states.end(),
-                    [](const State& a, const State& b) {
-                      if (a.upper != b.upper) return a.upper > b.upper;
-                      return a.object > b.object;
-                    });
-  const bool unseen_possible = pool.size() < sources.num_objects();
-  if (unseen_possible) {
-    // An unseen object could still outrank the k-th candidate.
-    const Score unseen_cap = bounds.scoring().Evaluate(ceilings);
-    if (states.size() < k || unseen_cap > states[take - 1].upper) {
-      return false;
-    }
-  }
-  for (size_t idx = 0; idx < take; ++idx) {
-    if (!states[idx].complete) return false;
-  }
-  out->entries.clear();
-  for (size_t idx = 0; idx < take; ++idx) {
-    out->entries.push_back(TopKEntry{states[idx].object, states[idx].upper});
-  }
+// Exact-score halting: Theorem 1's test over the ranked pool; fills `out`
+// with K_P's exact scores.
+bool ExactHalted(const SourceSet& sources, RankedPool& ranked, size_t k,
+                 TopKResult* out) {
+  const std::span<const RankedPool::Entry> topk =
+      ranked.TopK(k, sources.last_seen());
+  if (ranked.FirstIncomplete(topk).has_value()) return false;
+  RankedPool::Answer(topk, out);
   return true;
 }
 
@@ -128,17 +92,18 @@ Status RunNRA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   NC_RETURN_IF_ERROR(RequireUniformCapabilities(*sources, /*need_sorted=*/true,
                                                 /*need_random=*/false, "NRA"));
   if (k == 0) return Status::InvalidArgument("k must be positive");
-  const size_t m = sources->num_predicates();
-  CandidatePool pool(m);
-  BoundEvaluator bounds(&scoring);
+  // Every predicate has sorted access, so objects are discovered.
+  RankedPool ranked(&scoring, sources->num_objects(),
+                    /*seed_universe=*/false);
+  CandidatePool& pool = ranked.candidates();
+  BoundEvaluator& bounds = ranked.bounds();
 
   while (true) {
     Status stop;
-    const bool live = SortedRound(sources, &pool, &stop);
-    const bool halted =
-        mode == NRAMode::kSetOnly
-            ? SetOnlyHalted(*sources, pool, bounds, k, out)
-            : ExactHalted(*sources, pool, bounds, k, out);
+    const bool live = SortedRound(sources, &ranked, &stop);
+    const bool halted = mode == NRAMode::kSetOnly
+                            ? SetOnlyHalted(*sources, pool, bounds, k, out)
+                            : ExactHalted(*sources, ranked, k, out);
     if (halted) return Status::OK();
     if (!stop.ok()) {
       // Further reads are barred and the halting test has not fired: a

@@ -7,6 +7,7 @@
 #include "baselines/candidate_table.h"
 #include "common/check.h"
 #include "core/candidate.h"
+#include "core/rank_order.h"
 
 namespace nc {
 
@@ -49,8 +50,8 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
     const size_t take = std::min(k, states.size());
     std::partial_sort(states.begin(), states.begin() + take, states.end(),
                       [](const RankedState& a, const RankedState& b) {
-                        if (a.lower != b.lower) return a.lower > b.lower;
-                        return a.object > b.object;
+                        return RanksAbove(a.lower, a.object, b.lower,
+                                          b.object);
                       });
 
     // Classic NRA halting test.
@@ -92,8 +93,8 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
                         states.begin() + std::min(states.size(), 2 * take),
                         states.end(),
                         [](const RankedState& a, const RankedState& b) {
-                          if (a.upper != b.upper) return a.upper > b.upper;
-                          return a.object > b.object;
+                          return RanksAbove(a.upper, a.object, b.upper,
+                                            b.object);
                         });
       const size_t blockers = std::min(states.size() - take, take);
       for (size_t idx = take; idx < take + blockers; ++idx) {

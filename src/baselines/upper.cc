@@ -6,7 +6,6 @@
 #include "baselines/candidate_table.h"
 #include "common/check.h"
 #include "core/bound_heap.h"
-#include "core/candidate.h"
 
 namespace nc {
 
@@ -19,74 +18,32 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
                                                 "Upper"));
   if (k == 0) return Status::InvalidArgument("k must be positive");
   const size_t m = sources->num_predicates();
-  const size_t n = sources->num_objects();
   std::vector<double> expected = expected_scores;
   if (expected.empty()) expected.assign(m, 0.5);
   if (expected.size() != m) {
     return Status::InvalidArgument("expected_scores size mismatch");
   }
 
-  const bool discovery = sources->cost_model().any_sorted();
-  CandidatePool pool(m);
-  BoundEvaluator bounds(&scoring);
-  std::vector<Score> ceilings(m, kMaxScore);
-  const auto refresh_ceilings = [&] {
-    for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources->last_seen(i);
-  };
-
-  LazyBoundHeap heap;
-  const Score initial = scoring.Evaluate(std::vector<Score>(m, kMaxScore));
-  if (discovery) {
-    heap.Push(kUnseenObject, initial);
-  } else {
-    for (ObjectId u = 0; u < n; ++u) {
-      pool.GetOrCreate(u);
-      heap.Push(u, initial);
-    }
-  }
-
-  // Reads the ceilings the loop loads once per top-k derivation.
-  const auto bound_fn = [&](ObjectId u) -> std::optional<Score> {
-    if (u == kUnseenObject) {
-      if (pool.size() >= n) return std::nullopt;
-      return scoring.Evaluate(ceilings);
-    }
-    const Candidate* c = pool.Find(u);
-    NC_CHECK(c != nullptr);
-    if (c->IsComplete(m)) return bounds.Exact(*c);
-    return bounds.Upper(*c, ceilings);
-  };
+  // Without sorted access no object can be discovered: probe the whole
+  // universe.
+  RankedPool ranked(&scoring, sources->num_objects(),
+                    !sources->cost_model().any_sorted());
   const auto settle = [&](const Status& refusal) {
-    return SettleRefusal(refusal, *sources, scoring, k, {}, &pool, out);
+    return SettleRefusal(refusal, *sources, scoring, k, {},
+                         &ranked.candidates(), out);
   };
 
   PredicateId rr_sorted = 0;
   while (true) {
-    refresh_ceilings();
-    const std::span<const LazyBoundHeap::Entry> top = heap.TopK(k, bound_fn);
-    ObjectId target = kUnseenObject;
-    bool found = false;
-    for (const LazyBoundHeap::Entry& e : top) {
-      if (e.object == kUnseenObject) {
-        target = e.object;
-        found = true;
-        break;
-      }
-      if (!pool.Find(e.object)->IsComplete(m)) {
-        target = e.object;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      out->entries.clear();
-      for (const LazyBoundHeap::Entry& e : top) {
-        out->entries.push_back(TopKEntry{e.object, e.bound});
-      }
+    const std::span<const Score> ceilings = sources->last_seen();
+    const std::span<const RankedPool::Entry> top = ranked.TopK(k, ceilings);
+    const std::optional<Candidate*> target = ranked.FirstIncomplete(top);
+    if (!target.has_value()) {
+      RankedPool::Answer(top, out);
       return Status::OK();
     }
 
-    if (target == kUnseenObject) {
+    if (*target == nullptr) {
       // Discover a candidate: round-robin over the sorted-capable lists.
       for (size_t tries = 0; tries < m; ++tries) {
         const PredicateId i = rr_sorted % m;
@@ -96,18 +53,12 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         const Status status = sources->TrySortedAccess(i, &hit);
         if (!status.ok()) return settle(status);
         NC_CHECK(hit.has_value());
-        bool created = false;
-        Candidate& c = pool.GetOrCreate(hit->object, &created);
-        if (!c.IsEvaluated(i)) c.SetScore(i, hit->score);
-        if (created) {
-          refresh_ceilings();
-          heap.Push(c.id, bounds.Upper(c, ceilings));
-        }
+        ranked.Discover(i, hit->object, hit->score, {}, sources->last_seen());
         break;
       }
     } else {
       // Probe the predicate with the best expected bound-drop per cost.
-      Candidate* c = pool.Find(target);
+      Candidate* c = *target;
       PredicateId best = m;
       double best_rate = -1.0;
       for (PredicateId i = 0; i < m; ++i) {

@@ -1,22 +1,28 @@
-// Lazy max-heap over maximal-possible scores, with the verified top-k held
-// beside it.
+// Theorem 1's ranked pool, and the lazy max-heap over maximal-possible
+// scores it keeps K_P with.
+//
+// RankedPool is the one place K_P is derived: NCEngine, the parallel
+// executor, Framework TG, Upper, MPro and NRA's exact mode all halt on it,
+// each with its own scheduling. It owns the candidates a run has seen,
+// their bound evaluator and the heap, plus the virtual unseen object that
+// stands for every object no sorted access has returned yet.
 //
 // Upper bounds in top-k processing only ever decrease (F is monotone, the
-// last-seen scores l_i fall, and an exact score never exceeds the bound it
-// replaces). The heap exploits this: cached priorities are stale-high, so
-// the entry at the root is the true maximum iff its recomputed bound
-// matches its cached one; otherwise it goes back with the fresh bound and
-// the search continues. This is MPro's queue trick.
+// ceilings fall, and an exact score never exceeds the bound it replaces).
+// LazyBoundHeap exploits this: cached priorities are stale-high, so the
+// entry at the root is the true maximum iff its recomputed bound matches
+// its cached one; otherwise it goes back with the fresh bound and the
+// search continues. This is MPro's queue trick.
 //
-// Framework NC re-derives its top-k before every access, and between two
-// accesses that top-k barely moves. So the entries the last TopK call
-// verified stay out of the heap, in a rank-ordered held set. Each call
-// re-checks every held member with one bound evaluation, then pops the
-// heap only while its root's cached bound ranks above the weakest member.
-// A popped entry that makes the cut displaces the weakest member into the
-// heap at its exact bound; one that does not goes back with its fresh
-// bound. An iteration costs k bound evaluations plus the heap operations
-// the moved bounds require, instead of popping and reinserting k entries.
+// K_P is re-derived before every access, and between two accesses it
+// barely moves. So the entries the last TopK call verified stay out of
+// the heap, in a rank-ordered held set. Each call re-checks every held
+// member with one bound evaluation, then pops the heap only while its
+// root's cached bound ranks above the weakest member. A popped entry that
+// makes the cut displaces the weakest member into the heap at its exact
+// bound; one that does not goes back with its fresh bound. An iteration
+// costs k bound evaluations plus the heap operations the moved bounds
+// require, instead of popping and reinserting k entries.
 //
 // Each live object has exactly one entry, ordered by the library-wide
 // rank order (core/rank_order.h): ties by descending ObjectId, except that
@@ -30,11 +36,15 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/score.h"
+#include "core/candidate.h"
 #include "core/rank_order.h"
+#include "core/result.h"
+#include "scoring/scoring_function.h"
 
 namespace nc {
 
@@ -125,6 +135,88 @@ std::span<const LazyBoundHeap::Entry> LazyBoundHeap::TopK(
   }
   return held_;
 }
+
+// K_P and the candidates behind it. Every bound is taken against a ceiling
+// vector the caller passes in and that never rises between calls: the
+// last-seen scores l_i (SourceSet::last_seen()) for the sequential
+// algorithms, the contiguous-prefix visible ceilings for the parallel
+// executor.
+class RankedPool {
+ public:
+  using Entry = LazyBoundHeap::Entry;
+
+  // A fresh pool. With `seed_universe` every object below `num_objects`
+  // is a candidate from the start (nothing could discover one); otherwise
+  // the unseen sentinel stands for the objects no sorted access has
+  // returned, and retires once all of them have been.
+  RankedPool(const ScoringFunction* scoring, size_t num_objects,
+             bool seed_universe);
+
+  // A restored pool: `candidates` ranked at their bounds against
+  // `ceilings`, plus the sentinel while objects remain unseen (a seeded
+  // universe leaves none).
+  RankedPool(const ScoringFunction* scoring, size_t num_objects,
+             CandidatePool candidates, std::span<const Score> ceilings);
+
+  CandidatePool& candidates() { return pool_; }
+  const CandidatePool& candidates() const { return pool_; }
+  BoundEvaluator& bounds() { return bounds_; }
+  // Ranked entries, the sentinel included.
+  size_t size() const { return heap_.size(); }
+
+  // Discovery: folds a sorted hit of `u` on predicate `i` into u's
+  // candidate - p_i[u] = `score` and a multi-attribute source's `bundled`
+  // scores, each unless already known. On first sight the candidate is
+  // created and ranked at its bound against `ceilings`.
+  Candidate& Discover(PredicateId i, ObjectId u, Score score,
+                      std::span<const std::pair<PredicateId, Score>> bundled,
+                      std::span<const Score> ceilings);
+
+  // K_P: the top k in rank order by current bound against `ceilings` -
+  // a complete candidate's exact score, an incomplete one's maximal-
+  // possible score (Eq. 3), the sentinel's F(ceilings). Fewer than k only
+  // when fewer are live. Valid until the next TopK or Certify.
+  std::span<const Entry> TopK(size_t k, std::span<const Score> ceilings);
+
+  // True once `object` is completely evaluated; never for the sentinel.
+  bool IsComplete(ObjectId object) const;
+
+  // Theorem 1's test over `topk`: nullopt when every member is complete
+  // (Answer then writes the result); otherwise the highest-ranked
+  // incomplete member, whose task is unsatisfied - its candidate, or
+  // nullptr for the sentinel.
+  std::optional<Candidate*> FirstIncomplete(std::span<const Entry> topk);
+
+  // Writes a complete K_P as the exact answer: a complete member's bound
+  // is its exact score.
+  static void Answer(std::span<const Entry> topk, TopKResult* out);
+
+  // Settles on the current top k with an AnytimeCertificate, through
+  // SettleCertified. Ranking k + 1 entries verifies one bound past the
+  // answer, and every entry outside them ranks below it, so the excluded
+  // ceiling is sound without a rescan; the sentinel (no concrete object)
+  // is the unseen ceiling. Scores are upper bounds.
+  void Certify(const SourceSet& sources, size_t k,
+               std::span<const Score> ceilings, TerminationReason reason,
+               TopKResult* out);
+
+ private:
+  // nullopt retires the sentinel once every object has been seen.
+  std::optional<Score> BoundOf(ObjectId u, std::span<const Score> ceilings);
+
+  CandidatePool pool_;
+  BoundEvaluator bounds_;
+  LazyBoundHeap heap_;
+  size_t num_objects_;
+};
+
+// Settles a run with BuildCertifiedResult over `rows` (in rank order)
+// and records the certificate event on the sources' tracer. Both engines
+// certify through it.
+void SettleCertified(const SourceSet& sources,
+                     const std::vector<CertifiedRow>& rows,
+                     Score unseen_ceiling, size_t k, TerminationReason reason,
+                     TopKResult* out);
 
 }  // namespace nc
 

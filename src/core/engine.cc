@@ -15,37 +15,41 @@ NCEngine::NCEngine(SourceSet* sources, const ScoringFunction* scoring,
       scoring_(scoring),
       policy_(policy),
       options_(std::move(options)),
-      pool_(sources->num_predicates()),
-      bounds_(scoring),
-      ceilings_(sources->num_predicates(), kMaxScore) {
+      ranked_(scoring, sources->num_objects(), /*seed_universe=*/false) {
   NC_CHECK(sources_ != nullptr);
   NC_CHECK(scoring_ != nullptr);
   NC_CHECK(policy_ != nullptr);
 }
 
-std::optional<Score> NCEngine::BoundOf(ObjectId u,
-                                       std::span<const Score> ceilings,
-                                       BoundEvaluator* bounds) const {
-  if (u == kUnseenObject) {
-    // The sentinel dies once every object has been seen.
-    if (pool_.size() >= sources_->num_objects()) return std::nullopt;
-    return scoring_->Evaluate(ceilings);
+Status ValidateQuery(const SourceSet& sources, const ScoringFunction& scoring,
+                     size_t k) {
+  NC_RETURN_IF_ERROR(sources.cost_model().Validate());
+  if (scoring.arity() != sources.num_predicates()) {
+    return Status::InvalidArgument(
+        "scoring function arity does not match predicate count");
   }
-  const Candidate* c = pool_.Find(u);
-  NC_CHECK(c != nullptr);
-  if (c->IsComplete(sources_->num_predicates())) return bounds->Exact(*c);
-  return bounds->Upper(*c, ceilings);
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  return Status::OK();
 }
 
-void NCEngine::LoadCeilings() {
-  const size_t m = sources_->num_predicates();
-  for (PredicateId i = 0; i < m; ++i) ceilings_[i] = sources_->last_seen(i);
+size_t RunawayGuard(const SourceSet& sources, size_t k) {
+  return 2 * sources.num_objects() * sources.num_predicates() + k + 64;
 }
 
-std::span<const LazyBoundHeap::Entry> NCEngine::RankTopK(size_t k) {
-  LoadCeilings();
-  return heap_.TopK(
-      k, [this](ObjectId u) { return BoundOf(u, ceilings_, &bounds_); });
+Status StallReason(const SourceSet& sources, bool skipped_quota,
+                   TerminationReason* reason) {
+  if (skipped_quota) {
+    // The per-predicate budget, not the scenario, blocks progress.
+    *reason = BudgetStopReason(sources);
+  } else if (sources.any_source_down()) {
+    // A death made the remaining tasks unsatisfiable mid-run: rather than
+    // fail, return what the surviving accesses established.
+    *reason = TerminationReason::kSourceFailure;
+  } else {
+    return Status::FailedPrecondition(
+        "query cannot be completed under the scenario's capabilities");
+  }
+  return Status::OK();
 }
 
 bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
@@ -75,44 +79,24 @@ bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
   return skipped_quota;
 }
 
-void SettleCertified(const SourceSet& sources,
-                     const std::vector<CertifiedRow>& rows,
-                     Score unseen_ceiling, size_t k, TerminationReason reason,
-                     TopKResult* out) {
-  BuildCertifiedResult(rows, unseen_ceiling, k, reason, out);
-  if (obs::ShouldTrace(sources.tracer())) {
-    sources.tracer()->RecordCertificate(
-        TerminationReasonName(reason), out->certificate->epsilon,
-        out->certificate->excluded_ceiling, sources.accrued_cost());
-  }
-}
-
 Status NCEngine::Perform(const Access& access) {
   if (access.type == AccessType::kSorted) {
     std::optional<SortedHit> hit;
     NC_RETURN_IF_ERROR(sources_->TrySortedAccess(access.predicate, &hit));
     NC_CHECK(hit.has_value());  // Alternatives exclude exhausted streams.
-    bool created = false;
-    Candidate& c = pool_.GetOrCreate(hit->object, &created);
-    const bool was_complete = c.IsComplete(sources_->num_predicates());
-    if (!c.IsEvaluated(access.predicate)) {
-      c.SetScore(access.predicate, hit->score);
-    }
+    // The theta collector is offered a candidate this hit completes.
+    const bool offer =
+        complete_topk_.has_value() && !ranked_.IsComplete(hit->object);
     // Multi-attribute sources deliver the whole row.
-    for (const auto& [predicate, score] : hit->bundled) {
-      if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
-    }
-    if (complete_topk_.has_value() && !was_complete &&
-        c.IsComplete(sources_->num_predicates())) {
-      complete_topk_->Offer(c.id, bounds_.Exact(c));
-    }
-    if (created) {
-      LoadCeilings();
-      heap_.Push(c.id, bounds_.Upper(c, ceilings_));
+    const Candidate& c =
+        ranked_.Discover(access.predicate, hit->object, hit->score,
+                         hit->bundled, sources_->last_seen());
+    if (offer && c.IsComplete(sources_->num_predicates())) {
+      complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
     }
     return Status::OK();
   }
-  Candidate* c = pool_.Find(access.object);
+  Candidate* c = ranked_.candidates().Find(access.object);
   NC_CHECK(c != nullptr);  // No wild guesses: the target was seen.
   NC_CHECK(!c->IsEvaluated(access.predicate));
   Score score = 0.0;
@@ -121,29 +105,14 @@ Status NCEngine::Perform(const Access& access) {
   c->SetScore(access.predicate, score);
   if (complete_topk_.has_value() &&
       c->IsComplete(sources_->num_predicates())) {
-    complete_topk_->Offer(c->id, bounds_.Exact(*c));
+    complete_topk_->Offer(c->id, ranked_.bounds().Exact(*c));
   }
   return Status::OK();
 }
 
 void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   NC_PROFILE_SCOPE(sources_->profiler(), kCertificateBuild);
-  // Deriving the top k+1 verifies one bound past the answer, and every
-  // entry outside those k+1 ranks below it, so the excluded ceiling is
-  // sound without a global rescan. (The sentinel stands for no concrete
-  // object: its bound is the unseen ceiling.)
-  std::vector<CertifiedRow> rows;
-  Score unseen = kMinScore;
-  for (const LazyBoundHeap::Entry& e : RankTopK(options_.k + 1)) {
-    if (e.object == kUnseenObject) {
-      unseen = e.bound;
-      continue;
-    }
-    const Candidate* c = pool_.Find(e.object);
-    NC_CHECK(c != nullptr);
-    rows.push_back(CertifiedRow{e.object, bounds_.Lower(*c), e.bound});
-  }
-  SettleCertified(*sources_, rows, unseen, options_.k, reason, out);
+  ranked_.Certify(*sources_, options_.k, sources_->last_seen(), reason, out);
   last_run_exact_ = false;
   last_run_truncated_ = true;
 }
@@ -152,29 +121,22 @@ Status NCEngine::Run(TopKResult* out) {
   NC_CHECK(out != nullptr);
   out->entries.clear();
   out->certificate.reset();
-  const size_t m = sources_->num_predicates();
-  const size_t n = sources_->num_objects();
-  NC_RETURN_IF_ERROR(sources_->cost_model().Validate());
-  if (scoring_->arity() != m) {
-    return Status::InvalidArgument(
-        "scoring function arity does not match predicate count");
-  }
-  if (options_.k == 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
+  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, *scoring_, options_.k));
   if (!(options_.approximation_theta >= 1.0)) {
     return Status::InvalidArgument("approximation_theta must be >= 1");
   }
-  for (PredicateId i = 0; i < m; ++i) {
+  for (PredicateId i = 0; i < sources_->num_predicates(); ++i) {
     if (sources_->sorted_position(i) != 0) {
       return Status::FailedPrecondition(
           "sources must be rewound (SourceSet::Reset) before Run");
     }
   }
 
-  // Fresh per-run state.
-  pool_ = CandidatePool(m);
-  heap_ = LazyBoundHeap();
+  // Fresh per-run state. Without sorted access anywhere, no-wild-guesses
+  // is unsatisfiable, so the object universe is taken as known (the
+  // probe-only model of MPro).
+  ranked_ = RankedPool(scoring_, sources_->num_objects(),
+                       !sources_->cost_model().any_sorted());
   accesses_ = 0;
   phase_accesses_ = 0;
   consecutive_failures_ = 0;
@@ -184,23 +146,6 @@ Status NCEngine::Run(TopKResult* out) {
     complete_topk_.emplace(options_.k);
   }
   policy_->Reset(*sources_);
-
-  // Seed candidates. Without sorted access anywhere, no-wild-guesses is
-  // unsatisfiable, so the object universe is taken as known (the
-  // probe-only model of MPro).
-  universe_seeded_ =
-      !options_.no_wild_guesses || !sources_->cost_model().any_sorted();
-  const std::vector<Score> all_ones(m, kMaxScore);
-  const Score initial_bound = scoring_->Evaluate(all_ones);
-  if (universe_seeded_) {
-    for (ObjectId u = 0; u < n; ++u) {
-      pool_.GetOrCreate(u);
-      heap_.Push(u, initial_bound);
-    }
-  } else if (n > 0) {
-    heap_.Push(kUnseenObject, initial_bound);
-  }
-
   has_run_ = true;
   return InstrumentedLoop("probe", out);
 }
@@ -235,8 +180,10 @@ void NCEngine::RebuildCompleteTopK() {
   if (!(options_.approximation_theta > 1.0)) return;
   complete_topk_.emplace(options_.k);
   const size_t m = sources_->num_predicates();
-  for (const Candidate& c : pool_) {
-    if (c.IsComplete(m)) complete_topk_->Offer(c.id, bounds_.Exact(c));
+  for (const Candidate& c : ranked_.candidates()) {
+    if (c.IsComplete(m)) {
+      complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
+    }
   }
 }
 
@@ -250,8 +197,8 @@ EngineCheckpoint NCEngine::Checkpoint() const {
   ck.phase_accesses = phase_accesses_;
   ck.consecutive_failures = consecutive_failures_;
   ck.choice_width_total = choice_width_total_;
-  ck.pool.reserve(pool_.size());
-  for (const Candidate& c : pool_) {
+  ck.pool.reserve(ranked_.candidates().size());
+  for (const Candidate& c : ranked_.candidates()) {
     CandidateCheckpoint cand;
     cand.object = c.id;
     cand.mask = c.evaluated_mask;
@@ -278,14 +225,7 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
     return Status::InvalidArgument(
         "checkpoint shape does not match the sources");
   }
-  NC_RETURN_IF_ERROR(sources_->cost_model().Validate());
-  if (scoring_->arity() != m) {
-    return Status::InvalidArgument(
-        "scoring function arity does not match predicate count");
-  }
-  if (ck.k == 0) {
-    return Status::InvalidArgument("checkpoint k must be positive");
-  }
+  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, *scoring_, ck.k));
   if (!(options_.approximation_theta >= 1.0)) {
     return Status::InvalidArgument("approximation_theta must be >= 1");
   }
@@ -295,12 +235,11 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
   has_run_ = false;
   // As Run decides it, and before the restore: a restored source death
   // can leave no sorted access behind.
-  universe_seeded_ =
-      !options_.no_wild_guesses || !sources_->cost_model().any_sorted();
+  const bool universe_seeded = !sources_->cost_model().any_sorted();
   NC_RETURN_IF_ERROR(sources_->RestoreCheckpoint(ck.sources));
   options_.k = ck.k;
 
-  pool_ = CandidatePool(m);
+  CandidatePool pool(m);
   for (const CandidateCheckpoint& cand : ck.pool) {
     if (cand.object >= n) {
       return Status::InvalidArgument("checkpoint candidate out of range");
@@ -310,7 +249,7 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
           "checkpoint candidate mask names unknown predicates");
     }
     bool created = false;
-    Candidate& c = pool_.GetOrCreate(cand.object, &created);
+    Candidate& c = pool.GetOrCreate(cand.object, &created);
     if (!created) {
       return Status::InvalidArgument("duplicate checkpoint candidate");
     }
@@ -341,33 +280,24 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
   // object a cursor has passed, with that predicate evaluated. An object
   // missing from it would silently drop out of the answer. The check
   // reads the provider and bills nothing.
-  if (universe_seeded_ && pool_.size() != n) {
+  if (universe_seeded && pool.size() != n) {
     return Status::InvalidArgument(
         "checkpoint pool misses part of the seeded universe");
   }
   for (PredicateId i = 0; i < m; ++i) {
     for (size_t rank = 0; rank < sources_->sorted_position(i); ++rank) {
       const Candidate* c =
-          pool_.Find(sources_->provider().SortedEntryAt(i, rank).object);
+          pool.Find(sources_->provider().SortedEntryAt(i, rank).object);
       if (c == nullptr || !c->IsEvaluated(i)) {
         return Status::InvalidArgument(
             "checkpoint pool misses an object a cursor has passed");
       }
     }
   }
-  // The bound heap holds every candidate at its current bound, plus the
-  // unseen sentinel while objects remain unseen; TopK answers depend only
-  // on current bounds, so the continuation replays the original run.
-  heap_ = LazyBoundHeap();
-  LoadCeilings();
-  for (const Candidate& c : pool_) {
-    heap_.Push(c.id, *BoundOf(c.id, ceilings_, &bounds_));
-  }
-  if (!universe_seeded_) {
-    const std::optional<Score> unseen =
-        BoundOf(kUnseenObject, ceilings_, &bounds_);
-    if (unseen.has_value()) heap_.Push(kUnseenObject, *unseen);
-  }
+  // TopK answers depend only on current bounds, so the continuation
+  // replays the original run.
+  ranked_ =
+      RankedPool(scoring_, n, std::move(pool), sources_->last_seen());
   RebuildCompleteTopK();
   policy_->Reset(*sources_);
   NC_RETURN_IF_ERROR(policy_->RestoreState(ck.policy_state));
@@ -389,15 +319,7 @@ Status NCEngine::InstrumentedLoop(const char* phase, TopKResult* out) {
 }
 
 Status NCEngine::Loop(TopKResult* out) {
-  const size_t m = sources_->num_predicates();
-  const size_t n = sources_->num_objects();
-  // Every useful execution performs at most n sorted and n random accesses
-  // per predicate; anything beyond signals an engine/policy bug.
-  const size_t runaway_guard = 2 * n * m + options_.k + 64;
-  // Persistent flaking without a death could otherwise loop forever on
-  // the same task; after this many unrecovered failures in a row the
-  // engine gives up and degrades.
-  constexpr size_t kMaxConsecutiveFailures = 32;
+  const size_t runaway_guard = RunawayGuard(*sources_, options_.k);
   last_run_truncated_ = false;
   last_run_degraded_ = false;
   obs::QueryTracer* const tracer = sources_->tracer();
@@ -405,40 +327,23 @@ Status NCEngine::Loop(TopKResult* out) {
   const bool tracing = obs::ShouldTrace(tracer);
 
   while (true) {
-    std::span<const LazyBoundHeap::Entry> topk;
+    std::span<const RankedPool::Entry> topk;
     {
       NC_PROFILE_SCOPE(profiler, kCandidateHeap);
-      topk = RankTopK(options_.k);
+      topk = ranked_.TopK(options_.k, sources_->last_seen());
     }
     const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
-    ObjectId target = kUnseenObject;
-    const Candidate* target_state = nullptr;
-    bool found_incomplete = false;
-    for (const LazyBoundHeap::Entry& e : topk) {
-      if (e.object == kUnseenObject) {
-        found_incomplete = true;
-        break;
-      }
-      const Candidate* c = pool_.Find(e.object);
-      NC_CHECK(c != nullptr);
-      if (!c->IsComplete(m)) {
-        target = e.object;
-        target_state = c;
-        found_incomplete = true;
-        break;
-      }
-    }
-    if (!found_incomplete) {
-      out->entries.reserve(topk.size());
-      for (const LazyBoundHeap::Entry& e : topk) {
-        // A complete entry's verified bound is its exact score.
-        out->entries.push_back(TopKEntry{e.object, e.bound});
-      }
+    const std::optional<Candidate*> task = ranked_.FirstIncomplete(topk);
+    if (!task.has_value()) {
+      RankedPool::Answer(topk, out);
       last_run_exact_ = true;
       return Status::OK();
     }
+    const Candidate* const target_state = *task;
+    const ObjectId target =
+        target_state == nullptr ? kUnseenObject : target_state->id;
 
     // Theta-halting: k complete objects whose k-th exact score, inflated
     // by theta, dominates every non-member's maximal-possible score. Any
@@ -447,7 +352,7 @@ Status NCEngine::Loop(TopKResult* out) {
     // which is the exact-termination case handled above).
     if (complete_topk_.has_value() && complete_topk_->full()) {
       double max_nonmember = -1.0;
-      for (const LazyBoundHeap::Entry& e : topk) {
+      for (const RankedPool::Entry& e : topk) {
         if (e.object == kUnseenObject || !complete_topk_->Contains(e.object)) {
           max_nonmember = std::max(max_nonmember, e.bound);
         }
@@ -482,24 +387,10 @@ Status NCEngine::Loop(TopKResult* out) {
     const bool skipped_quota =
         NecessaryChoices(*sources_, target_state, &alternatives_);
     if (alternatives_.empty()) {
-      if (skipped_quota) {
-        // Every remaining choice for the task needs a quota-spent
-        // predicate: the per-predicate budget, not the scenario, is what
-        // blocks progress (the global budget was checked above).
-        EmitCertified(BudgetStopReason(*sources_), out);
-        return Status::OK();
-      }
-      if (sources_->any_source_down()) {
-        // A death made the task unsatisfiable mid-run: rather than fail,
-        // return what the surviving accesses established.
-        EmitCertified(TerminationReason::kSourceFailure, out);
-        return Status::OK();
-      }
-      return Status::FailedPrecondition(
-          "scoring task for " +
-          (target == kUnseenObject ? std::string("unseen objects")
-                                   : "object " + std::to_string(target)) +
-          " cannot be completed under the scenario's capabilities");
+      TerminationReason reason;
+      NC_RETURN_IF_ERROR(StallReason(*sources_, skipped_quota, &reason));
+      EmitCertified(reason, out);
+      return Status::OK();
     }
     EngineView view;
     view.sources = sources_;
@@ -539,11 +430,10 @@ Status NCEngine::Loop(TopKResult* out) {
     consecutive_failures_ = 0;
     choice_width_total_ += static_cast<double>(alternatives_.size());
     if (tracing) {
-      LoadCeilings();
       tracer->RecordIteration(
           target, static_cast<uint32_t>(alternatives_.size()),
-          scoring_->Evaluate(ceilings_), kth_bound, heap_.size(),
-          sources_->accrued_cost());
+          scoring_->Evaluate(sources_->last_seen()), kth_bound,
+          ranked_.size(), sources_->accrued_cost());
     }
 
     ++accesses_;

@@ -2,8 +2,8 @@
 //
 // The engine iterates Theorem 1's loop:
 //   1. Maintain K_P, the current top-k objects by maximal-possible score
-//      F-bar (lazy bound heap; the virtual `unseen` object stands for all
-//      objects not yet returned by any sorted access).
+//      F-bar (RankedPool in core/bound_heap.h; the virtual `unseen` object
+//      stands for all objects not yet returned by any sorted access).
 //   2. If every member of K_P is completely evaluated, halt: K_P is the
 //      final answer with exact scores.
 //   3. Otherwise the highest-ranked incomplete member v_j designates an
@@ -78,16 +78,14 @@ class SelectPolicy {
   }
 };
 
+// Under no-wild-guesses (the standard middleware restriction, [9]) an
+// object can be random-accessed only after a sorted access has seen it;
+// the engine tracks unseen objects through a virtual sentinel. When the
+// scenario has no sorted access at all (MPro's probe-only setting), the
+// object universe is known up front and every object starts as a
+// candidate.
 struct EngineOptions {
   size_t k = 1;
-
-  // Under no-wild-guesses (the standard middleware restriction, [9]) an
-  // object can be random-accessed only after a sorted access has seen it;
-  // the engine tracks unseen objects through a virtual sentinel. With the
-  // flag off - or whenever the scenario has no sorted access at all
-  // (MPro's probe-only setting) - the object universe is known up front
-  // and every object starts as a candidate.
-  bool no_wild_guesses = true;
 
   // Optional hard cap on accesses; 0 means "only the internal runaway
   // guard". The budget applies to each Run or Extend phase separately (an
@@ -129,13 +127,27 @@ struct EngineOptions {
 bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
                       std::vector<Access>* out);
 
-// Settles a run with BuildCertifiedResult over `rows` (in rank order)
-// and records the certificate event on the sources' tracer. Both engines
-// certify through it.
-void SettleCertified(const SourceSet& sources,
-                     const std::vector<CertifiedRow>& rows,
-                     Score unseen_ceiling, size_t k, TerminationReason reason,
-                     TopKResult* out);
+// The checks every engine makes before its first access: a valid cost
+// model, a scoring function of the sources' arity, and a positive k.
+Status ValidateQuery(const SourceSet& sources, const ScoringFunction& scoring,
+                     size_t k);
+
+// Every useful execution performs at most n sorted and n random accesses
+// per predicate; an engine past this many accesses has a bug in itself or
+// in its policy.
+size_t RunawayGuard(const SourceSet& sources, size_t k);
+
+// Persistent flaking without a death could otherwise loop forever on the
+// same task: after this many unrecovered access failures in a row, an
+// engine settles with kSourceFailure.
+inline constexpr size_t kMaxConsecutiveFailures = 32;
+
+// Why an engine that can issue nothing settles: a choice withheld by a
+// spent quota (`skipped_quota`) maps through BudgetStopReason and a dead
+// source gives kSourceFailure, both into *reason. Anything else means the
+// scenario's capabilities cannot complete the query: FailedPrecondition.
+Status StallReason(const SourceSet& sources, bool skipped_quota,
+                   TerminationReason* reason);
 
 // The engine's observers are its SourceSet's (docs/OBSERVABILITY.md): a
 // tracer there gets a phase span per Run/Extend/Resume and one kIteration
@@ -186,10 +198,10 @@ class NCEngine {
   // replays bit-identically to the uninterrupted run.
   //
   // Derived, not stored: the last-seen scores l_i (from the cursors),
-  // whether the universe is seeded (from the options and the scenario,
-  // as Run decides it), the bound heap (every candidate at its current
-  // bound, plus the unseen sentinel while objects remain unseen) and the
-  // theta collector (the top-k complete candidates). Verified against the
+  // whether the universe is seeded (from the scenario, as Run decides
+  // it), the ranked pool's heap (every candidate at its current bound,
+  // plus the unseen sentinel while objects remain unseen) and the theta
+  // collector (the top-k complete candidates). Verified against the
   // provider (read, never accessed or billed): every stored score, and
   // that every object a cursor has passed is a candidate with that
   // predicate evaluated. Validation errors (shape mismatch, malformed or
@@ -236,33 +248,19 @@ class NCEngine {
   // Wraps Loop in the sources' tracer phase span.
   Status InstrumentedLoop(const char* phase, TopKResult* out);
 
-  // Current bound of `u` against `ceilings`: its exact score once
-  // complete, else its maximal-possible score (Eq. 3); nullopt retires
-  // the unseen sentinel once everything is seen.
-  std::optional<Score> BoundOf(ObjectId u, std::span<const Score> ceilings,
-                               BoundEvaluator* bounds) const;
-
-  // Loads the last-seen scores l_i into ceilings_. Bounds read them
-  // there, so each top-k derivation loads them once, not once per bound.
-  void LoadCeilings();
-
   // Re-derives the theta collector at the current k from the pool's
   // complete candidates; disengaged when approximation_theta is 1. The
   // collector's order is total, so the result does not depend on the
   // order candidates completed in.
   void RebuildCompleteTopK();
 
-  // K_P: the current top-k by maximal-possible score, in rank order. The
-  // span is valid until the next RankTopK.
-  std::span<const LazyBoundHeap::Entry> RankTopK(size_t k);
-
   // Performs `access`, updating candidates and the heap. kUnavailable
   // when the access failed unrecoverably (no state was consumed).
   Status Perform(const Access& access);
 
   // Emits the current top-k by maximal-possible score into *out with an
-  // AnytimeCertificate (SettleCertified): per-object [lower, upper] score
-  // intervals and the proven epsilon against everything excluded
+  // AnytimeCertificate (RankedPool::Certify): per-object [lower, upper]
+  // score intervals and the proven epsilon against everything excluded
   // (including the unseen remainder). Scores are upper bounds; the unseen
   // sentinel never appears as an entry. Flags the run truncated.
   void EmitCertified(TerminationReason reason, TopKResult* out);
@@ -272,13 +270,10 @@ class NCEngine {
   SelectPolicy* policy_;
   EngineOptions options_;
 
-  CandidatePool pool_;
-  BoundEvaluator bounds_;
-  LazyBoundHeap heap_;
+  RankedPool ranked_;
   // Best complete candidates so far; drives the theta-halting test.
   // Engaged only when approximation_theta > 1.
   std::optional<TopKCollector> complete_topk_;
-  std::vector<Score> ceilings_;
   std::vector<Access> alternatives_;
   size_t accesses_ = 0;
   // Accesses performed in the current Run/Extend phase; the max_accesses
@@ -288,7 +283,6 @@ class NCEngine {
   // sources flake persistently without dying.
   size_t consecutive_failures_ = 0;
   double choice_width_total_ = 0.0;
-  bool universe_seeded_ = false;
   bool has_run_ = false;
   bool last_run_exact_ = true;
   bool last_run_truncated_ = false;

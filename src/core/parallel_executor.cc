@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/candidate.h"
-#include "core/rank_order.h"
+#include "core/bound_heap.h"
 #include "obs/tracer.h"
 
 namespace nc {
@@ -40,12 +39,6 @@ struct InFlight {
   }
 };
 
-struct RankedEntry {
-  ObjectId object = 0;
-  Score bound = 0.0;
-  bool complete = false;
-};
-
 class ParallelRun {
  public:
   ParallelRun(SourceSet* sources, const ScoringFunction& scoring,
@@ -54,8 +47,10 @@ class ParallelRun {
         scoring_(scoring),
         policy_(policy),
         options_(options),
-        pool_(sources->num_predicates()),
-        bounds_(&scoring_),
+        // Without sorted access anywhere no object can be discovered, so
+        // the universe is known up front (MPro's probe-only setting).
+        ranked_(&scoring_, sources->num_objects(),
+                !sources->cost_model().any_sorted()),
         visible_ceiling_(sources->num_predicates(), kMaxScore),
         applied_frontier_(sources->num_predicates(), 0),
         ooo_scores_(sources->num_predicates()) {}
@@ -63,11 +58,6 @@ class ParallelRun {
   Status Execute(ParallelResult* out);
 
  private:
-  // Top-(k + extra) of the *visible* state (applied results only), rank
-  // order. With extra > 0 the surplus entries rank-dominate everything
-  // not returned, which is what certifies the excluded ceiling.
-  void VisibleTopK(std::vector<RankedEntry>* out, size_t extra = 0);
-
   // NecessaryChoices of `target` against the visible state, minus the
   // random probes already in flight; epoch_skipped_quota_ records that
   // some choice was withheld by a spent quota this epoch.
@@ -94,8 +84,9 @@ class ParallelRun {
   SelectPolicy* policy_;
   ParallelOptions options_;
 
-  CandidatePool pool_;
-  BoundEvaluator bounds_;
+  // K_P of the *visible* state: applied results only, bounded by the
+  // visible ceilings.
+  RankedPool ranked_;
   std::vector<Score> visible_ceiling_;
   // Length of the contiguous prefix of applied sorted results, per
   // predicate, plus the buffer of results that landed beyond it.
@@ -111,7 +102,8 @@ class ParallelRun {
   size_t issued_ = 0;
   size_t failed_ = 0;
   // Consecutive issue attempts that failed unrecoverably; bounds the
-  // degraded-retry loop the same way the sequential engine does.
+  // degraded-retry loop as kMaxConsecutiveFailures bounds the sequential
+  // engine's.
   size_t consecutive_failures_ = 0;
   // Set when an issue was refused with kResourceExhausted: the budget or
   // a quota ran out mid-epoch (nothing was billed for the refusal).
@@ -119,36 +111,13 @@ class ParallelRun {
   // Some necessary choice was withheld this epoch because its
   // predicate's quota is spent; a stall then certifies as kQuota.
   bool epoch_skipped_quota_ = false;
-  bool universe_seeded_ = false;
 };
-
-void ParallelRun::VisibleTopK(std::vector<RankedEntry>* out, size_t extra) {
-  const size_t m = sources_->num_predicates();
-  out->clear();
-  out->reserve(pool_.size() + 1);
-  for (Candidate& c : pool_) {
-    const bool complete = c.IsComplete(m);
-    const Score bound =
-        complete ? bounds_.Exact(c) : bounds_.Upper(c, visible_ceiling_);
-    out->push_back(RankedEntry{c.id, bound, complete});
-  }
-  if (!universe_seeded_ && pool_.size() < sources_->num_objects()) {
-    out->push_back(RankedEntry{
-        kUnseenObject, scoring_.Evaluate(visible_ceiling_), false});
-  }
-  const size_t take = std::min(options_.k + extra, out->size());
-  std::partial_sort(out->begin(), out->begin() + take, out->end(),
-                    [](const RankedEntry& a, const RankedEntry& b) {
-                      return RanksAbove(a.bound, a.object, b.bound, b.object);
-                    });
-  out->resize(take);
-}
 
 void ParallelRun::BuildAlternatives(ObjectId target,
                                     std::vector<Access>* out) {
   const Candidate* state = nullptr;
   if (target != kUnseenObject) {
-    state = pool_.Find(target);
+    state = ranked_.candidates().Find(target);
     NC_CHECK(state != nullptr);
   }
   if (NecessaryChoices(*sources_, state, out)) epoch_skipped_quota_ = true;
@@ -206,11 +175,8 @@ void ParallelRun::ApplyNext() {
   issued_this_epoch_.clear();
   const PredicateId i = flight.access.predicate;
   if (flight.access.type == AccessType::kSorted) {
-    Candidate& c = pool_.GetOrCreate(flight.object);
-    if (!c.IsEvaluated(i)) c.SetScore(i, flight.score);
-    for (const auto& [predicate, score] : flight.bundled) {
-      if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
-    }
+    ranked_.Discover(i, flight.object, flight.score, flight.bundled,
+                     visible_ceiling_);
     // Sorted results complete out of order under latency jitter, and a
     // deep entry's score is NOT a sound bound while shallower reads are
     // still in flight: an unseen object could land at one of those
@@ -236,7 +202,7 @@ void ParallelRun::ApplyNext() {
     }
   } else {
     random_in_flight_.erase({i, flight.object});
-    Candidate* c = pool_.Find(flight.object);
+    Candidate* c = ranked_.candidates().Find(flight.object);
     NC_CHECK(c != nullptr);
     if (!c->IsEvaluated(i)) c->SetScore(i, flight.score);
   }
@@ -252,25 +218,16 @@ void ParallelRun::FillAccounting(ParallelResult* out) const {
 
 void ParallelRun::EmitCertified(TerminationReason reason,
                                 ParallelResult* out) {
-  // Ranking k + 1 entries verifies one bound past the answer, which
-  // dominates every visible object not returned; the sentinel (no
-  // concrete object) is the unseen ceiling, covering the unseen
-  // remainder. Results still in flight were paid for but are not
-  // visible, so they contribute nothing the intervals must explain.
-  std::vector<RankedEntry> ranked;
-  VisibleTopK(&ranked, /*extra=*/1);
-  std::vector<CertifiedRow> rows;
-  Score unseen = kMinScore;
-  for (const RankedEntry& e : ranked) {
-    if (e.object == kUnseenObject) {
-      unseen = e.bound;
-      continue;
-    }
-    const Candidate* c = pool_.Find(e.object);
-    NC_CHECK(c != nullptr);
-    rows.push_back(CertifiedRow{e.object, bounds_.Lower(*c), e.bound});
+  // Settle on what was paid for: every result in flight that lands by the
+  // deadline (all of them, without one) is applied in completion order
+  // first. Only those landing later stay unseen, and are wasted.
+  const double deadline = sources_->budget().deadline;
+  while (!pending_.empty() &&
+         (deadline <= 0.0 || pending_.top().completion_time <= deadline)) {
+    ApplyNext();
   }
-  SettleCertified(*sources_, rows, unseen, options_.k, reason, &out->topk);
+  ranked_.Certify(*sources_, options_.k, visible_ceiling_, reason,
+                  &out->topk);
   out->exact = false;
   FillAccounting(out);
 }
@@ -279,57 +236,32 @@ Status ParallelRun::Execute(ParallelResult* out) {
   NC_CHECK(out != nullptr);
   out->topk.entries.clear();
   out->topk.certificate.reset();
-  const size_t m = sources_->num_predicates();
-  const size_t n = sources_->num_objects();
-  NC_RETURN_IF_ERROR(sources_->cost_model().Validate());
-  if (scoring_.arity() != m) {
-    return Status::InvalidArgument(
-        "scoring function arity does not match predicate count");
+  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, scoring_, options_.k));
+  if (options_.concurrency == 0) {
+    return Status::InvalidArgument("concurrency must be positive");
   }
-  if (options_.k == 0 || options_.concurrency == 0) {
-    return Status::InvalidArgument("k and concurrency must be positive");
-  }
-
   policy_->Reset(*sources_);
-  // Without sorted access anywhere no object can be discovered, so the
-  // universe is known up front (MPro's probe-only setting).
-  universe_seeded_ = !sources_->cost_model().any_sorted();
-  if (universe_seeded_) {
-    for (ObjectId u = 0; u < n; ++u) pool_.GetOrCreate(u);
-  }
 
-  const size_t runaway_guard = 2 * n * m + options_.k + 64;
-  // Matches the sequential engine's guard against persistent flaking.
-  constexpr size_t kMaxConsecutiveFailures = 32;
+  const size_t runaway_guard = RunawayGuard(*sources_, options_.k);
   obs::QueryTracer* const tracer = sources_->tracer();
   const bool tracing = obs::ShouldTrace(tracer);
-  std::vector<RankedEntry> ranked;
   std::vector<Access> alternatives;
   while (true) {
-    VisibleTopK(&ranked);
+    const std::span<const RankedPool::Entry> topk =
+        ranked_.TopK(options_.k, visible_ceiling_);
+    const std::optional<Candidate*> first = ranked_.FirstIncomplete(topk);
     if (tracing) {
       // One iteration event per scheduling epoch: the leading unsatisfied
       // task and the visible ceiling (the concurrent analogue of theta).
-      ObjectId epoch_target = kUnseenObject;
-      for (const RankedEntry& e : ranked) {
-        if (!e.complete) {
-          epoch_target = e.object;
-          break;
-        }
-      }
-      tracer->RecordIteration(epoch_target, 0,
-                              scoring_.Evaluate(visible_ceiling_),
-                              ranked.empty() ? 0.0 : ranked.back().bound,
-                              pool_.size(), sources_->accrued_cost());
+      tracer->RecordIteration(
+          first.has_value() && *first != nullptr ? (*first)->id
+                                                 : kUnseenObject,
+          0, scoring_.Evaluate(visible_ceiling_),
+          topk.empty() ? 0.0 : topk.back().bound,
+          ranked_.candidates().size(), sources_->accrued_cost());
     }
-    const bool all_complete =
-        std::all_of(ranked.begin(), ranked.end(),
-                    [](const RankedEntry& e) { return e.complete; });
-    if (all_complete) {
-      out->topk.entries.clear();
-      for (const RankedEntry& e : ranked) {
-        out->topk.entries.push_back(TopKEntry{e.object, e.bound});
-      }
+    if (!first.has_value()) {
+      RankedPool::Answer(topk, &out->topk);
       out->exact = true;
       FillAccounting(out);
       return Status::OK();
@@ -352,14 +284,15 @@ Status ParallelRun::Execute(ParallelResult* out) {
     bool failed_this_round = false;
     // False when the issue failed unrecoverably (a budget refusal stops
     // the epoch through budget_stopped_ instead).
-    const auto select_and_issue = [&](const RankedEntry& e) {
+    const auto select_and_issue = [&](const RankedPool::Entry& e) {
       EngineView view;
       view.sources = sources_;
       view.scoring = &scoring_;
       view.k = options_.k;
       view.target = e.object;
-      view.target_state =
-          e.object == kUnseenObject ? nullptr : pool_.Find(e.object);
+      view.target_state = e.object == kUnseenObject
+                              ? nullptr
+                              : ranked_.candidates().Find(e.object);
       const Access access = policy_->Select(alternatives, view);
       const bool offered =
           std::find(alternatives.begin(), alternatives.end(), access) !=
@@ -394,10 +327,10 @@ Status ParallelRun::Execute(ParallelResult* out) {
     // issue this epoch.
     bool first_incomplete = true;
     bool issued_concrete = false;
-    const RankedEntry* deferred_sentinel = nullptr;
-    for (const RankedEntry& e : ranked) {
+    const RankedPool::Entry* deferred_sentinel = nullptr;
+    for (const RankedPool::Entry& e : topk) {
       if (pending_.size() >= options_.concurrency || budget_stopped_) break;
-      if (e.complete) continue;
+      if (ranked_.IsComplete(e.object)) continue;
       const bool is_first = first_incomplete;
       first_incomplete = false;
       if (e.object == kUnseenObject && !is_first) {
@@ -423,8 +356,8 @@ Status ParallelRun::Execute(ParallelResult* out) {
     for (size_t spec = 0; spec < options_.max_speculation; ++spec) {
       if (pending_.size() >= options_.concurrency || budget_stopped_) break;
       bool launched = false;
-      for (const RankedEntry& e : ranked) {
-        if (e.complete) continue;
+      for (const RankedPool::Entry& e : topk) {
+        if (ranked_.IsComplete(e.object)) continue;
         BuildAlternatives(e.object, &alternatives);
         // Speculate on sorted accesses only: a duplicate random probe is
         // pure waste, but a deeper read is at worst early.
@@ -439,14 +372,13 @@ Status ParallelRun::Execute(ParallelResult* out) {
     }
 
     if (budget_stopped_) {
-      // Mid-epoch refusal: settle now with whatever is visible (results
-      // still in flight were paid for and count as wasted).
+      // Mid-epoch refusal: settle on the results already paid for.
       EmitCertified(BudgetStopReason(*sources_), out);
       return Status::OK();
     }
     if (consecutive_failures_ >= kMaxConsecutiveFailures) {
       // Sources keep failing without anything completing in between:
-      // settle for what is visible rather than spin.
+      // settle on what was paid for rather than spin.
       EmitCertified(TerminationReason::kSourceFailure, out);
       return Status::OK();
     }
@@ -457,19 +389,12 @@ Status ParallelRun::Execute(ParallelResult* out) {
       ApplyNext();
     } else if (!issued_any) {
       if (failed_this_round) continue;  // Retry against what survives.
-      if (epoch_skipped_quota_) {
-        // Every remaining choice needs a quota-spent predicate (nothing
-        // was issued or billed since the global budget check above).
-        EmitCertified(BudgetStopReason(*sources_), out);
-        return Status::OK();
-      }
-      if (sources_->any_source_down()) {
-        // A death left the remaining tasks unsatisfiable; degrade.
-        EmitCertified(TerminationReason::kSourceFailure, out);
-        return Status::OK();
-      }
-      return Status::FailedPrecondition(
-          "query cannot be completed under the scenario's capabilities");
+      // Nothing was issued or billed since the global budget check above.
+      TerminationReason reason;
+      NC_RETURN_IF_ERROR(
+          StallReason(*sources_, epoch_skipped_quota_, &reason));
+      EmitCertified(reason, out);
+      return Status::OK();
     }
   }
 }

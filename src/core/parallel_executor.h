@@ -8,8 +8,10 @@
 // completing after its simulated latency; scheduling decisions use only
 // information whose access has completed, while the plan policy (the same
 // SelectPolicy as the sequential engine) still drives which access is
-// issued for which unsatisfied task. Accesses still in flight when the
-// answer settles are counted as wasted (they were paid for).
+// issued for which unsatisfied task. An early stop (a budget, a deadline,
+// persistent failures) first applies every result in flight that lands
+// by the deadline; accesses still in flight when the answer settles are
+// counted as wasted (they were paid for).
 
 #ifndef NC_CORE_PARALLEL_EXECUTOR_H_
 #define NC_CORE_PARALLEL_EXECUTOR_H_
@@ -59,7 +61,8 @@ struct ParallelResult {
   // Total access cost (Eq. 1), including wasted in-flight accesses.
   double total_cost = 0.0;
   size_t accesses_issued = 0;
-  // Accesses still in flight when the top-k settled.
+  // Accesses still in flight when the top-k settled: past the exact
+  // answer, or landing after the deadline of an early stop.
   size_t wasted_accesses = 0;
   // Issue attempts that failed unrecoverably (retries exhausted or the
   // source died) and were skipped.

@@ -1,10 +1,12 @@
 // The library-wide rank order for (bound, object) pairs.
 //
-// Every component that ranks objects by maximal-possible score - the
-// sequential engine's lazy bound heap, the parallel executor's visible
-// top-k, and the brute-force oracle - must break ties identically, or
-// the engines drift apart on tie-heavy data (Section 3.1 assumes ties
-// away; we make them deterministic instead). The rule:
+// Every component that ranks objects must break ties identically, or the
+// algorithms drift apart on tie-heavy data (Section 3.1 assumes ties
+// away; we make them deterministic instead): Theorem 1's ranked pool
+// (core/bound_heap.h, which NCEngine, the parallel executor, Framework
+// TG, Upper, MPro and NRA's exact mode all halt on), the certificate
+// builder, the theta collector, the lower-bound rankings of classic NRA
+// and Stream-Combine, and the brute-force oracle. The rule:
 //   1. higher bound ranks first;
 //   2. at equal bounds, any seen object ranks above the virtual unseen
 //      sentinel (the paper's Figure 10: a hit object immediately

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/bound_heap.h"
+#include "core/engine.h"
 
 namespace nc {
 
@@ -21,51 +23,6 @@ Access TGRandomPolicy::Select(std::span<const Access> pool_accesses,
 }
 
 namespace {
-
-// Ranks the current top-k by maximal-possible score (seen objects plus
-// the unseen sentinel); returns true when all of them are complete, in
-// which case `out` receives the answer.
-bool Halted(const SourceSet& sources, CandidatePool& pool,
-            BoundEvaluator& bounds, bool universe_seeded, size_t k,
-            TopKResult* out) {
-  const size_t m = sources.num_predicates();
-  std::vector<Score> ceilings(m);
-  for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources.last_seen(i);
-
-  struct Ranked {
-    ObjectId object;
-    Score bound;
-    bool complete;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(pool.size() + 1);
-  for (Candidate& c : pool) {
-    const bool complete = c.IsComplete(m);
-    ranked.push_back(Ranked{
-        c.id, complete ? bounds.Exact(c) : bounds.Upper(c, ceilings),
-        complete});
-  }
-  if (!universe_seeded && pool.size() < sources.num_objects()) {
-    ranked.push_back(Ranked{kUnseenObject,
-                            bounds.scoring().Evaluate(ceilings), false});
-  }
-  const size_t take = std::min(k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
-                    [](const Ranked& a, const Ranked& b) {
-                      if (a.bound != b.bound) return a.bound > b.bound;
-                      if (a.object == kUnseenObject) return false;
-                      if (b.object == kUnseenObject) return true;
-                      return a.object > b.object;
-                    });
-  for (size_t i = 0; i < take; ++i) {
-    if (!ranked[i].complete) return false;
-  }
-  out->entries.clear();
-  for (size_t i = 0; i < take; ++i) {
-    out->entries.push_back(TopKEntry{ranked[i].object, ranked[i].bound});
-  }
-  return true;
-}
 
 // Every currently legal access: live sorted streams plus useful probes.
 void EnumerateLegalPool(const SourceSet& sources, CandidatePool& pool,
@@ -95,36 +52,31 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
   NC_CHECK(policy != nullptr);
   NC_CHECK(out != nullptr);
   out->entries.clear();
-  const size_t m = sources->num_predicates();
-  const size_t n = sources->num_objects();
-  NC_RETURN_IF_ERROR(sources->cost_model().Validate());
-  if (scoring.arity() != m) {
-    return Status::InvalidArgument(
-        "scoring function arity does not match predicate count");
-  }
-  if (options.k == 0) return Status::InvalidArgument("k must be positive");
-
-  CandidatePool pool(m);
-  BoundEvaluator bounds(&scoring);
+  NC_RETURN_IF_ERROR(ValidateQuery(*sources, scoring, options.k));
+  RankedPool ranked(&scoring, sources->num_objects(),
+                    !sources->cost_model().any_sorted());
   policy->Reset(*sources);
-  const bool universe_seeded = !sources->cost_model().any_sorted();
-  if (universe_seeded) {
-    for (ObjectId u = 0; u < n; ++u) pool.GetOrCreate(u);
-  }
 
   TGView view;
   view.sources = sources;
   view.scoring = &scoring;
   view.k = options.k;
-  view.pool = &pool;
+  view.pool = &ranked.candidates();
 
   std::vector<Access> legal;
   size_t accesses = 0;
   double width_total = 0.0;
-  const size_t runaway_guard = 2 * n * m + options.k + 64;
+  const size_t runaway_guard = RunawayGuard(*sources, options.k);
 
-  while (!Halted(*sources, pool, bounds, universe_seeded, options.k, out)) {
-    EnumerateLegalPool(*sources, pool, &legal);
+  while (true) {
+    // The same Theorem-1 test NC halts on.
+    const std::span<const RankedPool::Entry> topk =
+        ranked.TopK(options.k, sources->last_seen());
+    if (!ranked.FirstIncomplete(topk).has_value()) {
+      RankedPool::Answer(topk, out);
+      break;
+    }
+    EnumerateLegalPool(*sources, ranked.candidates(), &legal);
     if (legal.empty()) {
       return Status::FailedPrecondition(
           "query cannot be completed under the scenario's capabilities");
@@ -139,15 +91,10 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
       std::optional<SortedHit> hit;
       NC_RETURN_IF_ERROR(sources->TrySortedAccess(access.predicate, &hit));
       NC_CHECK(hit.has_value());
-      Candidate& c = pool.GetOrCreate(hit->object);
-      if (!c.IsEvaluated(access.predicate)) {
-        c.SetScore(access.predicate, hit->score);
-      }
-      for (const auto& [predicate, score] : hit->bundled) {
-        if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
-      }
+      ranked.Discover(access.predicate, hit->object, hit->score, hit->bundled,
+                      sources->last_seen());
     } else {
-      Candidate* c = pool.Find(access.object);
+      Candidate* c = ranked.candidates().Find(access.object);
       NC_CHECK(c != nullptr);
       Score score = 0.0;
       NC_RETURN_IF_ERROR(

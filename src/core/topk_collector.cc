@@ -3,15 +3,15 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/rank_order.h"
 
 namespace nc {
 
 namespace {
 
-// Ascending (weakest-first) order: by score, ties by ObjectId.
+// Ascending (weakest-first) rank order.
 bool WeakerEntry(const TopKEntry& a, const TopKEntry& b) {
-  if (a.score != b.score) return a.score < b.score;
-  return a.object < b.object;
+  return RanksAbove(b.score, b.object, a.score, a.object);
 }
 
 }  // namespace

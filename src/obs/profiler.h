@@ -57,7 +57,7 @@ enum class CostCenter : uint8_t {
   kCacheFill,             // Publishing a fetched result to the cache.
   kOptimizerSimulate,     // SimulationCostEstimator sample runs.
   kHillClimbStep,         // One HClimb neighbor sweep.
-  kCandidateHeap,         // LazyBoundHeap::TopK: K_P per iteration.
+  kCandidateHeap,         // RankedPool::TopK: K_P per iteration.
   kCertificateBuild,      // AnytimeCertificate construction.
   kCheckpointSerialize,   // Engine checkpoint serialization at drain.
   kServerQueue,           // Admission-to-worker queue wait (external).

@@ -65,13 +65,19 @@ std::string Hex(double v) { return FormatHexDouble(v); }
 
 std::string Join(const std::vector<size_t>& v) {
   std::string s;
-  for (size_t x : v) s += (s.empty() ? "" : ",") + std::to_string(x);
+  for (size_t x : v) {
+    if (!s.empty()) s += ",";
+    s += std::to_string(x);
+  }
   return "(" + s + ")";
 }
 
 std::string Join(const std::vector<double>& v) {
   std::string s;
-  for (double x : v) s += (s.empty() ? "" : ",") + Hex(x);
+  for (double x : v) {
+    if (!s.empty()) s += ",";
+    s += Hex(x);
+  }
   return "(" + s + ")";
 }
 
@@ -533,7 +539,8 @@ void SharedCacheFleetTopology(SeamDump* dump) {
     ASSERT_TRUE(sources.set_replica_fleet(&fleet).ok());
     sources.set_access_cache(&cache);
     const EngineRun run = RunEngine(&sources, 3 + s, 0.9, 6);
-    DumpRun(dump, "s" + std::to_string(s), run, sources, tracer);
+    const std::string index = std::to_string(s);
+    DumpRun(dump, "s" + index, run, sources, tracer);
     dump->Cache(cache);
     if (s == 1) {
       EXPECT_GT(sources.cache_hits().sorted_hits, 0u);
@@ -573,7 +580,10 @@ class Script {
     const Status status = sources_->TryRandomAccess(i, u, &score);
     std::string line = "ra_" + std::to_string(i) + "(u" + std::to_string(u) +
                        ") " + status.ToString();
-    if (status.ok()) line += " " + Hex(score);
+    if (status.ok()) {
+      line += " ";
+      line += Hex(score);
+    }
     dump_->Line(line + " penalty " + Hex(sources_->last_access_penalty()));
     return status;
   }

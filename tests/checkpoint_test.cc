@@ -558,7 +558,8 @@ TEST(CheckpointTest, ResumeRejectsCorruptCandidateScores) {
   std::string line = "cand " + std::to_string(top1) + " " +
                      std::to_string(cand->mask) + " 0x1p-9";
   for (size_t s = 1; s < cand->scores.size(); ++s) {
-    line += " " + FormatHexDouble(cand->scores[s]);
+    line += " ";
+    line += FormatHexDouble(cand->scores[s]);
   }
   const std::string text = ReplaceLine(
       SerializeCheckpoint(*run.checkpoint),

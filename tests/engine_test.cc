@@ -321,22 +321,6 @@ TEST(EngineTest, SinglePredicateQuery) {
   EXPECT_EQ(result.entries[1].object, 1u);
 }
 
-TEST(EngineTest, WildGuessesModeAlsoCorrect) {
-  GeneratorOptions g;
-  g.num_objects = 120;
-  g.seed = 10;
-  const Dataset data = GenerateDataset(g);
-  AverageFunction avg(2);
-  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
-  SRGPolicy policy(SRGConfig::Default(2));
-  EngineOptions options;
-  options.k = 4;
-  options.no_wild_guesses = false;
-  TopKResult result;
-  ASSERT_TRUE(RunNC(&sources, &avg, &policy, options, &result).ok());
-  EXPECT_EQ(result, BruteForceTopK(data, avg, 4));
-}
-
 TEST(EngineTest, EngineReusableAcrossRuns) {
   const Dataset data = PaperDataset();
   MinFunction fmin(2);

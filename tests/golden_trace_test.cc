@@ -14,13 +14,15 @@
 // and Upper.
 //
 // A second matrix, committed as testdata/golden_stops.txt, pins every way
-// a budget stops a run (see StopsMatrix).
+// a budget stops a run, and the unbudgeted parallel and Framework TG runs
+// (see StopsMatrix).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +37,9 @@
 #include "core/engine.h"
 #include "core/parallel_executor.h"
 #include "core/planner.h"
+#include "core/reference.h"
 #include "core/srg_policy.h"
+#include "core/tg.h"
 #include "data/generator.h"
 #include "scoring/scoring_function.h"
 
@@ -208,7 +212,8 @@ std::string ReplayMatrix() {
 // counter and both clocks say: each AllBaselines() entry, the sequential
 // engine and the parallel executor under a cost cap, a deadline and a
 // per-predicate quota. Each budget is sized from the same run unbudgeted,
-// over n = 150 objects and 3 predicates with unequal unit costs.
+// over n = 150 objects and 3 predicates with unequal unit costs. Every
+// answer is checked against the data (ExpectTruthful).
 
 Dataset StopsCorpus() {
   GeneratorOptions g;
@@ -225,6 +230,54 @@ void AppendStop(const std::string& label, const Status& status,
   *out += "elapsed " + FormatHexDouble(sources.elapsed_time()) +
           " refusals " + std::to_string(sources.stats().budget_refusals) +
           "\n";
+}
+
+void AppendParallel(const ParallelResult& result, std::string* out) {
+  *out += "makespan " + FormatHexDouble(result.elapsed_time) + " issued " +
+          std::to_string(result.accesses_issued) + " wasted " +
+          std::to_string(result.wasted_accesses) + "\n";
+}
+
+// The answer is true to the data. A certificate's intervals contain the
+// true scores and its excluded ceiling bounds every object not returned;
+// an answer without one is the brute-force top-k (its object set, for a
+// set-only algorithm, whose scores are lower bounds).
+void ExpectTruthful(const Dataset& data, const ScoringFunction& scoring,
+                    size_t k, bool exact_scores, const TopKResult& result,
+                    const std::string& label) {
+  if (!result.certificate.has_value()) {
+    const TopKResult expected = BruteForceTopK(data, scoring, k);
+    if (exact_scores) {
+      EXPECT_EQ(result, expected) << label;
+      return;
+    }
+    std::set<ObjectId> got;
+    std::set<ObjectId> want;
+    for (const TopKEntry& e : result.entries) got.insert(e.object);
+    for (const TopKEntry& e : expected.entries) want.insert(e.object);
+    EXPECT_EQ(got, want) << label;
+    return;
+  }
+  const AnytimeCertificate& cert = *result.certificate;
+  ASSERT_EQ(cert.intervals.size(), result.entries.size()) << label;
+  const size_t n = data.num_objects();
+  std::vector<Score> row(data.num_predicates());
+  const auto truth = [&](ObjectId u) {
+    for (PredicateId i = 0; i < row.size(); ++i) row[i] = data.score(u, i);
+    return scoring.Evaluate(row);
+  };
+  std::vector<bool> returned(n, false);
+  for (size_t j = 0; j < result.entries.size(); ++j) {
+    const ObjectId u = result.entries[j].object;
+    returned[u] = true;
+    EXPECT_LE(cert.intervals[j].lower, truth(u)) << label << " u" << u;
+    EXPECT_GE(cert.intervals[j].upper, truth(u)) << label << " u" << u;
+  }
+  for (ObjectId u = 0; u < n; ++u) {
+    if (!returned[u]) {
+      EXPECT_LE(truth(u), cert.excluded_ceiling) << label << " u" << u;
+    }
+  }
 }
 
 // The budgets, sized from an unbudgeted run: half its cost as a cap,
@@ -257,6 +310,7 @@ using StopRun =
     std::function<Status(SourceSet*, TopKResult*, ParallelResult*)>;
 
 void AppendStops(const Dataset& data, const CostModel& cost,
+                 const ScoringFunction& scoring, size_t k, bool exact_scores,
                  const std::string& label, bool parallel, const StopRun& run,
                  std::string* out) {
   const auto fresh = [&](SourceSet* sources) {
@@ -282,14 +336,26 @@ void AppendStops(const Dataset& data, const CostModel& cost,
     EXPECT_TRUE(sources.set_budget(budget).ok());
     const Status status = run(&sources, &result, &presult);
     const TopKResult& answer = parallel ? presult.topk : result;
-    AppendStop(label + " " + name + " " + budget.ToString(), status, sources,
-               answer, out);
-    if (parallel) {
-      *out += "makespan " + FormatHexDouble(presult.elapsed_time) +
-              " issued " + std::to_string(presult.accesses_issued) +
-              " wasted " + std::to_string(presult.wasted_accesses) + "\n";
+    const std::string case_label = label + " " + name + " " + budget.ToString();
+    AppendStop(case_label, status, sources, answer, out);
+    if (parallel) AppendParallel(presult, out);
+    if (status.ok()) {
+      ExpectTruthful(data, scoring, k, exact_scores, answer, case_label);
     }
   }
+}
+
+// Two in flight: the makespan runs ahead of the Eq. 1 clock. Eight in
+// flight with speculation: several issues per epoch, so a budget can bar
+// one mid-epoch.
+Status RunParallel(SourceSet* sources, const ScoringFunction& scoring,
+                   size_t k, size_t concurrency, ParallelResult* out) {
+  SRGPolicy policy(SRGConfig::Default(3));
+  ParallelOptions options;
+  options.k = k;
+  options.concurrency = concurrency;
+  options.max_speculation = concurrency / 4;
+  return RunParallelNC(sources, scoring, &policy, options, out);
 }
 
 std::string StopsMatrix() {
@@ -297,23 +363,26 @@ std::string StopsMatrix() {
   const CostModel cost({1.0, 2.0, 1.0}, {3.0, 1.0, 2.0});
   const AverageFunction avg(3);
   const MinFunction fmin(3);
+  const std::vector<const ScoringFunction*> functions = {&avg, &fmin};
+  const auto cell_of = [&](const ScoringFunction* scoring, size_t k) {
+    return std::string("F=") + (scoring == &avg ? "avg" : "min") +
+           " k=" + std::to_string(k);
+  };
   std::string out;
-  for (const ScoringFunction* scoring :
-       {static_cast<const ScoringFunction*>(&avg),
-        static_cast<const ScoringFunction*>(&fmin)}) {
+  for (const ScoringFunction* scoring : functions) {
     for (const size_t k : {size_t{1}, size_t{10}}) {
-      const std::string cell = std::string("F=") +
-                               (scoring == &avg ? "avg" : "min") +
-                               " k=" + std::to_string(k);
+      const std::string cell = cell_of(scoring, k);
       for (const AlgorithmInfo& info : AllBaselines()) {
         EXPECT_TRUE(info.applicable(cost)) << info.name;
-        AppendStops(data, cost, cell + " " + info.name, /*parallel=*/false,
+        AppendStops(data, cost, *scoring, k, info.exact_scores,
+                    cell + " " + info.name, /*parallel=*/false,
                     [&](SourceSet* s, TopKResult* r, ParallelResult*) {
                       return info.run(s, *scoring, k, r);
                     },
                     &out);
       }
-      AppendStops(data, cost, cell + " NC", /*parallel=*/false,
+      AppendStops(data, cost, *scoring, k, /*exact_scores=*/true,
+                  cell + " NC", /*parallel=*/false,
                   [&](SourceSet* s, TopKResult* r, ParallelResult*) {
                     SRGPolicy policy(SRGConfig::Default(3));
                     EngineOptions options;
@@ -322,23 +391,52 @@ std::string StopsMatrix() {
                     return engine.Run(r);
                   },
                   &out);
-      // Two in flight: the makespan runs ahead of the Eq. 1 clock. Eight
-      // in flight with speculation: several issues per epoch, so a budget
-      // can bar one mid-epoch.
       for (const size_t concurrency : {size_t{2}, size_t{8}}) {
-        AppendStops(data, cost,
+        AppendStops(data, cost, *scoring, k, /*exact_scores=*/true,
                     cell + " parallel c=" + std::to_string(concurrency),
                     /*parallel=*/true,
                     [&](SourceSet* s, TopKResult*, ParallelResult* r) {
-                      SRGPolicy policy(SRGConfig::Default(3));
-                      ParallelOptions options;
-                      options.k = k;
-                      options.concurrency = concurrency;
-                      options.max_speculation = concurrency / 4;
-                      return RunParallelNC(s, *scoring, &policy, options, r);
+                      return RunParallel(s, *scoring, k, concurrency, r);
                     },
                     &out);
       }
+    }
+  }
+  // The unbudgeted runs: the parallel executor at both widths, under the
+  // jitter its budgets are sized with, and Framework TG drawing every
+  // access at random from its legal pool.
+  for (const ScoringFunction* scoring : functions) {
+    for (const size_t k : {size_t{1}, size_t{10}}) {
+      const std::string cell = cell_of(scoring, k);
+      for (const size_t concurrency : {size_t{2}, size_t{8}}) {
+        SourceSet sources(&data, cost);
+        sources.EnableTrace();
+        sources.set_latency_jitter(3.0, /*seed=*/17);
+        ParallelResult result;
+        const Status status =
+            RunParallel(&sources, *scoring, k, concurrency, &result);
+        const std::string label = cell + " parallel c=" +
+                                  std::to_string(concurrency) + " unbudgeted";
+        AppendStop(label, status, sources, result.topk, &out);
+        AppendParallel(result, &out);
+        EXPECT_TRUE(status.ok()) << label << ": " << status;
+        ExpectTruthful(data, *scoring, k, /*exact_scores=*/true, result.topk,
+                       label);
+      }
+      SourceSet sources(&data, cost);
+      sources.EnableTrace();
+      TGRandomPolicy policy(/*seed=*/17);
+      TGOptions options;
+      options.k = k;
+      TopKResult result;
+      TGReport report;
+      const Status status =
+          RunTG(&sources, *scoring, &policy, options, &result, &report);
+      const std::string label = cell + " TG random unbudgeted";
+      AppendStop(label, status, sources, result, &out);
+      out += "width " + FormatHexDouble(report.mean_choice_width) + "\n";
+      EXPECT_TRUE(status.ok()) << label << ": " << status;
+      ExpectTruthful(data, *scoring, k, /*exact_scores=*/true, result, label);
     }
   }
   return out;

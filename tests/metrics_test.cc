@@ -138,8 +138,8 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsLossFree) {
     threads.emplace_back([&registry, t] {
       // Half the threads share one hot series; the rest own a series
       // each, so both contended and creating paths are exercised.
-      const std::string label =
-          t % 2 == 0 ? "shared" : "t" + std::to_string(t);
+      const std::string id = std::to_string(t);
+      const std::string label = t % 2 == 0 ? "shared" : "t" + id;
       for (int i = 0; i < kPerThread; ++i) {
         registry.counter("nc_hammer_total", {{"worker", label}}).Increment();
         registry
@@ -160,9 +160,10 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsLossFree) {
                                    {{"worker", "shared"}})
                         .count();
   for (int t = 1; t < kThreads; t += 2) {
+    const std::string id = std::to_string(t);
     observed += registry
                     .histogram("nc_hammer_width", {4.0, 16.0},
-                               {{"worker", "t" + std::to_string(t)}})
+                               {{"worker", "t" + id}})
                     .count();
   }
   EXPECT_EQ(observed,

@@ -35,7 +35,9 @@ TEST(MinMaxScoresTest, PreservesOrder) {
   const std::vector<Score> scores = MinMaxScores(raw);
   for (size_t i = 0; i < raw.size(); ++i) {
     for (size_t j = 0; j < raw.size(); ++j) {
-      if (raw[i] < raw[j]) EXPECT_LE(scores[i], scores[j]);
+      if (raw[i] < raw[j]) {
+        EXPECT_LE(scores[i], scores[j]);
+      }
     }
   }
 }
