@@ -99,6 +99,27 @@ void BM_NCQueryUniformCosts(benchmark::State& state) {
 }
 BENCHMARK(BM_NCQueryUniformCosts)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The same query under F = min at m = 2 and m = 3 (args n, m). Every
+// candidate whose known minimum is at or above a ceiling ties at it, so
+// this is the shape RankedPool's known-predicate groups exist for.
+void BM_NCQueryMin(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t m = static_cast<size_t>(state.range(1));
+  const Dataset data = BenchData(n, m);
+  MinFunction fmin(m);
+  const CostModel cost = CostModel::Uniform(m, 1.0, 1.0);
+  for (auto _ : state) {
+    SourceSet sources(&data, cost);
+    SRGPolicy policy(SRGConfig::Default(m));
+    EngineOptions options;
+    options.k = 10;
+    TopKResult result;
+    const Status status = RunNC(&sources, &fmin, &policy, options, &result);
+    benchmark::DoNotOptimize(status.ok());
+  }
+}
+BENCHMARK(BM_NCQueryMin)->Args({10000, 2})->Args({10000, 3});
+
 // Same query with a constructed-but-disabled tracer attached to the
 // sources: the cost of the ShouldTrace() guards alone.
 void BM_NCQueryTracerDisabled(benchmark::State& state) {

@@ -63,7 +63,7 @@ Status CompleteRow(SourceSet* sources, const ScoringFunction& scoring,
 
 Status SettleRefusal(const Status& refusal, const SourceSet& sources,
                      const ScoringFunction& scoring, size_t k,
-                     std::vector<CertifiedRow> rows, CandidatePool* pool,
+                     std::vector<CertifiedRow> rows, const CandidatePool* pool,
                      TopKResult* out) {
   NC_CHECK(!refusal.ok());
   if (refusal.code() != StatusCode::kResourceExhausted) return refusal;
@@ -72,7 +72,7 @@ Status SettleRefusal(const Status& refusal, const SourceSet& sources,
   if (pool != nullptr) {
     // A complete candidate's Lower and Upper both equal its exact score.
     BoundEvaluator bounds(&scoring);
-    for (Candidate& c : *pool) {
+    for (const Candidate& c : *pool) {
       rows.push_back(
           CertifiedRow{c.id, bounds.Lower(c), bounds.Upper(c, ceilings)});
     }

@@ -65,7 +65,7 @@ Status CompleteRow(SourceSet* sources, const ScoringFunction& scoring,
 // Any other failure - a source that failed for good - is returned as is.
 Status SettleRefusal(const Status& refusal, const SourceSet& sources,
                      const ScoringFunction& scoring, size_t k,
-                     std::vector<CertifiedRow> rows, CandidatePool* pool,
+                     std::vector<CertifiedRow> rows, const CandidatePool* pool,
                      TopKResult* out);
 
 }  // namespace nc

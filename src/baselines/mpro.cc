@@ -35,14 +35,15 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
 
   while (true) {
     const std::span<const RankedPool::Entry> top = ranked.TopK(k, ceilings);
-    const std::optional<Candidate*> next_probe = ranked.FirstIncomplete(top);
+    const std::optional<const Candidate*> next_probe =
+        ranked.FirstIncomplete(top);
     if (!next_probe.has_value()) {
       RankedPool::Answer(top, out);
       return Status::OK();
     }
     // Probe the next unevaluated predicate in global-schedule order (the
     // universe is seeded, so the member is never the unseen sentinel).
-    Candidate* c = *next_probe;
+    const Candidate* c = *next_probe;
     for (PredicateId i : order) {
       if (c->IsEvaluated(i)) continue;
       Score score = 0.0;
@@ -52,7 +53,7 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         return SettleRefusal(status, *sources, scoring, k, {},
                              &ranked.candidates(), out);
       }
-      c->SetScore(i, score);
+      ranked.Probe(c->id, i, score);
       break;
     }
   }

@@ -33,7 +33,7 @@ bool SortedRound(SourceSet* sources, RankedPool* ranked, Status* stop) {
 // The classic halting test: true when the k-th best lower bound dominates
 // every other candidate's upper bound and the unseen ceiling. On success
 // fills `out` with the winners (scores = lower bounds at halt).
-bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
+bool SetOnlyHalted(const SourceSet& sources, const CandidatePool& pool,
                    BoundEvaluator& bounds, size_t k, TopKResult* out) {
   const std::span<const Score> ceilings = sources.last_seen();
 
@@ -44,7 +44,7 @@ bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
   };
   std::vector<State> states;
   states.reserve(pool.size());
-  for (Candidate& c : pool) {
+  for (const Candidate& c : pool) {
     states.push_back(
         State{c.id, bounds.Lower(c), bounds.Upper(c, ceilings)});
   }
@@ -95,7 +95,7 @@ Status RunNRA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   // Every predicate has sorted access, so objects are discovered.
   RankedPool ranked(&scoring, sources->num_objects(),
                     /*seed_universe=*/false);
-  CandidatePool& pool = ranked.candidates();
+  const CandidatePool& pool = ranked.candidates();
   BoundEvaluator& bounds = ranked.bounds();
 
   while (true) {
@@ -114,7 +114,7 @@ Status RunNRA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     if (!live) {
       // Streams drained: every candidate is complete; rank them directly.
       TopKCollector collector(k);
-      for (Candidate& c : pool) {
+      for (const Candidate& c : pool) {
         collector.Offer(c.id, bounds.Exact(c));
       }
       *out = collector.Take();

@@ -37,7 +37,8 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   while (true) {
     const std::span<const Score> ceilings = sources->last_seen();
     const std::span<const RankedPool::Entry> top = ranked.TopK(k, ceilings);
-    const std::optional<Candidate*> target = ranked.FirstIncomplete(top);
+    const std::optional<const Candidate*> target =
+        ranked.FirstIncomplete(top);
     if (!target.has_value()) {
       RankedPool::Answer(top, out);
       return Status::OK();
@@ -58,7 +59,7 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       }
     } else {
       // Probe the predicate with the best expected bound-drop per cost.
-      Candidate* c = *target;
+      const Candidate* c = *target;
       PredicateId best = m;
       double best_rate = -1.0;
       for (PredicateId i = 0; i < m; ++i) {
@@ -75,7 +76,7 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       Score score = 0.0;
       const Status status = sources->TryRandomAccess(best, c->id, &score);
       if (!status.ok()) return settle(status);
-      c->SetScore(best, score);
+      ranked.Probe(c->id, best, score);
     }
   }
 }

@@ -1,11 +1,12 @@
-// Theorem 1's ranked pool, and the lazy max-heap over maximal-possible
-// scores it keeps K_P with.
+// Theorem 1's ranked pool, and the two rankings it keeps K_P with: a
+// lazy max-heap over maximal-possible scores for any monotone F, and
+// known-predicate groups for F = min.
 //
 // RankedPool is the one place K_P is derived: NCEngine, the parallel
 // executor, Framework TG, Upper, MPro and NRA's exact mode all halt on it,
 // each with its own scheduling. It owns the candidates a run has seen,
-// their bound evaluator and the heap, plus the virtual unseen object that
-// stands for every object no sorted access has returned yet.
+// their bound evaluator and the ranking, plus the virtual unseen object
+// that stands for every object no sorted access has returned yet.
 //
 // Upper bounds in top-k processing only ever decrease (F is monotone, the
 // ceilings fall, and an exact score never exceeds the bound it replaces).
@@ -24,6 +25,26 @@
 // costs k bound evaluations plus the heap operations the moved bounds
 // require, instead of popping and reinserting k entries.
 //
+// Under F = min the lazy heap storms. A candidate's bound is min(key, C):
+// key is the minimum of its known scores, C the minimum ceiling over its
+// missing predicates. Every candidate whose key is at or above a ceiling
+// ties at it, so each sorted access that lowers l_i sends every one of
+// them through a stale pop. MinGroupRanking instead files candidates in
+// groups keyed by their known-predicate mask - the candidate lattice of
+// LARA (Mamoulis et al., TODS 2007), which refines the NRA bookkeeping of
+// Fagin, Lotem and Naor. A group's members share C, so two orders rank
+// them exactly and never go stale as C falls: the members with key >= C
+// tie at C and sit in a max-heap by ObjectId; the rest sit in a heap by
+// (key, ObjectId). A member crosses from the second to the first at most
+// once. TopK keeps the held-set algorithm above, with the group heads in
+// place of the heap's root, so an iteration costs k re-checks plus a few
+// head comparisons per group, however many candidates tie.
+//
+// Only min is grouped: it returns one of its inputs, so min(key, C) is
+// bit-exactly the bound Evaluate gives. Under avg, sum and the other
+// aggregates rounding makes the known-sum order inexact near ties, so they
+// keep the lazy heap. ScoringFunction::IsMin() chooses.
+//
 // Each live object has exactly one entry, ordered by the library-wide
 // rank order (core/rank_order.h): ties by descending ObjectId, except that
 // the virtual unseen object (id = kUnseenObject) ranks below any seen
@@ -34,6 +55,7 @@
 #define NC_CORE_BOUND_HEAP_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -136,6 +158,83 @@ std::span<const LazyBoundHeap::Entry> LazyBoundHeap::TopK(
   return held_;
 }
 
+// K_P under F = min, in groups keyed by known-predicate mask (see the top
+// of this file). Candidate bounds are exact and computed here. The unseen
+// sentinel alone keeps a cached bound, as LazyBoundHeap caches it: it is
+// re-checked when it ranks above the final weakest member, or while the
+// held set is short of k and fewer candidates rank above it - exactly the
+// calls on which the lazy heap would pop it - so it retires on the same
+// call and RankedPool::size() (the tracer's heap_size) matches.
+class MinGroupRanking {
+ public:
+  using Entry = LazyBoundHeap::Entry;
+
+  explicit MinGroupRanking(size_t num_predicates);
+
+  // Files `c`, which is not in the held set, in the group of its current
+  // known set; any item an earlier group holds for it goes stale.
+  void File(Candidate& c);
+
+  // Ranks the unseen sentinel at `bound`.
+  void AddUnseen(Score bound);
+  bool has_unseen() const { return unseen_ != Unseen::kRetired; }
+
+  // K_P as LazyBoundHeap::TopK derives it. `pool` holds every filed and
+  // held candidate; `unseen_remains` false retires the sentinel at its
+  // next re-check.
+  std::span<const Entry> TopK(size_t k, std::span<const Score> ceilings,
+                              CandidatePool& pool, bool unseen_remains);
+
+ private:
+  struct Group {
+    uint64_t mask = 0;  // The known predicates.
+    // C: the lowest ceiling over the missing predicates (+inf when none).
+    Score ceiling = 0.0;
+    // Members with key >= C, tied at C: a max-heap by ObjectId.
+    std::vector<ObjectId> tied;
+    // Members with key < C, at bound = key: a max-heap under Below.
+    std::vector<Entry> below;
+  };
+  enum class Unseen { kRetired, kOutside, kHeld };
+
+  static bool Above(const Entry& a, const Entry& b) {
+    return RanksAbove(a.bound, a.object, b.bound, b.object);
+  }
+  static bool Below(const Entry& a, const Entry& b) { return Above(b, a); }
+
+  // The lowest ceiling over the predicates `mask` leaves out.
+  Score MissingCeiling(uint64_t mask) const;
+  // The lowest known score (+inf when none is known).
+  static Score KeyOf(const Candidate& c);
+  // min(key, C), bit-exactly MinFunction::Evaluate of the Eq. 3 vector.
+  Score BoundOf(const Candidate& c) const;
+  uint32_t GroupOf(uint64_t mask);
+  void PushTied(Group& g, ObjectId u);
+  void PushBelow(Group& g, const Entry& e);
+  // Takes the group's C from ceilings_ (C never rises) and moves every
+  // live member whose key reached it to the tied heap.
+  void Settle(uint32_t g, const CandidatePool& pool);
+  // The group's best live member at its exact bound, after dropping stale
+  // items off both heaps; nullopt when none is left.
+  std::optional<Entry> Head(uint32_t g, const CandidatePool& pool);
+  void PopHead(uint32_t g);
+  // Inserts `e` into the held set; a member pushed past k is released.
+  void Hold(const Entry& e, size_t k, CandidatePool& pool);
+  // A held member leaves K_P: back to its group, or the sentinel outside
+  // at its current bound.
+  void Release(const Entry& e, CandidatePool& pool);
+
+  uint64_t all_predicates_;
+  // The ceilings l_i as of the last TopK (+inf before the first).
+  std::vector<Score> ceilings_;
+  std::vector<Group> groups_;
+  // The last verified top-k, in rank order, at exact bounds.
+  std::vector<Entry> held_;
+  Unseen unseen_ = Unseen::kRetired;
+  // The sentinel's bound as of its last re-check, while kOutside.
+  Score unseen_bound_ = 0.0;
+};
+
 // K_P and the candidates behind it. Every bound is taken against a ceiling
 // vector the caller passes in and that never rises between calls: the
 // last-seen scores l_i (SourceSet::last_seen()) for the sequential
@@ -158,19 +257,28 @@ class RankedPool {
   RankedPool(const ScoringFunction* scoring, size_t num_objects,
              CandidatePool candidates, std::span<const Score> ceilings);
 
-  CandidatePool& candidates() { return pool_; }
+  // Read-only: a candidate learns a score only through Discover or Probe,
+  // which keep its rank current.
   const CandidatePool& candidates() const { return pool_; }
   BoundEvaluator& bounds() { return bounds_; }
   // Ranked entries, the sentinel included.
-  size_t size() const { return heap_.size(); }
+  size_t size() const {
+    if (!grouped_) return heap_.size();
+    return pool_.size() + (groups_.has_unseen() ? 1 : 0);
+  }
 
   // Discovery: folds a sorted hit of `u` on predicate `i` into u's
   // candidate - p_i[u] = `score` and a multi-attribute source's `bundled`
   // scores, each unless already known. On first sight the candidate is
   // created and ranked at its bound against `ceilings`.
-  Candidate& Discover(PredicateId i, ObjectId u, Score score,
-                      std::span<const std::pair<PredicateId, Score>> bundled,
-                      std::span<const Score> ceilings);
+  const Candidate& Discover(
+      PredicateId i, ObjectId u, Score score,
+      std::span<const std::pair<PredicateId, Score>> bundled,
+      std::span<const Score> ceilings);
+
+  // A random probe's result: p_i[u] = `score` unless already known. `u`
+  // must be a candidate.
+  const Candidate& Probe(ObjectId u, PredicateId i, Score score);
 
   // K_P: the top k in rank order by current bound against `ceilings` -
   // a complete candidate's exact score, an incomplete one's maximal-
@@ -185,7 +293,8 @@ class RankedPool {
   // (Answer then writes the result); otherwise the highest-ranked
   // incomplete member, whose task is unsatisfied - its candidate, or
   // nullptr for the sentinel.
-  std::optional<Candidate*> FirstIncomplete(std::span<const Entry> topk);
+  std::optional<const Candidate*> FirstIncomplete(
+      std::span<const Entry> topk) const;
 
   // Writes a complete K_P as the exact answer: a complete member's bound
   // is its exact score.
@@ -203,11 +312,15 @@ class RankedPool {
  private:
   // nullopt retires the sentinel once every object has been seen.
   std::optional<Score> BoundOf(ObjectId u, std::span<const Score> ceilings);
+  void AddUnseen(Score bound);
 
   CandidatePool pool_;
   BoundEvaluator bounds_;
-  LazyBoundHeap heap_;
   size_t num_objects_;
+  // F = min (ScoringFunction::IsMin): groups_ ranks; otherwise heap_.
+  bool grouped_;
+  LazyBoundHeap heap_;
+  MinGroupRanking groups_;
 };
 
 // Settles a run with BuildCertifiedResult over `rows` (in rank order)

@@ -24,8 +24,15 @@ namespace nc {
 // Score state of one seen object. `scores` views the object's m predicate
 // scores in its pool's storage; entries whose bit in `evaluated_mask` is
 // unset are undefined.
+//
+// `stamp` belongs to RankedPool's grouped ranking under F = min
+// (core/bound_heap.h): 1 + the index of the known-predicate group that
+// files the candidate, or 0 while it is none's (a member of K_P's held
+// set, or any candidate of a pool ranked by LazyBoundHeap). A group skips
+// the items it still holds for a candidate that has since moved on.
 struct Candidate {
   ObjectId id = 0;
+  uint32_t stamp = 0;
   uint64_t evaluated_mask = 0;
   std::span<Score> scores;
 
@@ -51,6 +58,9 @@ struct Candidate {
     return static_cast<size_t>(__builtin_popcountll(evaluated_mask));
   }
 };
+// The stamp fills the padding after `id`: a pool of 100k candidates
+// costs no more than before it.
+static_assert(sizeof(Candidate) == 32);
 
 // Owns candidates with stable addresses, indexed densely by ObjectId.
 //

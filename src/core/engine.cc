@@ -96,16 +96,16 @@ Status NCEngine::Perform(const Access& access) {
     }
     return Status::OK();
   }
-  Candidate* c = ranked_.candidates().Find(access.object);
-  NC_CHECK(c != nullptr);  // No wild guesses: the target was seen.
-  NC_CHECK(!c->IsEvaluated(access.predicate));
+  const Candidate* target = ranked_.candidates().Find(access.object);
+  NC_CHECK(target != nullptr);  // No wild guesses: the target was seen.
+  NC_CHECK(!target->IsEvaluated(access.predicate));
   Score score = 0.0;
   NC_RETURN_IF_ERROR(
       sources_->TryRandomAccess(access.predicate, access.object, &score));
-  c->SetScore(access.predicate, score);
+  const Candidate& c = ranked_.Probe(access.object, access.predicate, score);
   if (complete_topk_.has_value() &&
-      c->IsComplete(sources_->num_predicates())) {
-    complete_topk_->Offer(c->id, ranked_.bounds().Exact(*c));
+      c.IsComplete(sources_->num_predicates())) {
+    complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
   }
   return Status::OK();
 }
@@ -335,7 +335,8 @@ Status NCEngine::Loop(TopKResult* out) {
     const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
-    const std::optional<Candidate*> task = ranked_.FirstIncomplete(topk);
+    const std::optional<const Candidate*> task =
+        ranked_.FirstIncomplete(topk);
     if (!task.has_value()) {
       RankedPool::Answer(topk, out);
       last_run_exact_ = true;

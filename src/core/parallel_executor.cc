@@ -202,9 +202,7 @@ void ParallelRun::ApplyNext() {
     }
   } else {
     random_in_flight_.erase({i, flight.object});
-    Candidate* c = ranked_.candidates().Find(flight.object);
-    NC_CHECK(c != nullptr);
-    if (!c->IsEvaluated(i)) c->SetScore(i, flight.score);
+    ranked_.Probe(flight.object, i, flight.score);
   }
 }
 
@@ -249,7 +247,8 @@ Status ParallelRun::Execute(ParallelResult* out) {
   while (true) {
     const std::span<const RankedPool::Entry> topk =
         ranked_.TopK(options_.k, visible_ceiling_);
-    const std::optional<Candidate*> first = ranked_.FirstIncomplete(topk);
+    const std::optional<const Candidate*> first =
+        ranked_.FirstIncomplete(topk);
     if (tracing) {
       // One iteration event per scheduling epoch: the leading unsatisfied
       // task and the visible ceiling (the concurrent analogue of theta).

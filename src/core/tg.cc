@@ -25,7 +25,7 @@ Access TGRandomPolicy::Select(std::span<const Access> pool_accesses,
 namespace {
 
 // Every currently legal access: live sorted streams plus useful probes.
-void EnumerateLegalPool(const SourceSet& sources, CandidatePool& pool,
+void EnumerateLegalPool(const SourceSet& sources, const CandidatePool& pool,
                         std::vector<Access>* out) {
   out->clear();
   const size_t m = sources.num_predicates();
@@ -34,7 +34,7 @@ void EnumerateLegalPool(const SourceSet& sources, CandidatePool& pool,
       out->push_back(Access::Sorted(i));
     }
   }
-  for (Candidate& c : pool) {
+  for (const Candidate& c : pool) {
     for (PredicateId i = 0; i < m; ++i) {
       if (!c.IsEvaluated(i) && sources.has_random(i)) {
         out->push_back(Access::Random(i, c.id));
@@ -94,12 +94,11 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
       ranked.Discover(access.predicate, hit->object, hit->score, hit->bundled,
                       sources->last_seen());
     } else {
-      Candidate* c = ranked.candidates().Find(access.object);
-      NC_CHECK(c != nullptr);
+      NC_CHECK(ranked.candidates().Find(access.object) != nullptr);
       Score score = 0.0;
       NC_RETURN_IF_ERROR(
           sources->TryRandomAccess(access.predicate, access.object, &score));
-      c->SetScore(access.predicate, score);
+      ranked.Probe(access.object, access.predicate, score);
     }
     ++accesses;
     if (accesses > runaway_guard) {

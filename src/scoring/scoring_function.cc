@@ -95,16 +95,17 @@ Score GeometricMeanFunction::Evaluate(std::span<const Score> x) const {
 
 OrderStatisticFunction::OrderStatisticFunction(size_t arity, size_t t)
     : arity_(arity), t_(t) {
-  NC_CHECK(arity > 0);
+  NC_CHECK(arity > 0 && arity <= kMaxArity);
   NC_CHECK(t >= 1 && t <= arity);
 }
 
 Score OrderStatisticFunction::Evaluate(std::span<const Score> x) const {
   NC_DCHECK(x.size() == arity_);
-  // Selection by partial sort on a small stack copy; m is small (<= 64).
-  std::vector<Score> sorted(x.begin(), x.end());
-  std::nth_element(sorted.begin(), sorted.begin() + (t_ - 1), sorted.end());
-  return sorted[t_ - 1];
+  // Selection on a stack copy, so a bound evaluation allocates nothing.
+  Score copy[kMaxArity] = {};
+  std::copy(x.begin(), x.end(), copy);
+  std::nth_element(copy, copy + (t_ - 1), copy + x.size());
+  return copy[t_ - 1];
 }
 
 std::string OrderStatisticFunction::name() const {

@@ -34,6 +34,13 @@ class ScoringFunction {
 
   // Short label for reports, e.g. "min", "avg", "wsum(0.3,0.7)".
   virtual std::string name() const = 0;
+
+  // True when Evaluate returns min_i x_i, always one of its inputs, so a
+  // bound is bit-exactly the smaller of a known minimum and a ceiling.
+  // RankedPool (core/bound_heap.h) then ranks candidates in groups by
+  // known predicates instead of re-evaluating each bound as a ceiling
+  // falls. Only MinFunction says so.
+  virtual bool IsMin() const { return false; }
 };
 
 // F = min(x_1..x_m): the fuzzy-conjunction semantics of Query Q1.
@@ -43,6 +50,7 @@ class MinFunction final : public ScoringFunction {
   Score Evaluate(std::span<const Score> x) const override;
   size_t arity() const override { return arity_; }
   std::string name() const override { return "min"; }
+  bool IsMin() const override { return true; }
 
  private:
   size_t arity_;
@@ -115,7 +123,9 @@ class GeometricMeanFunction final : public ScoringFunction {
 // any coordinate never lowers an order statistic.
 class OrderStatisticFunction final : public ScoringFunction {
  public:
-  // `t` is 1-based and must be in [1, arity].
+  // `t` is 1-based and must be in [1, arity]; `arity` is at most
+  // kMaxArity, SourceSet's own predicate limit.
+  static constexpr size_t kMaxArity = 64;
   OrderStatisticFunction(size_t arity, size_t t);
   Score Evaluate(std::span<const Score> x) const override;
   size_t arity() const override { return arity_; }

@@ -1,6 +1,8 @@
 #include "scoring/scoring_function.h"
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -179,6 +181,41 @@ TEST(OrderStatisticTest, MonotoneAndInRange) {
       EXPECT_GE(f.Evaluate(raised), base - 1e-12);
     }
   }
+}
+
+// The selection must return the t-th smallest, ties included, up to the
+// widest arity it accepts.
+TEST(OrderStatisticTest, MatchesSortedReferenceWithTies) {
+  Rng rng(73);
+  for (const size_t arity :
+       {size_t{1}, size_t{2}, size_t{5}, OrderStatisticFunction::kMaxArity}) {
+    std::vector<Score> x(arity);
+    for (int trial = 0; trial < 50; ++trial) {
+      // A 1/8 grid: most inputs tie with another.
+      for (Score& v : x) v = static_cast<Score>(rng.UniformInt(9)) / 8.0;
+      std::vector<Score> sorted = x;
+      std::sort(sorted.begin(), sorted.end());
+      const std::vector<Score> before = x;
+      for (size_t t = 1; t <= arity; ++t) {
+        const OrderStatisticFunction f(arity, t);
+        EXPECT_EQ(f.Evaluate(x), sorted[t - 1])
+            << "arity " << arity << " t " << t;
+      }
+      EXPECT_EQ(x, before);  // The input is never reordered.
+    }
+  }
+}
+
+TEST(ScoringFunctionTest, OnlyMinDeclaresIsMin) {
+  EXPECT_TRUE(MinFunction(3).IsMin());
+  EXPECT_FALSE(MaxFunction(3).IsMin());
+  EXPECT_FALSE(AverageFunction(3).IsMin());
+  EXPECT_FALSE(ProductFunction(3).IsMin());
+  EXPECT_FALSE(GeometricMeanFunction(3).IsMin());
+  EXPECT_FALSE(WeightedSumFunction({1.0, 1.0}).IsMin());
+  // Equal to min on every input, but not declared: ranked lazily.
+  EXPECT_FALSE(OrderStatisticFunction(3, 1).IsMin());
+  EXPECT_FALSE(WeightedMinFunction({1.0, 1.0}).IsMin());
 }
 
 TEST(WeightedMinTest, FullWeightEqualsMin) {
