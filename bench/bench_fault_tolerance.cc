@@ -60,7 +60,7 @@ int main() {
     sources.set_fault_injector(&injector);
     sources.set_retry_policy(retry, /*jitter_seed=*/11);
     SRGPolicy policy(SRGConfig::Default(kPredicates));
-    ParallelOptions options;
+    EngineOptions options;
     options.k = kK;
     options.concurrency = 4;
     ParallelResult result;

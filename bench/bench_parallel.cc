@@ -50,7 +50,7 @@ int main() {
       for (const size_t spec : {0ul, 1ul}) {
         SourceSet sources(&data, cost);
         SRGPolicy policy(plan.config);
-        ParallelOptions options;
+        EngineOptions options;
         options.k = kK;
         options.concurrency = c;
         options.max_speculation = spec;

@@ -55,7 +55,7 @@ void RunQuery(const TravelAgentQuery& q) {
     for (const size_t spec : {0ul, 1ul}) {
       SourceSet sources(&q.data, q.cost);
       SRGPolicy policy(plan.config);
-      ParallelOptions options;
+      EngineOptions options;
       options.k = q.k;
       options.concurrency = c;
       options.max_speculation = spec;

@@ -85,7 +85,7 @@ int main() {
   for (const size_t c : {1ul, 4ul, 16ul}) {
     SourceSet sources(&q.data, q.cost);
     SRGPolicy policy(plan.config);
-    ParallelOptions options;
+    EngineOptions options;
     options.k = q.k;
     options.concurrency = c;
     options.max_speculation = 1;

@@ -8,21 +8,18 @@
 
 namespace nc {
 
+void HeldSet::Insert(const Entry& e) {
+  entries_.insert(
+      std::upper_bound(entries_.begin(), entries_.end(), e, Entry::Above), e);
+}
+
 void LazyBoundHeap::Push(ObjectId object, Score bound) {
   PushLazy(Entry{bound, object});
 }
 
 void LazyBoundHeap::PushLazy(const Entry& e) {
   heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), Below);
-}
-
-void LazyBoundHeap::Hold(const Entry& e, size_t k) {
-  held_.insert(std::upper_bound(held_.begin(), held_.end(), e, Above), e);
-  if (held_.size() > k) {
-    PushLazy(held_.back());
-    held_.pop_back();
-  }
+  std::push_heap(heap_.begin(), heap_.end(), Entry::Below);
 }
 
 namespace {
@@ -79,7 +76,7 @@ void MinGroupRanking::PushTied(Group& g, ObjectId u) {
 
 void MinGroupRanking::PushBelow(Group& g, const Entry& e) {
   g.below.push_back(e);
-  std::push_heap(g.below.begin(), g.below.end(), Below);
+  std::push_heap(g.below.begin(), g.below.end(), Entry::Below);
 }
 
 void MinGroupRanking::File(Candidate& c) {
@@ -105,7 +102,7 @@ void MinGroupRanking::Settle(uint32_t g, const CandidatePool& pool) {
   NC_DCHECK(ceiling <= group.ceiling);
   group.ceiling = ceiling;
   while (!group.below.empty() && group.below.front().bound >= group.ceiling) {
-    std::pop_heap(group.below.begin(), group.below.end(), Below);
+    std::pop_heap(group.below.begin(), group.below.end(), Entry::Below);
     const ObjectId u = group.below.back().object;
     group.below.pop_back();
     if (pool.Find(u)->stamp == g + 1) PushTied(group, u);
@@ -124,7 +121,7 @@ std::optional<MinGroupRanking::Entry> MinGroupRanking::Head(
   while (!group.below.empty()) {
     const Entry& e = group.below.front();
     if (pool.Find(e.object)->stamp == g + 1) return e;
-    std::pop_heap(group.below.begin(), group.below.end(), Below);
+    std::pop_heap(group.below.begin(), group.below.end(), Entry::Below);
     group.below.pop_back();
   }
   return std::nullopt;
@@ -136,16 +133,8 @@ void MinGroupRanking::PopHead(uint32_t g) {
     std::pop_heap(group.tied.begin(), group.tied.end());
     group.tied.pop_back();
   } else {
-    std::pop_heap(group.below.begin(), group.below.end(), Below);
+    std::pop_heap(group.below.begin(), group.below.end(), Entry::Below);
     group.below.pop_back();
-  }
-}
-
-void MinGroupRanking::Hold(const Entry& e, size_t k, CandidatePool& pool) {
-  held_.insert(std::upper_bound(held_.begin(), held_.end(), e, Above), e);
-  if (held_.size() > k) {
-    Release(held_.back(), pool);
-    held_.pop_back();
   }
 }
 
@@ -164,31 +153,16 @@ std::span<const MinGroupRanking::Entry> MinGroupRanking::TopK(
   NC_DCHECK(ceilings.size() == ceilings_.size());
   std::copy(ceilings.begin(), ceilings.end(), ceilings_.begin());
   for (uint32_t g = 0; g < groups_.size(); ++g) Settle(g, pool);
-  size_t live = 0;
-  for (const Entry& e : held_) {
-    Entry current{0.0, e.object};
-    if (e.object == kUnseenObject) {
-      if (!unseen_remains) {
+  const auto release = [&](const Entry& e) { Release(e, pool); };
+  held_.Recheck(
+      k,
+      [&](ObjectId u) -> std::optional<Score> {
+        if (u != kUnseenObject) return BoundOf(*pool.Find(u));
+        if (unseen_remains) return MissingCeiling(0);
         unseen_ = Unseen::kRetired;
-        continue;
-      }
-      current.bound = MissingCeiling(0);
-    } else {
-      current.bound = BoundOf(*pool.Find(e.object));
-    }
-    NC_DCHECK(current.bound <= e.bound);
-    held_[live++] = current;
-  }
-  held_.resize(live);
-  for (size_t i = 1; i < held_.size(); ++i) {
-    for (size_t j = i; j > 0 && Above(held_[j], held_[j - 1]); --j) {
-      std::swap(held_[j], held_[j - 1]);
-    }
-  }
-  while (held_.size() > k) {
-    Release(held_.back(), pool);
-    held_.pop_back();
-  }
+        return std::nullopt;
+      },
+      release);
   // Merge the group heads, which are exact, with the sentinel at its
   // cached bound, while the best of them ranks above the weakest member.
   constexpr uint32_t kFromUnseen = ~uint32_t{0};
@@ -197,22 +171,20 @@ std::span<const MinGroupRanking::Entry> MinGroupRanking::TopK(
     uint32_t from = kFromUnseen;
     for (uint32_t g = 0; g < groups_.size(); ++g) {
       const std::optional<Entry> head = Head(g, pool);
-      if (head.has_value() && (!best.has_value() || Above(*head, *best))) {
+      if (head.has_value() &&
+          (!best.has_value() || Entry::Above(*head, *best))) {
         best = head;
         from = g;
       }
     }
     if (unseen_ == Unseen::kOutside) {
       const Entry unseen{unseen_bound_, kUnseenObject};
-      if (!best.has_value() || Above(unseen, *best)) {
+      if (!best.has_value() || Entry::Above(unseen, *best)) {
         best = unseen;
         from = kFromUnseen;
       }
     }
-    if (!best.has_value() ||
-        !(held_.size() < k || (!held_.empty() && Above(*best, held_.back())))) {
-      break;
-    }
+    if (!best.has_value() || !held_.Admits(*best, k)) break;
     if (from == kFromUnseen) {
       if (!unseen_remains) {
         unseen_ = Unseen::kRetired;
@@ -220,15 +192,15 @@ std::span<const MinGroupRanking::Entry> MinGroupRanking::TopK(
       }
       best->bound = unseen_bound_ = MissingCeiling(0);
       // Stale: it stays outside with its fresh bound.
-      if (!(held_.size() < k || Above(*best, held_.back()))) continue;
+      if (!held_.Admits(*best, k)) continue;
       unseen_ = Unseen::kHeld;
     } else {
       PopHead(from);
       pool.Find(best->object)->stamp = 0;
     }
-    Hold(*best, k, pool);
+    held_.Hold(*best, k, release);
   }
-  return held_;
+  return held_.entries();
 }
 
 RankedPool::RankedPool(const ScoringFunction* scoring, size_t num_objects,

@@ -2,9 +2,9 @@
 // lazy max-heap over maximal-possible scores for any monotone F, and
 // known-predicate groups for F = min.
 //
-// RankedPool is the one place K_P is derived: NCEngine, the parallel
-// executor, Framework TG, Upper, MPro and NRA's exact mode all halt on it,
-// each with its own scheduling. It owns the candidates a run has seen,
+// RankedPool is the one place K_P is derived: NCEngine (sequential or
+// windowed), Framework TG, Upper, MPro and NRA's exact mode all halt on
+// it, each with its own scheduling. It owns the candidates a run has seen,
 // their bound evaluator and the ranking, plus the virtual unseen object
 // that stands for every object no sorted access has returned yet.
 //
@@ -70,12 +70,94 @@
 
 namespace nc {
 
+// An object, or the unseen sentinel, at a bound, in the library-wide rank
+// order.
+struct RankedEntry {
+  Score bound = 0.0;
+  ObjectId object = 0;
+
+  static bool Above(const RankedEntry& a, const RankedEntry& b) {
+    return RanksAbove(a.bound, a.object, b.bound, b.object);
+  }
+  // "Less" for std::push_heap/pop_heap, keeping the top-ranked entry at
+  // the root.
+  static bool Below(const RankedEntry& a, const RankedEntry& b) {
+    return Above(b, a);
+  }
+};
+
+// The held set both rankings keep outside their heaps (see the top of this
+// file): the last verified top-k, in rank order, at exact bounds as of the
+// call that verified them. A member leaves K_P through the ranking's
+// release action (back to the lazy heap, into its group, or the sentinel
+// outside), so the sentinel retires on the same call under either ranking
+// and RankedPool::size() (the tracer's heap_size) agrees.
+class HeldSet {
+ public:
+  using Entry = RankedEntry;
+
+  // Re-checks every member with one bound evaluation, restores rank order
+  // and releases the members past k (a smaller k than last time: the
+  // certificate's k + 1, then k again). `bound_fn(object)` returns the
+  // member's current bound as a std::optional<Score>, never above its held
+  // one; nullopt retires it (the unseen sentinel once every object has
+  // been seen).
+  template <typename BoundFn, typename ReleaseFn>
+  void Recheck(size_t k, BoundFn&& bound_fn, ReleaseFn&& release) {
+    size_t live = 0;
+    for (const Entry& e : entries_) {
+      const std::optional<Score> current = bound_fn(e.object);
+      if (!current.has_value()) continue;  // Retired.
+      NC_DCHECK(*current <= e.bound);
+      entries_[live++] = Entry{*current, e.object};
+    }
+    entries_.resize(live);
+    // Bounds fall a little between calls, so the members are nearly sorted.
+    for (size_t i = 1; i < entries_.size(); ++i) {
+      for (size_t j = i; j > 0 && Entry::Above(entries_[j], entries_[j - 1]);
+           --j) {
+        std::swap(entries_[j], entries_[j - 1]);
+      }
+    }
+    ReleasePast(k, release);
+  }
+
+  // True when `e` makes the cut: fewer than k members, or it ranks above
+  // the weakest.
+  bool Admits(const Entry& e, size_t k) const {
+    return entries_.size() < k ||
+           (!entries_.empty() && Entry::Above(e, entries_.back()));
+  }
+
+  // Inserts `e` at its rank; a member pushed past k is released.
+  template <typename ReleaseFn>
+  void Hold(const Entry& e, size_t k, ReleaseFn&& release) {
+    Insert(e);
+    ReleasePast(k, release);
+  }
+
+  std::span<const Entry> entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  // Out of line: the rank search and the vector's insert stay off
+  // TopK's hot loop.
+  void Insert(const Entry& e);
+
+  template <typename ReleaseFn>
+  void ReleasePast(size_t k, ReleaseFn&& release) {
+    while (entries_.size() > k) {
+      release(entries_.back());
+      entries_.pop_back();
+    }
+  }
+
+  std::vector<Entry> entries_;
+};
+
 class LazyBoundHeap {
  public:
-  struct Entry {
-    Score bound = 0.0;
-    ObjectId object = 0;
-  };
+  using Entry = RankedEntry;
 
   // Adds an entry. The caller guarantees the object is not already
   // present.
@@ -95,67 +177,35 @@ class LazyBoundHeap {
   size_t size() const { return held_.size() + heap_.size(); }
 
  private:
-  static bool Above(const Entry& a, const Entry& b) {
-    return RanksAbove(a.bound, a.object, b.bound, b.object);
-  }
-  // "Less" for std::push_heap/pop_heap, keeping the top-ranked entry at
-  // the root.
-  static bool Below(const Entry& a, const Entry& b) { return Above(b, a); }
-
   void PushLazy(const Entry& e);
-  // Inserts `e` into the held set at its rank; a member pushed past k
-  // moves to the heap.
-  void Hold(const Entry& e, size_t k);
 
-  // The last verified top-k, in rank order, at exact bounds as of the
-  // call that verified them.
-  std::vector<Entry> held_;
-  // Everything else, as a max-heap under Below.
+  HeldSet held_;
+  // Everything else, as a max-heap under Entry::Below.
   std::vector<Entry> heap_;
 };
 
 template <typename BoundFn>
 std::span<const LazyBoundHeap::Entry> LazyBoundHeap::TopK(
     size_t k, BoundFn&& bound_fn) {
-  size_t live = 0;
-  for (const Entry& e : held_) {
-    const std::optional<Score> current = bound_fn(e.object);
-    if (!current.has_value()) continue;  // Retired.
-    NC_DCHECK(*current <= e.bound);
-    held_[live++] = Entry{*current, e.object};
-  }
-  held_.resize(live);
-  // Bounds fall a little between calls, so the members are nearly sorted.
-  for (size_t i = 1; i < held_.size(); ++i) {
-    for (size_t j = i; j > 0 && Above(held_[j], held_[j - 1]); --j) {
-      std::swap(held_[j], held_[j - 1]);
-    }
-  }
-  // A smaller k than last time (the certificate's k + 1, then k again)
-  // hands the tail back to the heap.
-  while (held_.size() > k) {
-    PushLazy(held_.back());
-    held_.pop_back();
-  }
+  const auto release = [this](const Entry& e) { PushLazy(e); };
+  held_.Recheck(k, bound_fn, release);
   // The root's cached bound caps every current bound in the heap, so once
   // it ranks below the weakest member the held set is the top-k.
-  while (!heap_.empty() &&
-         (held_.size() < k ||
-          (!held_.empty() && Above(heap_.front(), held_.back())))) {
-    std::pop_heap(heap_.begin(), heap_.end(), Below);
+  while (!heap_.empty() && held_.Admits(heap_.front(), k)) {
+    std::pop_heap(heap_.begin(), heap_.end(), Entry::Below);
     Entry e = heap_.back();
     heap_.pop_back();
     const std::optional<Score> current = bound_fn(e.object);
     if (!current.has_value()) continue;  // Retired.
     NC_DCHECK(*current <= e.bound);
     e.bound = *current;
-    if (held_.size() < k || Above(e, held_.back())) {
-      Hold(e, k);
+    if (held_.Admits(e, k)) {
+      held_.Hold(e, k, release);
     } else {
       PushLazy(e);  // Stale: back with its fresh bound.
     }
   }
-  return held_;
+  return held_.entries();
 }
 
 // K_P under F = min, in groups keyed by known-predicate mask (see the top
@@ -167,7 +217,7 @@ std::span<const LazyBoundHeap::Entry> LazyBoundHeap::TopK(
 // call and RankedPool::size() (the tracer's heap_size) matches.
 class MinGroupRanking {
  public:
-  using Entry = LazyBoundHeap::Entry;
+  using Entry = RankedEntry;
 
   explicit MinGroupRanking(size_t num_predicates);
 
@@ -192,15 +242,10 @@ class MinGroupRanking {
     Score ceiling = 0.0;
     // Members with key >= C, tied at C: a max-heap by ObjectId.
     std::vector<ObjectId> tied;
-    // Members with key < C, at bound = key: a max-heap under Below.
+    // Members with key < C, at bound = key: a max-heap under Entry::Below.
     std::vector<Entry> below;
   };
   enum class Unseen { kRetired, kOutside, kHeld };
-
-  static bool Above(const Entry& a, const Entry& b) {
-    return RanksAbove(a.bound, a.object, b.bound, b.object);
-  }
-  static bool Below(const Entry& a, const Entry& b) { return Above(b, a); }
 
   // The lowest ceiling over the predicates `mask` leaves out.
   Score MissingCeiling(uint64_t mask) const;
@@ -218,8 +263,6 @@ class MinGroupRanking {
   // items off both heaps; nullopt when none is left.
   std::optional<Entry> Head(uint32_t g, const CandidatePool& pool);
   void PopHead(uint32_t g);
-  // Inserts `e` into the held set; a member pushed past k is released.
-  void Hold(const Entry& e, size_t k, CandidatePool& pool);
   // A held member leaves K_P: back to its group, or the sentinel outside
   // at its current bound.
   void Release(const Entry& e, CandidatePool& pool);
@@ -228,8 +271,7 @@ class MinGroupRanking {
   // The ceilings l_i as of the last TopK (+inf before the first).
   std::vector<Score> ceilings_;
   std::vector<Group> groups_;
-  // The last verified top-k, in rank order, at exact bounds.
-  std::vector<Entry> held_;
+  HeldSet held_;
   Unseen unseen_ = Unseen::kRetired;
   // The sentinel's bound as of its last re-check, while kOutside.
   Score unseen_bound_ = 0.0;
@@ -238,11 +280,11 @@ class MinGroupRanking {
 // K_P and the candidates behind it. Every bound is taken against a ceiling
 // vector the caller passes in and that never rises between calls: the
 // last-seen scores l_i (SourceSet::last_seen()) for the sequential
-// algorithms, the contiguous-prefix visible ceilings for the parallel
-// executor.
+// algorithms, the contiguous-prefix visible ceilings for NCEngine's
+// in-flight window.
 class RankedPool {
  public:
-  using Entry = LazyBoundHeap::Entry;
+  using Entry = RankedEntry;
 
   // A fresh pool. With `seed_universe` every object below `num_objects`
   // is a candidate from the start (nothing could discover one); otherwise

@@ -1,6 +1,10 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <map>
+#include <queue>
+#include <set>
+#include <utility>
 
 #include "common/check.h"
 #include "core/checkpoint.h"
@@ -8,6 +12,63 @@
 #include "obs/tracer.h"
 
 namespace nc {
+
+// The state only a run with concurrency > 1 keeps.
+struct NCEngine::Window {
+  // An access issued (and paid for) whose result is not yet visible: the
+  // simulated source decides its answer at issue, the network delays it.
+  struct InFlight {
+    double completion = 0.0;
+    uint64_t sequence = 0;  // FIFO tie-break.
+    Access access;
+    // For a sorted read: the stream position it consumed.
+    size_t rank = 0;
+    SortedHit hit;
+
+    friend bool operator>(const InFlight& a, const InFlight& b) {
+      if (a.completion != b.completion) return a.completion > b.completion;
+      return a.sequence > b.sequence;
+    }
+  };
+
+  // Opens on the sources' current state, with nothing in flight.
+  explicit Window(const SourceSet& sources)
+      : ceilings(sources.last_seen().begin(), sources.last_seen().end()),
+        frontier(sources.num_predicates()),
+        landed(sources.num_predicates()) {
+    for (PredicateId i = 0; i < frontier.size(); ++i) {
+      frontier[i] = sources.sorted_position(i);
+    }
+  }
+
+  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
+      pending;
+  // The completion time of the latest applied result.
+  double now = 0.0;
+  uint64_t sequence = 0;
+  // Sorted results land out of order under latency jitter, and a deep
+  // entry's score is no bound while shallower reads are in flight: an
+  // unseen object could land at one of those positions with a higher
+  // score. So each visible ceiling tracks only the contiguous prefix of
+  // applied positions (`frontier`); results past it wait in `landed`.
+  std::vector<Score> ceilings;
+  std::vector<size_t> frontier;
+  std::vector<std::map<size_t, Score>> landed;
+  // Random probes in flight, never offered twice.
+  std::set<std::pair<PredicateId, ObjectId>> probing;
+  // Tasks served this epoch; cleared whenever a completion lands.
+  std::set<ObjectId> served;
+};
+
+struct NCEngine::Epoch {
+  Score kth_bound = 0.0;  // K_P's k-th bound, for the iteration events.
+  bool tried = false;     // Some access went out or failed unrecoverably.
+  // Some necessary choice was withheld by a spent quota.
+  bool skipped_quota = false;
+  // Set when the access layer refused an access or the access cap was
+  // passed: nothing more is issued, and the run settles.
+  std::optional<TerminationReason> stop;
+};
 
 NCEngine::NCEngine(SourceSet* sources, const ScoringFunction* scoring,
                    SelectPolicy* policy, EngineOptions options)
@@ -20,6 +81,8 @@ NCEngine::NCEngine(SourceSet* sources, const ScoringFunction* scoring,
   NC_CHECK(scoring_ != nullptr);
   NC_CHECK(policy_ != nullptr);
 }
+
+NCEngine::~NCEngine() = default;
 
 Status ValidateQuery(const SourceSet& sources, const ScoringFunction& scoring,
                      size_t k) {
@@ -36,22 +99,22 @@ size_t RunawayGuard(const SourceSet& sources, size_t k) {
   return 2 * sources.num_objects() * sources.num_predicates() + k + 64;
 }
 
-Status StallReason(const SourceSet& sources, bool skipped_quota,
-                   TerminationReason* reason) {
-  if (skipped_quota) {
-    // The per-predicate budget, not the scenario, blocks progress.
-    *reason = BudgetStopReason(sources);
-  } else if (sources.any_source_down()) {
-    // A death made the remaining tasks unsatisfiable mid-run: rather than
-    // fail, return what the surviving accesses established.
-    *reason = TerminationReason::kSourceFailure;
-  } else {
-    return Status::FailedPrecondition(
-        "query cannot be completed under the scenario's capabilities");
-  }
-  return Status::OK();
-}
+namespace {
 
+// Persistent flaking without a death could otherwise loop forever on the
+// same task: after this many unrecovered access failures in a row, the
+// engine settles with kSourceFailure.
+constexpr size_t kMaxConsecutiveFailures = 32;
+
+// Definition 2: the necessary choices of the task `target` designates (a
+// candidate, or nullptr for the unseen sentinel, which admits only sorted
+// accesses under no-wild-guesses), into *out in deterministic order:
+// sorted accesses by predicate, then random accesses by predicate. Dead
+// sources offer nothing, so a mid-run death re-derives the choices.
+// Quota-spent predicates are withheld (a hard, permanent bar) and the
+// return value says whether one was; breaker-open predicates are NOT -
+// their fast-fails are transient, unbilled, and bounded by
+// kMaxConsecutiveFailures.
 bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
                       std::vector<Access>* out) {
   out->clear();
@@ -79,52 +142,127 @@ bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
   return skipped_quota;
 }
 
+}  // namespace
+
 Status NCEngine::Perform(const Access& access) {
+  const PredicateId i = access.predicate;
+  SortedHit hit;
+  size_t rank = 0;
   if (access.type == AccessType::kSorted) {
-    std::optional<SortedHit> hit;
-    NC_RETURN_IF_ERROR(sources_->TrySortedAccess(access.predicate, &hit));
-    NC_CHECK(hit.has_value());  // Alternatives exclude exhausted streams.
-    // The theta collector is offered a candidate this hit completes.
-    const bool offer =
-        complete_topk_.has_value() && !ranked_.IsComplete(hit->object);
-    // Multi-attribute sources deliver the whole row.
-    const Candidate& c =
-        ranked_.Discover(access.predicate, hit->object, hit->score,
-                         hit->bundled, sources_->last_seen());
-    if (offer && c.IsComplete(sources_->num_predicates())) {
-      complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
-    }
+    rank = sources_->sorted_position(i);
+    std::optional<SortedHit> sorted;
+    NC_RETURN_IF_ERROR(sources_->TrySortedAccess(i, &sorted));
+    NC_CHECK(sorted.has_value());  // Alternatives exclude exhausted streams.
+    hit = std::move(*sorted);
+  } else {
+    const Candidate* target = ranked_.candidates().Find(access.object);
+    NC_CHECK(target != nullptr);  // No wild guesses: the target was seen.
+    NC_CHECK(!target->IsEvaluated(i));
+    hit.object = access.object;
+    NC_RETURN_IF_ERROR(
+        sources_->TryRandomAccess(i, access.object, &hit.score));
+  }
+  if (window_ == nullptr) [[likely]] {
+    Apply(access, hit, sources_->last_seen());
     return Status::OK();
   }
-  const Candidate* target = ranked_.candidates().Find(access.object);
-  NC_CHECK(target != nullptr);  // No wild guesses: the target was seen.
-  NC_CHECK(!target->IsEvaluated(access.predicate));
-  Score score = 0.0;
-  NC_RETURN_IF_ERROR(
-      sources_->TryRandomAccess(access.predicate, access.object, &score));
-  const Candidate& c = ranked_.Probe(access.object, access.predicate, score);
-  if (complete_topk_.has_value() &&
-      c.IsComplete(sources_->num_predicates())) {
-    complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
+  // Retries and timeouts held the line before the request that finally
+  // succeeded went out; its latency starts after that penalty.
+  const double completion = window_->now + sources_->last_access_penalty() +
+                            sources_->DrawLatency(access.type, i);
+  if (access.type == AccessType::kRandom) {
+    window_->probing.insert({i, access.object});
   }
+  window_->pending.push(Window::InFlight{completion, window_->sequence++,
+                                         access, rank, std::move(hit)});
   return Status::OK();
 }
 
+void NCEngine::Apply(const Access& access, const SortedHit& hit,
+                     std::span<const Score> ceilings) {
+  const bool offer =
+      complete_topk_.has_value() && !ranked_.IsComplete(hit.object);
+  // Multi-attribute sources deliver the whole row.
+  const Candidate& c =
+      access.type == AccessType::kSorted
+          ? ranked_.Discover(access.predicate, hit.object, hit.score,
+                             hit.bundled, ceilings)
+          : ranked_.Probe(hit.object, access.predicate, hit.score);
+  if (offer && c.IsComplete(sources_->num_predicates())) {
+    complete_topk_->Offer(c.id, ranked_.bounds().Exact(c));
+  }
+}
+
+void NCEngine::ApplyNext() {
+  Window& w = *window_;
+  const Window::InFlight flight = w.pending.top();
+  w.pending.pop();
+  w.now = std::max(w.now, flight.completion);
+  w.served.clear();
+  Apply(flight.access, flight.hit, w.ceilings);
+  const PredicateId i = flight.access.predicate;
+  if (flight.access.type == AccessType::kRandom) {
+    w.probing.erase({i, flight.hit.object});
+    return;
+  }
+  std::map<size_t, Score>& landed = w.landed[i];
+  landed.emplace(flight.rank, flight.hit.score);
+  for (auto it = landed.begin();
+       it != landed.end() && it->first == w.frontier[i];
+       it = landed.erase(it)) {
+    // Every object of an exhausted list is visible: none remains unseen.
+    w.ceilings[i] =
+        ++w.frontier[i] >= sources_->num_objects() ? kMinScore : it->second;
+  }
+}
+
+std::span<const Score> NCEngine::Ceilings() const {
+  if (window_ == nullptr) return sources_->last_seen();
+  return window_->ceilings;
+}
+
+double NCEngine::makespan() const {
+  return window_ == nullptr ? sources_->elapsed_time() : window_->now;
+}
+
+size_t NCEngine::in_flight() const {
+  return window_ == nullptr ? 0 : window_->pending.size();
+}
+
 void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
+  if (window_ != nullptr) {
+    // Settle on what was paid for: every result in flight that lands by
+    // the deadline (all of them, without one) applies first, in
+    // completion order. Only those landing later stay unseen, and are
+    // wasted.
+    const double deadline = sources_->budget().deadline;
+    while (!window_->pending.empty() &&
+           (deadline <= 0.0 || window_->pending.top().completion <= deadline)) {
+      ApplyNext();
+    }
+  }
   NC_PROFILE_SCOPE(sources_->profiler(), kCertificateBuild);
-  ranked_.Certify(*sources_, options_.k, sources_->last_seen(), reason, out);
+  ranked_.Certify(*sources_, options_.k, Ceilings(), reason, out);
   last_run_exact_ = false;
   last_run_truncated_ = true;
+}
+
+Status NCEngine::ValidateOptions(size_t k) const {
+  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, *scoring_, k));
+  if (!(options_.approximation_theta >= 1.0)) {
+    return Status::InvalidArgument("approximation_theta must be >= 1");
+  }
+  if (options_.concurrency == 0) {
+    return Status::InvalidArgument("concurrency must be positive");
+  }
+  return Status::OK();
 }
 
 Status NCEngine::Run(TopKResult* out) {
   NC_CHECK(out != nullptr);
   out->entries.clear();
   out->certificate.reset();
-  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, *scoring_, options_.k));
-  if (!(options_.approximation_theta >= 1.0)) {
-    return Status::InvalidArgument("approximation_theta must be >= 1");
-  }
+  NC_RETURN_IF_ERROR(ValidateOptions(options_.k));
   for (PredicateId i = 0; i < sources_->num_predicates(); ++i) {
     if (sources_->sorted_position(i) != 0) {
       return Status::FailedPrecondition(
@@ -141,10 +279,10 @@ Status NCEngine::Run(TopKResult* out) {
   phase_accesses_ = 0;
   consecutive_failures_ = 0;
   choice_width_total_ = 0.0;
-  complete_topk_.reset();
-  if (options_.approximation_theta > 1.0) {
-    complete_topk_.emplace(options_.k);
-  }
+  failed_accesses_ = 0;
+  RebuildCompleteTopK();
+  window_ = options_.concurrency > 1 ? std::make_unique<Window>(*sources_)
+                                     : nullptr;
   policy_->Reset(*sources_);
   has_run_ = true;
   return InstrumentedLoop("probe", out);
@@ -188,6 +326,7 @@ void NCEngine::RebuildCompleteTopK() {
 }
 
 EngineCheckpoint NCEngine::Checkpoint() const {
+  NC_CHECK(in_flight() == 0);  // Results in flight have no place here.
   EngineCheckpoint ck;
   ck.k = options_.k;
   const size_t m = sources_->num_predicates();
@@ -225,10 +364,7 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
     return Status::InvalidArgument(
         "checkpoint shape does not match the sources");
   }
-  NC_RETURN_IF_ERROR(ValidateQuery(*sources_, *scoring_, ck.k));
-  if (!(options_.approximation_theta >= 1.0)) {
-    return Status::InvalidArgument("approximation_theta must be >= 1");
-  }
+  NC_RETURN_IF_ERROR(ValidateOptions(ck.k));
 
   // A failure below leaves the engine unusable for queries until a
   // successful Run or Resume.
@@ -305,6 +441,9 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
   phase_accesses_ = ck.phase_accesses;
   consecutive_failures_ = ck.consecutive_failures;
   choice_width_total_ = ck.choice_width_total;
+  failed_accesses_ = 0;
+  window_ = options_.concurrency > 1 ? std::make_unique<Window>(*sources_)
+                                     : nullptr;
   has_run_ = true;
   return InstrumentedLoop("resume", out);
 }
@@ -322,17 +461,14 @@ Status NCEngine::Loop(TopKResult* out) {
   const size_t runaway_guard = RunawayGuard(*sources_, options_.k);
   last_run_truncated_ = false;
   last_run_degraded_ = false;
-  obs::QueryTracer* const tracer = sources_->tracer();
   obs::Profiler* const profiler = sources_->profiler();
-  const bool tracing = obs::ShouldTrace(tracer);
 
   while (true) {
     std::span<const RankedPool::Entry> topk;
     {
       NC_PROFILE_SCOPE(profiler, kCandidateHeap);
-      topk = ranked_.TopK(options_.k, sources_->last_seen());
+      topk = ranked_.TopK(options_.k, Ceilings());
     }
-    const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
     const std::optional<const Candidate*> task =
@@ -342,9 +478,6 @@ Status NCEngine::Loop(TopKResult* out) {
       last_run_exact_ = true;
       return Status::OK();
     }
-    const Candidate* const target_state = *task;
-    const ObjectId target =
-        target_state == nullptr ? kUnseenObject : target_state->id;
 
     // Theta-halting: k complete objects whose k-th exact score, inflated
     // by theta, dominates every non-member's maximal-possible score. Any
@@ -380,78 +513,168 @@ Status NCEngine::Loop(TopKResult* out) {
     // Budget exhaustion certifies the current answer instead of failing.
     // The exact- and theta-termination tests above run first, so a query
     // whose answer is already proven keeps it even at the budget edge.
-    if (sources_->budget_exhausted()) {
-      EmitCertified(BudgetStopReason(*sources_), out);
+    // The deadline also trips on the window's makespan (conservative:
+    // under concurrency the makespan runs behind total cost).
+    const double deadline = sources_->budget().deadline;
+    const bool late =
+        window_ != nullptr && deadline > 0.0 && window_->now >= deadline;
+    if (sources_->budget_exhausted() || late) {
+      EmitCertified(BudgetStopReason(*sources_, late), out);
       return Status::OK();
     }
 
-    const bool skipped_quota =
-        NecessaryChoices(*sources_, target_state, &alternatives_);
-    if (alternatives_.empty()) {
-      TerminationReason reason;
-      NC_RETURN_IF_ERROR(StallReason(*sources_, skipped_quota, &reason));
-      EmitCertified(reason, out);
+    Epoch epoch;
+    epoch.kth_bound = topk.empty() ? 0.0 : topk.back().bound;
+    if (window_ == nullptr) [[likely]] {
+      Serve(*task, /*speculative=*/false, &epoch);
+    } else {
+      ServeWindow(topk, &epoch);
+    }
+    if (epoch.stop == TerminationReason::kAccessCap && !options_.best_effort) {
+      return Status::ResourceExhausted("max_accesses exceeded");
+    }
+    if (epoch.stop.has_value()) {
+      EmitCertified(*epoch.stop, out);
       return Status::OK();
     }
-    EngineView view;
-    view.sources = sources_;
-    view.scoring = scoring_;
-    view.k = options_.k;
-    view.target = target;
-    view.target_state = target_state;
-
-    const Access access = policy_->Select(alternatives_, view);
-    const bool offered =
-        std::find(alternatives_.begin(), alternatives_.end(), access) !=
-        alternatives_.end();
-    NC_CHECK(offered);  // Policies must pick among the necessary choices.
-
-    const Status performed = Perform(access);
-    if (performed.code() == StatusCode::kResourceExhausted) {
-      // The access layer refused to start the access: the budget or a
-      // quota ran out under the engine (defensive - the loop-top check
-      // and NecessaryChoices normally catch both first). Nothing was
-      // billed, so the current answer certifies as-is.
-      EmitCertified(BudgetStopReason(*sources_), out);
-      return Status::OK();
-    }
-    if (!performed.ok()) {
-      // Unrecoverable access failure: no candidate state was consumed,
-      // so the loop can simply re-derive the necessary choices against
-      // whatever capabilities survive.
-      NC_CHECK(performed.code() == StatusCode::kUnavailable);
-      last_run_degraded_ = true;
-      ++consecutive_failures_;
-      if (consecutive_failures_ >= kMaxConsecutiveFailures) {
-        EmitCertified(TerminationReason::kSourceFailure, out);
-        return Status::OK();
-      }
-      continue;
-    }
-    consecutive_failures_ = 0;
-    choice_width_total_ += static_cast<double>(alternatives_.size());
-    if (tracing) {
-      tracer->RecordIteration(
-          target, static_cast<uint32_t>(alternatives_.size()),
-          scoring_->Evaluate(sources_->last_seen()), kth_bound,
-          ranked_.size(), sources_->accrued_cost());
-    }
-
-    ++accesses_;
-    ++phase_accesses_;
-    if (options_.access_callback) options_.access_callback(accesses_);
-    if (options_.max_accesses != 0 &&
-        phase_accesses_ > options_.max_accesses) {
-      if (!options_.best_effort) {
-        return Status::ResourceExhausted("max_accesses exceeded");
-      }
-      EmitCertified(TerminationReason::kAccessCap, out);
+    if (consecutive_failures_ >= kMaxConsecutiveFailures) {
+      // Sources keep failing without anything landing in between: settle
+      // on what was paid for rather than spin.
+      EmitCertified(TerminationReason::kSourceFailure, out);
       return Status::OK();
     }
     if (accesses_ > runaway_guard) {
       return Status::Internal("engine exceeded the runaway-access guard");
     }
+    if (window_ != nullptr && !window_->pending.empty()) {
+      ApplyNext();
+    } else if (!epoch.tried) {
+      // Nothing went out and nothing is in flight. A spent quota, not the
+      // scenario, can block progress; so can a death that made the
+      // remaining tasks unsatisfiable mid-run, and then the run returns
+      // what the surviving accesses established. Anything else is the
+      // scenario's capabilities.
+      if (!epoch.skipped_quota && !sources_->any_source_down()) {
+        return Status::FailedPrecondition(
+            "query cannot be completed under the scenario's capabilities");
+      }
+      EmitCertified(epoch.skipped_quota ? BudgetStopReason(*sources_)
+                                        : TerminationReason::kSourceFailure,
+                    out);
+      return Status::OK();
+    }
   }
+}
+
+void NCEngine::ServeWindow(std::span<const RankedPool::Entry> topk,
+                           Epoch* epoch) {
+  const auto room = [&] {
+    return window_->pending.size() < options_.concurrency &&
+           !epoch->stop.has_value();
+  };
+  const auto state_of = [&](ObjectId u) {
+    return u == kUnseenObject ? nullptr : ranked_.candidates().Find(u);
+  };
+  // Discovery (the unseen sentinel's sorted reads) is the speculative
+  // part of a plan: a candidate's probe stays useful however the ranks
+  // shift, but a discovery read is only needed if the sentinel is still
+  // in the way once everything in flight lands. Serve it when it leads
+  // the rank order, or as a stall-breaker when no concrete task could
+  // issue this epoch.
+  bool leading = true;
+  bool issued_concrete = false;
+  bool deferred_sentinel = false;
+  for (const RankedPool::Entry& e : topk) {
+    if (!room()) break;
+    if (ranked_.IsComplete(e.object)) continue;
+    if (!std::exchange(leading, false) && e.object == kUnseenObject) {
+      deferred_sentinel = true;
+      continue;
+    }
+    if (window_->served.count(e.object) != 0) continue;
+    if (Serve(state_of(e.object), /*speculative=*/false, epoch) &&
+        e.object != kUnseenObject) {
+      issued_concrete = true;
+    }
+  }
+  if (deferred_sentinel && !issued_concrete && room() &&
+      window_->served.count(kUnseenObject) == 0) {
+    Serve(nullptr, /*speculative=*/false, epoch);
+  }
+  // Speculation: read streams ahead for the highest-ranked task that
+  // still has a sorted alternative.
+  for (size_t spec = 0; spec < options_.max_speculation && room(); ++spec) {
+    const bool launched =
+        std::any_of(topk.begin(), topk.end(), [&](const RankedPool::Entry& e) {
+          return !ranked_.IsComplete(e.object) &&
+                 Serve(state_of(e.object), /*speculative=*/true, epoch);
+        });
+    if (!launched) break;
+  }
+}
+
+bool NCEngine::Serve(const Candidate* state, bool speculative,
+                     Epoch* epoch) {
+  const ObjectId target = state == nullptr ? kUnseenObject : state->id;
+  if (NecessaryChoices(*sources_, state, &alternatives_)) {
+    epoch->skipped_quota = true;
+  }
+  if (window_ != nullptr) [[unlikely]] {
+    // A probe in flight is never offered twice; speculation reads streams
+    // only (a duplicate probe is pure waste, a deeper read at worst early).
+    std::erase_if(alternatives_, [&](const Access& a) {
+      return a.type == AccessType::kRandom &&
+             (speculative ||
+              window_->probing.count({a.predicate, a.object}) != 0);
+    });
+  }
+  if (alternatives_.empty()) return false;
+  const EngineView view{sources_, scoring_, options_.k, target, state};
+  const Access access = policy_->Select(alternatives_, view);
+  const bool offered =
+      std::find(alternatives_.begin(), alternatives_.end(), access) !=
+      alternatives_.end();
+  NC_CHECK(offered);  // Policies must pick among the necessary choices.
+
+  const Status performed = Perform(access);
+  if (performed.code() == StatusCode::kResourceExhausted) {
+    // The access layer refused to start the access: the budget or a quota
+    // ran out under the engine (the loop-top check and NecessaryChoices
+    // catch both first, unless an earlier issue of this epoch crossed
+    // it). Nothing was billed, so the current answer certifies as-is.
+    epoch->stop = BudgetStopReason(*sources_);
+    return true;
+  }
+  if (!performed.ok()) {
+    // Unrecoverable access failure: no candidate state was consumed, so
+    // the loop can simply re-derive the necessary choices against
+    // whatever capabilities survive.
+    NC_CHECK(performed.code() == StatusCode::kUnavailable);
+    last_run_degraded_ = true;
+    epoch->tried = true;
+    ++failed_accesses_;
+    ++consecutive_failures_;
+    return false;
+  }
+  consecutive_failures_ = 0;
+  epoch->tried = true;
+  if (window_ != nullptr) [[unlikely]] window_->served.insert(target);
+  choice_width_total_ += static_cast<double>(alternatives_.size());
+  obs::QueryTracer* const tracer = sources_->tracer();
+  if (obs::ShouldTrace(tracer)) {
+    tracer->RecordIteration(
+        target, static_cast<uint32_t>(alternatives_.size()),
+        scoring_->Evaluate(Ceilings()), epoch->kth_bound, ranked_.size(),
+        sources_->accrued_cost());
+  }
+  ++accesses_;
+  ++phase_accesses_;
+  if (options_.access_callback) options_.access_callback(accesses_);
+  if (options_.max_accesses != 0 &&
+      phase_accesses_ > options_.max_accesses) {
+    epoch->stop = TerminationReason::kAccessCap;
+  }
+  return true;
 }
 
 Status RunNC(SourceSet* sources, const ScoringFunction* scoring,

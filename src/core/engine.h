@@ -16,11 +16,14 @@
 // that restricting selection to N_j loses no optimality; the policy is
 // where cost-based optimization plugs in (core/srg_policy.h implements the
 // SR/G heuristics, core/optimizer.h searches their parameter space).
+// Section 9.1.1's bounded concurrency runs the same loop (see NCEngine):
+// the halting test is sound for any access schedule (Fagin et al.).
 
 #ifndef NC_CORE_ENGINE_H_
 #define NC_CORE_ENGINE_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -113,19 +116,17 @@ struct EngineOptions {
   // Invoked after every performed access with the running access count;
   // used by the adaptive executor to re-optimize mid-flight.
   std::function<void(size_t)> access_callback;
-};
 
-// Definition 2: the necessary choices of the task `target` designates (a
-// candidate, or nullptr for the unseen sentinel, which admits only sorted
-// accesses under no-wild-guesses), into *out in deterministic order:
-// sorted accesses by predicate, then random accesses by predicate. Dead
-// sources offer nothing, so a mid-run death re-derives the choices.
-// Quota-spent predicates are withheld (a hard, permanent bar) and the
-// return value says whether one was; breaker-open predicates are NOT -
-// their fast-fails are transient, unbilled, and bounded by the engines'
-// consecutive-failure guard. Both engines derive their choices here.
-bool NecessaryChoices(const SourceSet& sources, const Candidate* target,
-                      std::vector<Access>* out);
+  // Section 9.1.1: at most this many accesses in flight; above 1 the
+  // engine keeps an in-flight window (see NCEngine).
+  size_t concurrency = 1;
+
+  // With a window: extra *speculative* sorted reads per epoch. They read
+  // streams ahead of proven need, deepening pipelining at the price of
+  // reads the sequential plan might never perform - the paper's
+  // "unrestrained concurrency abuses resources" trade-off, as a dial.
+  size_t max_speculation = 0;
+};
 
 // The checks every engine makes before its first access: a valid cost
 // model, a scoring function of the sources' arity, and a positive k.
@@ -137,22 +138,20 @@ Status ValidateQuery(const SourceSet& sources, const ScoringFunction& scoring,
 // in its policy.
 size_t RunawayGuard(const SourceSet& sources, size_t k);
 
-// Persistent flaking without a death could otherwise loop forever on the
-// same task: after this many unrecovered access failures in a row, an
-// engine settles with kSourceFailure.
-inline constexpr size_t kMaxConsecutiveFailures = 32;
-
-// Why an engine that can issue nothing settles: a choice withheld by a
-// spent quota (`skipped_quota`) maps through BudgetStopReason and a dead
-// source gives kSourceFailure, both into *reason. Anything else means the
-// scenario's capabilities cannot complete the query: FailedPrecondition.
-Status StallReason(const SourceSet& sources, bool skipped_quota,
-                   TerminationReason* reason);
-
 // The engine's observers are its SourceSet's (docs/OBSERVABILITY.md): a
 // tracer there gets a phase span per Run/Extend/Resume and one kIteration
 // event per access; a profiler there is billed for candidate-heap and
 // certificate work. Absent or disabled, each costs one branch.
+//
+// With concurrency > 1 the engine keeps an in-flight window: an access is
+// paid for when issued and applies when it completes after its simulated
+// latency (SourceSet::DrawLatency, after its retry penalty), and the loop
+// ranks against the window's visible ceilings. Each unsatisfied task of
+// K_P issues at most one access per scheduling epoch, the span between
+// two completions. An early stop first applies every result landing by
+// the deadline (all, without one), which also trips on the makespan;
+// what is still in flight when the answer settles is wasted. The window
+// persists across Extend, so no paid-for result is dropped.
 class NCEngine {
  public:
   // All pointers must outlive the engine. `policy` may be shared across
@@ -160,6 +159,7 @@ class NCEngine {
   NCEngine(SourceSet* sources, const ScoringFunction* scoring,
            SelectPolicy* policy, EngineOptions options);
 
+  ~NCEngine();
   NCEngine(const NCEngine&) = delete;
   NCEngine& operator=(const NCEngine&) = delete;
 
@@ -185,8 +185,10 @@ class NCEngine {
   // pool's evaluated scores, counters, policy state, and the SourceSet
   // (cursors, accrued cost, stats, injector and fleet state, RNG
   // streams). Legal whenever the engine is between iterations - in
-  // practice from the access_callback or after a Run returns. The bytes
-  // depend only on the score state, never on which entries the heap last
+  // practice from the access_callback or after a Run returns - and
+  // nothing is in flight: results in flight have no place in a checkpoint,
+  // so it is refused (NC_CHECK), never written lossily. The bytes depend
+  // only on the score state, never on which entries the heap last
   // refreshed or held.
   EngineCheckpoint Checkpoint() const;
 
@@ -206,7 +208,7 @@ class NCEngine {
   // that every object a cursor has passed is a candidate with that
   // predicate evaluated. Validation errors (shape mismatch, malformed or
   // corrupt state) leave the engine unusable for queries until a
-  // successful Run or Resume.
+  // successful Run or Resume. A window starts empty, its clock at 0.
   Status Resume(const EngineCheckpoint& checkpoint, TopKResult* out);
 
   // Total accesses performed across Run and any Extends.
@@ -240,10 +242,39 @@ class NCEngine {
                : choice_width_total_ / static_cast<double>(accesses_);
   }
 
+  // Accesses that failed unrecoverably since the last Run or Resume.
+  size_t failed_accesses() const { return failed_accesses_; }
+
+  // The window's clock, or the sources' elapsed_time() without a window.
+  double makespan() const;
+
+  // Accesses paid for whose results are not applied yet.
+  size_t in_flight() const;
+
  private:
+  struct Window;  // The in-flight state; engaged only when concurrency > 1.
+  struct Epoch;   // What one scheduling iteration did.
+
+  // Run's and Resume's checks before the first access, for width `k`.
+  Status ValidateOptions(size_t k) const;
+
+  // The ceilings the loop ranks against: the window's visible ones, or
+  // the last-seen scores l_i.
+  std::span<const Score> Ceilings() const;
+
   // Theorem 1's iteration, shared by Run and Extend: work unsatisfied
   // tasks until the current top-k are all complete.
   Status Loop(TopKResult* out);
+
+  // Offers the task `state` designates (nullptr: the unseen sentinel) its
+  // necessary choices - less the random probes in flight, and sorted
+  // reads only when `speculative` - and performs the policy's pick. False
+  // when nothing was offered or the access failed unrecoverably.
+  bool Serve(const Candidate* state, bool speculative, Epoch* epoch);
+
+  // One window epoch: each unsatisfied task of `topk` in rank order while
+  // slots remain, the deferred sentinel, then speculation.
+  void ServeWindow(std::span<const RankedPool::Entry> topk, Epoch* epoch);
 
   // Wraps Loop in the sources' tracer phase span.
   Status InstrumentedLoop(const char* phase, TopKResult* out);
@@ -254,15 +285,26 @@ class NCEngine {
   // order candidates completed in.
   void RebuildCompleteTopK();
 
-  // Performs `access`, updating candidates and the heap. kUnavailable
-  // when the access failed unrecoverably (no state was consumed).
+  // Performs `access`, then applies its result or puts it in flight.
+  // kUnavailable when the access failed unrecoverably (no state was
+  // consumed).
   Status Perform(const Access& access);
+
+  // Folds a result into the pool against `ceilings`, and offers the theta
+  // collector a candidate it completes.
+  void Apply(const Access& access, const SortedHit& hit,
+             std::span<const Score> ceilings);
+
+  // Applies the earliest result in flight and advances the window's
+  // clock and visible ceilings.
+  void ApplyNext();
 
   // Emits the current top-k by maximal-possible score into *out with an
   // AnytimeCertificate (RankedPool::Certify): per-object [lower, upper]
   // score intervals and the proven epsilon against everything excluded
   // (including the unseen remainder). Scores are upper bounds; the unseen
-  // sentinel never appears as an entry. Flags the run truncated.
+  // sentinel never appears as an entry. Flags the run truncated. A window
+  // first applies the results landing by the deadline.
   void EmitCertified(TerminationReason reason, TopKResult* out);
 
   SourceSet* sources_;
@@ -283,6 +325,8 @@ class NCEngine {
   // sources flake persistently without dying.
   size_t consecutive_failures_ = 0;
   double choice_width_total_ = 0.0;
+  size_t failed_accesses_ = 0;
+  std::unique_ptr<Window> window_;
   bool has_run_ = false;
   bool last_run_exact_ = true;
   bool last_run_truncated_ = false;

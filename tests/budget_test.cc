@@ -254,7 +254,7 @@ TEST(QueryBudgetTest, CostCapHoldsForParallelExecutor) {
     budget.max_cost = cap;
     ASSERT_TRUE(sources.set_budget(budget).ok());
     SRGPolicy policy(SRGConfig::Default(3));
-    ParallelOptions options;
+    EngineOptions options;
     options.k = 5;
     options.concurrency = 3;
     ParallelResult result;
@@ -274,7 +274,7 @@ TEST(QueryBudgetTest, CostCapHoldsForParallelExecutor) {
   budget.max_cost = 8.0;
   ASSERT_TRUE(sources.set_budget(budget).ok());
   SRGPolicy policy(SRGConfig::Default(3));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 3;
   ParallelResult result;

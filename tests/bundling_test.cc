@@ -129,7 +129,7 @@ TEST(BundlingTest, ParallelExecutorAppliesBundles) {
   AverageFunction avg(3);
   SourceSet sources(&data, GroupedModel(3, 1.0, kImpossibleCost));
   SRGPolicy policy(SRGConfig::Default(3));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 4;
   ParallelResult result;

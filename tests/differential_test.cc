@@ -149,7 +149,7 @@ TEST_P(DifferentialTest, AllExactAlgorithmsAgree) {
     SourceSet sources(&data, cost);
     sources.set_latency_jitter(1.0, /*seed=*/c.seed * 131 + concurrency);
     SRGPolicy policy(SRGConfig::Default(c.m));
-    ParallelOptions options;
+    EngineOptions options;
     options.k = c.k;
     options.concurrency = concurrency;
     ParallelResult result;
@@ -182,7 +182,7 @@ TEST(ParallelParityTest, UnitConcurrencyMatchesSequentialExactly) {
 
     SourceSet par_sources(&data, cost);
     SRGPolicy par_policy(SRGConfig::Default(3));
-    ParallelOptions par_options;
+    EngineOptions par_options;
     par_options.k = 6;
     par_options.concurrency = 1;
     ParallelResult par_result;

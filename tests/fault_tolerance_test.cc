@@ -489,7 +489,7 @@ TEST(FaultToleranceTest, ParallelExecutorSurvivesTransientFailures) {
   sources.set_fault_injector(&injector);
   sources.set_retry_policy(retry, /*jitter_seed=*/9);
   SRGPolicy policy(SRGConfig::Default(3));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 4;
   ParallelResult result;
@@ -522,7 +522,7 @@ TEST(FaultToleranceTest, ParallelExecutorDegradesOnDeath) {
   SourceSet sources(&data, cost);
   sources.set_fault_injector(&injector);
   SRGPolicy policy(SRGConfig::Default(2));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 3;
   ParallelResult result;

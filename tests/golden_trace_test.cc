@@ -351,7 +351,7 @@ void AppendStops(const Dataset& data, const CostModel& cost,
 Status RunParallel(SourceSet* sources, const ScoringFunction& scoring,
                    size_t k, size_t concurrency, ParallelResult* out) {
   SRGPolicy policy(SRGConfig::Default(3));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = k;
   options.concurrency = concurrency;
   options.max_speculation = concurrency / 4;

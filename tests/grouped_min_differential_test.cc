@@ -397,7 +397,7 @@ std::string RunParallel(const Dataset& data, const CostModel& cost,
   Traced run(data, cost);
   run.sources.set_latency_jitter(3.0, /*seed=*/17);
   SRGPolicy policy(SRGConfig::Default(data.num_predicates()));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = k;
   options.concurrency = concurrency;
   options.max_speculation = speculation;

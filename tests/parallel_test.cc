@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/reference.h"
 #include "core/srg_policy.h"
 #include "data/generator.h"
@@ -23,7 +24,7 @@ ParallelResult RunWithConcurrency(const Dataset& data,
                                   const CostModel& cost) {
   SourceSet sources(&data, cost);
   SRGPolicy policy(SRGConfig::Default(data.num_predicates()));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = k;
   options.concurrency = concurrency;
   ParallelResult result;
@@ -94,7 +95,7 @@ TEST(ParallelTest, AccountingConsistent) {
   AverageFunction avg(2);
   SourceSet sources(&data, CostModel::Uniform(2, 2.0, 3.0));
   SRGPolicy policy(SRGConfig::Default(2));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 4;
   ParallelResult result;
@@ -111,7 +112,7 @@ TEST(ParallelTest, LatencyJitterStillExact) {
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   sources.set_latency_jitter(0.8, /*seed=*/99);
   SRGPolicy policy(SRGConfig::Default(2));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 8;
   ParallelResult result;
@@ -150,7 +151,7 @@ TEST(ParallelTest, SpeculationBuysSpeedupOnFocusedPlans) {
   const auto run = [&](size_t speculation) {
     SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
     SRGPolicy policy(focused);
-    ParallelOptions options;
+    EngineOptions options;
     options.k = 5;
     options.concurrency = 8;
     options.max_speculation = speculation;
@@ -186,7 +187,7 @@ TEST(ParallelTest, NoSpeculationMatchesSequentialCostOnFocusedPlans) {
 
   SourceSet par_sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   SRGPolicy par_policy(focused);
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 8;
   options.max_speculation = 0;
@@ -205,7 +206,7 @@ TEST(ParallelTest, RejectsZeroConcurrency) {
   AverageFunction avg(2);
   SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
   SRGPolicy policy(SRGConfig::Default(2));
-  ParallelOptions options;
+  EngineOptions options;
   options.k = 5;
   options.concurrency = 0;
   ParallelResult result;
@@ -223,6 +224,154 @@ TEST(ParallelTest, DeterministicAcrossRuns) {
   EXPECT_EQ(first.topk, second.topk);
   EXPECT_DOUBLE_EQ(first.elapsed_time, second.elapsed_time);
   EXPECT_EQ(first.accesses_issued, second.accesses_issued);
+}
+
+// The window persists across Extend: results still in flight when the
+// first answer settled apply in the extend phase, and the widened answer
+// is exact.
+TEST(ParallelTest, ExtendWidensAWindowedAnswer) {
+  const Dataset data = MakeData(30, 1000, 2);
+  AverageFunction avg(2);
+  MinFunction fmin(2);
+  for (const ScoringFunction* scoring :
+       {static_cast<const ScoringFunction*>(&avg),
+        static_cast<const ScoringFunction*>(&fmin)}) {
+    SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+    sources.set_latency_jitter(1.0, /*seed=*/5);
+    SRGPolicy policy(SRGConfig::Default(2));
+    EngineOptions options;
+    options.k = 5;
+    options.concurrency = 4;
+    NCEngine engine(&sources, scoring, &policy, options);
+    TopKResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    EXPECT_EQ(result, BruteForceTopK(data, *scoring, 5));
+    EXPECT_GT(engine.in_flight(), 0u);
+    ASSERT_TRUE(engine.Extend(10, &result).ok());
+    EXPECT_EQ(result, BruteForceTopK(data, *scoring, 10));
+  }
+}
+
+// Theta-halting on the visible state: the returned scores are exact and
+// theta times the weakest of them dominates every excluded object.
+TEST(ParallelTest, ThetaHaltsAWindowedRun) {
+  const Dataset data = MakeData(31, 2000, 2);
+  MinFunction fmin(2);
+  constexpr double kTheta = 1.2;
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  sources.set_latency_jitter(1.0, /*seed=*/6);
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 10;
+  options.concurrency = 4;
+  options.approximation_theta = kTheta;
+  ParallelResult result;
+  ASSERT_TRUE(RunParallelNC(&sources, fmin, &policy, options, &result).ok());
+  EXPECT_FALSE(result.exact);
+  ASSERT_TRUE(result.topk.certificate.has_value());
+  EXPECT_EQ(result.topk.certificate->reason, TerminationReason::kTheta);
+  ASSERT_EQ(result.topk.entries.size(), 10u);
+  const auto truth = [&](ObjectId u) {
+    return fmin.Evaluate(std::vector<Score>{data.score(u, 0), data.score(u, 1)});
+  };
+  std::vector<bool> member(data.num_objects(), false);
+  for (const TopKEntry& e : result.topk.entries) {
+    member[e.object] = true;
+    EXPECT_EQ(e.score, truth(e.object)) << "u" << e.object;
+  }
+  const Score weakest = result.topk.entries.back().score;
+  for (ObjectId u = 0; u < data.num_objects(); ++u) {
+    if (!member[u]) {
+      EXPECT_GE(kTheta * weakest, truth(u)) << "u" << u;
+    }
+  }
+}
+
+// An access cap with best_effort certifies the windowed answer: every
+// interval holds its object's true score and the excluded ceiling bounds
+// every object not returned. Without best_effort the cap is an error.
+TEST(ParallelTest, AccessCapCertifiesAWindowedAnswer) {
+  const Dataset data = MakeData(32, 1000, 2);
+  AverageFunction avg(2);
+  const auto run = [&](bool best_effort, ParallelResult* result) {
+    SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+    sources.set_latency_jitter(1.0, /*seed=*/7);
+    SRGPolicy policy(SRGConfig::Default(2));
+    EngineOptions options;
+    options.k = 5;
+    options.concurrency = 4;
+    options.max_accesses = 40;
+    options.best_effort = best_effort;
+    return RunParallelNC(&sources, avg, &policy, options, result);
+  };
+  ParallelResult result;
+  EXPECT_EQ(run(/*best_effort=*/false, &result).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(run(/*best_effort=*/true, &result).ok());
+  EXPECT_FALSE(result.exact);
+  EXPECT_EQ(result.accesses_issued, 41u);
+  ASSERT_TRUE(result.topk.certificate.has_value());
+  const AnytimeCertificate& cert = *result.topk.certificate;
+  EXPECT_EQ(cert.reason, TerminationReason::kAccessCap);
+  const auto truth = [&](ObjectId u) {
+    return avg.Evaluate(std::vector<Score>{data.score(u, 0), data.score(u, 1)});
+  };
+  ASSERT_EQ(cert.intervals.size(), result.topk.entries.size());
+  std::vector<bool> returned(data.num_objects(), false);
+  for (size_t j = 0; j < result.topk.entries.size(); ++j) {
+    const ObjectId u = result.topk.entries[j].object;
+    returned[u] = true;
+    EXPECT_LE(cert.intervals[j].lower, truth(u)) << "u" << u;
+    EXPECT_GE(cert.intervals[j].upper, truth(u)) << "u" << u;
+  }
+  for (ObjectId u = 0; u < data.num_objects(); ++u) {
+    if (!returned[u]) {
+      EXPECT_LE(truth(u), cert.excluded_ceiling) << "u" << u;
+    }
+  }
+}
+
+// A refusal ends the epoch: once the access layer refuses an issue, the
+// window stops issuing and settles, so the refusal is counted once
+// however many speculative reads the epoch had left.
+TEST(ParallelTest, RefusalEndsTheEpoch) {
+  const Dataset data = MakeData(34, 500, 2);
+  AverageFunction avg(2);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  QueryBudget budget;
+  budget.max_cost = 2.0;
+  ASSERT_TRUE(sources.set_budget(budget).ok());
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 10;
+  options.concurrency = 8;
+  options.max_speculation = 4;
+  ParallelResult result;
+  ASSERT_TRUE(RunParallelNC(&sources, avg, &policy, options, &result).ok());
+  EXPECT_EQ(result.accesses_issued, 2u);
+  EXPECT_EQ(sources.stats().budget_refusals, 1u);
+  ASSERT_TRUE(result.topk.certificate.has_value());
+  EXPECT_EQ(result.topk.certificate->reason, TerminationReason::kCostBudget);
+}
+
+// Results in flight have no place in a checkpoint: taking one mid-window
+// is refused, never written lossily.
+TEST(ParallelDeathTest, CheckpointWithAccessesInFlightIsRefused) {
+  const Dataset data = MakeData(33, 300, 2);
+  AverageFunction avg(2);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  SRGPolicy policy(SRGConfig::Default(2));
+  EngineOptions options;
+  options.k = 5;
+  options.concurrency = 4;
+  NCEngine* engine_ptr = nullptr;
+  options.access_callback = [&engine_ptr](size_t count) {
+    if (count == 3) engine_ptr->Checkpoint();
+  };
+  NCEngine engine(&sources, &avg, &policy, options);
+  engine_ptr = &engine;
+  TopKResult result;
+  EXPECT_DEATH((void)engine.Run(&result), "in_flight");
 }
 
 }  // namespace

@@ -240,8 +240,9 @@ TEST(QueryTracerTest, AttachingToTheSourcesTracesTheWholeRun) {
       {"RunParallelNC", "parallel",
        [&](SourceSet* sources, TopKResult* out) {
          SRGPolicy policy(SRGConfig::Default(2));
-         ParallelOptions options;
+         EngineOptions options;
          options.k = 5;
+         options.concurrency = 4;
          ParallelResult result;
          const Status status =
              RunParallelNC(sources, avg, &policy, options, &result);
