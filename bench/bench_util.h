@@ -74,7 +74,8 @@ inline void AddJsonRow(const std::string& algorithm, const RunStats& stats) {
 }
 
 // Schema of the BENCH_*.json envelope; bump when the row shape changes
-// so the perf trajectory stays comparable across PRs.
+// so the perf trajectory stays comparable across changes, together with
+// the value CI's `Validate BENCH_*.json` step requires.
 inline constexpr int kBenchJsonSchemaVersion = 2;
 
 // UTC wall-clock in ISO 8601 ("2026-01-31T12:34:56Z").

@@ -6,6 +6,7 @@
 #include "baselines/candidate_table.h"
 #include "common/check.h"
 #include "core/bound_heap.h"
+#include "core/srg_policy.h"
 
 namespace nc {
 
@@ -25,9 +26,10 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     order.resize(m);
     for (PredicateId i = 0; i < m; ++i) order[i] = i;
   }
-  if (order.size() != m) {
-    return Status::InvalidArgument("schedule must cover every predicate");
-  }
+  // MPro is SR/G's probe-only corner, H = (1, ..., 1): its plan checks the
+  // schedule is a permutation of the predicates.
+  NC_RETURN_IF_ERROR(
+      (SRGConfig{std::vector<double>(m, kMaxScore), order}).Validate(m));
 
   RankedPool ranked(&scoring, n, /*seed_universe=*/true);
   // Probes only - no sorted streams - so ceilings stay at 1.

@@ -23,6 +23,11 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   if (expected.size() != m) {
     return Status::InvalidArgument("expected_scores size mismatch");
   }
+  for (const double e : expected) {
+    if (!IsValidScore(e)) {
+      return Status::InvalidArgument("expected score outside [0, 1]");
+    }
+  }
 
   // Without sorted access no object can be discovered: probe the whole
   // universe.
@@ -58,21 +63,21 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         break;
       }
     } else {
-      // Probe the predicate with the best expected bound-drop per cost.
+      // Probe the predicate with the best expected bound-drop per cost;
+      // the drop is negative once a ceiling falls below its expectation.
       const Candidate* c = *target;
       PredicateId best = m;
-      double best_rate = -1.0;
+      double best_rate = 0.0;
       for (PredicateId i = 0; i < m; ++i) {
         if (c->IsEvaluated(i)) continue;
         const double cost = sources->cost_model().random_cost[i];
         const double drop = ceilings[i] - expected[i];
         const double rate = cost > 0.0 ? drop / cost : drop * 1e12;
-        if (rate > best_rate) {
+        if (best == m || rate > best_rate) {
           best = i;
           best_rate = rate;
         }
       }
-      NC_CHECK(best < m);
       Score score = 0.0;
       const Status status = sources->TryRandomAccess(best, c->id, &score);
       if (!status.ok()) return settle(status);

@@ -27,6 +27,8 @@ namespace nc {
 
 // Runs Upper for the top-k. Requires random access on every predicate;
 // uses sorted access for candidate discovery when available.
+// `expected_scores` holds one E[p_i] in [0, 1] per predicate (empty for
+// 0.5 each); anything else is InvalidArgument.
 Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
                 const std::vector<double>& expected_scores, TopKResult* out);
 

@@ -1,10 +1,10 @@
 // A small strict JSON parser for the repo's own machine artifacts.
 //
-// obs/json.h writes JSON; until now nothing in the tree could read it
-// back, so the bench regression gate (obs/bench_gate.h, tools/bench_diff)
-// had no way to diff two committed BENCH_*.json envelopes. This parser
-// covers exactly RFC 8259: objects, arrays, strings (with escapes),
-// numbers, booleans, null. Numbers parse through common/numeric.h, so a
+// obs/json.h writes JSON; this reads it back, e.g. the per-scenario
+// (cost, accesses) baseline that `ncplaybook` loads from a
+// BENCH_PLAYBOOK.json (playbook/runner.h, LoadBaseline). It covers
+// exactly RFC 8259: objects, arrays, strings (with escapes), numbers,
+// booleans, null. Numbers parse through common/numeric.h, so a
 // comma-decimal locale can never corrupt a document (the same guarantee
 // the writer makes).
 //

@@ -47,7 +47,7 @@ namespace nc::obs {
 class QueryTracer;
 
 // The fixed cost-center vocabulary. Append-only: the hub's persisted
-// profile sketches and the bench_diff envelopes key on these indices.
+// profile sketches key on these indices.
 enum class CostCenter : uint8_t {
   kSortedAccess = 0,      // SourceSet::TrySortedAccess end to end.
   kRandomAccess,          // SourceSet::TryRandomAccess end to end.

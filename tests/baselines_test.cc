@@ -2,7 +2,9 @@
 // in Figure 2's matrix, plus cross-algorithm sanity relations.
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -258,8 +260,16 @@ TEST(MProBehaviorTest, RejectsPartialSchedule) {
   MinFunction fmin(3);
   SourceSet sources(&data, CostModel::Uniform(3, kImpossibleCost, 1.0));
   TopKResult result;
-  EXPECT_EQ(RunMPro(&sources, fmin, 5, {0, 1}, &result).code(),
-            StatusCode::kInvalidArgument);
+  // Too short; p2 never probed (the run would spin on an object it can
+  // never complete); a predicate the sources do not have.
+  const std::vector<std::vector<PredicateId>> schedules = {
+      {0, 1}, {0, 0, 1}, {0, 1, 7}};
+  for (const std::vector<PredicateId>& schedule : schedules) {
+    EXPECT_EQ(RunMPro(&sources, fmin, 5, schedule, &result).code(),
+              StatusCode::kInvalidArgument)
+        << ::testing::PrintToString(schedule);
+  }
+  EXPECT_EQ(sources.stats().TotalRandom(), 0u);
 }
 
 TEST(MProBehaviorTest, ProbesFewerThanExhaustive) {
@@ -290,6 +300,35 @@ TEST(UpperBehaviorTest, ExpectedScoresSteerProbes) {
   // Deliberately skewed expectations still yield the exact answer.
   ASSERT_TRUE(RunUpper(&sources, fmin, 5, {0.9, 0.1}, &result).ok());
   EXPECT_EQ(result, BruteForceTopK(data, fmin, 5));
+}
+
+TEST(UpperBehaviorTest, ProbesWhenEveryCeilingIsBelowItsExpectation) {
+  // All-zero scores: once each list is read, every ceiling is 0, below the
+  // default expectation 0.5, so every candidate probe has a negative
+  // expected drop; Upper still probes the best of them.
+  const Dataset data(12, 2);
+  AverageFunction avg(2);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 0.25));
+  TopKResult result;
+  ASSERT_TRUE(RunUpper(&sources, avg, 3, {}, &result).ok());
+  EXPECT_EQ(result, BruteForceTopK(data, avg, 3));
+  EXPECT_GT(sources.stats().TotalRandom(), 0u);
+}
+
+TEST(UpperBehaviorTest, RejectsExpectationsOutsideTheScoreRange) {
+  const Dataset data = MakeData(52, 50, 2);
+  AverageFunction avg(2);
+  SourceSet sources(&data, CostModel::Uniform(2, 1.0, 0.25));
+  TopKResult result;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> expectations = {
+      {5.0, 5.0}, {nan, 0.5}, {0.5, -0.1}};
+  for (const std::vector<double>& expected : expectations) {
+    EXPECT_EQ(RunUpper(&sources, avg, 3, expected, &result).code(),
+              StatusCode::kInvalidArgument)
+        << ::testing::PrintToString(expected);
+  }
+  EXPECT_EQ(sources.stats().TotalSorted(), 0u);
 }
 
 TEST(QuickCombineBehaviorTest, ZipfDataExactAndBounded) {
