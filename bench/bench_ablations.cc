@@ -327,7 +327,7 @@ void PageSizeAblation() {
 void JointSearchAblation() {
   PrintHeader(
       "Ablation 7 - two-step (H then schedule) vs joint (H x m! "
-      "schedules) optimization (min, m=3, heterogeneous probe costs, "
+      "schedules) optimization (min, m=4, heterogeneous probe costs, "
       "n=5000, k=10)");
   const Dataset data = ScheduleWorkload(5000);
   // Mixed capabilities so both depths and schedule matter.

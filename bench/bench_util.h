@@ -130,7 +130,9 @@ inline void WriteBenchJsonDoc(const std::string& file_base,
 }
 
 // Writes BENCH_<NAME>.json (name upper-cased) with every recorded row.
+// A bench that recorded none fails here: its JSON would carry no result.
 inline void WriteBenchJson(const std::string& bench_name) {
+  NC_CHECK(!JsonRows().empty());
   WriteBenchJsonDoc(bench_name, bench_name, [](obs::JsonWriter& w) {
     w.Key("rows").BeginArray();
     for (const JsonRow& row : JsonRows()) {

@@ -10,6 +10,7 @@
 // option), plan quality across search schemes, and parallel execution.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "core/explain.h"
@@ -45,13 +46,20 @@ int main() {
     NC_CHECK(RunOptimizedNC(&sources, *q.scoring, q.k, options, &result,
                             &plan)
                  .ok());
-    const bool correct =
-        result == BruteForceTopK(q.data, *q.scoring, q.k);
+    const std::string algorithm =
+        std::string("NC/") + SearchSchemeName(scheme);
+    RunStats stats;
+    stats.cost = sources.accrued_cost();
+    stats.sorted = sources.stats().TotalSorted();
+    stats.random = sources.stats().TotalRandom();
+    stats.correct = result == BruteForceTopK(q.data, *q.scoring, q.k);
+    stats.plan = plan.config.ToString();
+    stats.report = obs::BuildRunReport(sources, nullptr, algorithm, q.k);
+    AddJsonRow(algorithm, stats);
     std::printf("  NC/%-10s cost=%9.1f (sa=%zu ra=%zu correct=%d, %zu "
                 "simulations)\n",
-                SearchSchemeName(scheme), sources.accrued_cost(),
-                sources.stats().TotalSorted(), sources.stats().TotalRandom(),
-                correct, plan.simulations);
+                SearchSchemeName(scheme), stats.cost, stats.sorted,
+                stats.random, stats.correct, plan.simulations);
     if (scheme == SearchScheme::kHClimb) {
       std::printf("\n%s\n",
                   ExplainPlan(plan, sources, *q.scoring, q.k).c_str());

@@ -1,12 +1,12 @@
 // Shared plumbing for the baseline algorithms (Figure 2's matrix).
 //
 // Every baseline works off the same primitives as the NC engine - the
-// access layer, the candidate pool, and bound evaluation - and those that
-// halt on Theorem 1's test (Upper, MPro, NRA's exact mode) share its
-// ranked pool (core/bound_heap.h) too. None shares its scheduler: each
-// implements its published control loop independently, so cost
-// comparisons between NC and a baseline compare genuinely different
-// schedulers rather than two spellings of one engine.
+// access layer, the candidate pool, and bound evaluation. MPro and Upper,
+// which Section 8 places inside NC's space, are select policies of the
+// engine itself (baselines/mpro.cc, baselines/upper.cc). The rest keep
+// their published control loops, and NRA's exact mode halts on Theorem
+// 1's ranked pool (core/bound_heap.h) without sharing the scheduler, so
+// cost comparisons against them compare genuinely different schedulers.
 
 #ifndef NC_BASELINES_CANDIDATE_TABLE_H_
 #define NC_BASELINES_CANDIDATE_TABLE_H_
@@ -35,10 +35,10 @@ Status RequireUniformCapabilities(const SourceSet& sources, bool need_sorted,
 
 // --- Stopping (access/budget.h, access/fault.h) -------------------------
 // Every baseline access goes through SourceSet::TrySortedAccess /
-// TryRandomAccess. Unlike NC, the published control loops are rigid - they
-// cannot steer around one quota-spent or dead predicate - so the first
-// access the sources refuse or fail ends the whole run through
-// SettleRefusal.
+// TryRandomAccess. Unlike NC (and MPro and Upper, which run on it), the
+// published control loops are rigid - they cannot steer around one
+// quota-spent or dead predicate - so the first access the sources refuse
+// or fail ends the whole run through SettleRefusal.
 
 // Proven [lower, upper] interval of a partially evaluated row: unknown
 // predicates (unset bits of `known_mask`) read as 0 for the lower bound

@@ -7,8 +7,9 @@
 // priority queue ranks candidates by maximal-possible score; the top
 // incomplete candidate is probed on its next unevaluated predicate
 // following a fixed global schedule; the query halts when the top k are
-// complete. MPro proved this probe-optimal for the given schedule - it is
-// also exactly the behavior NC converges to in the probe-only corner.
+// complete. MPro proved this probe-optimal for the given schedule, and
+// Section 8 puts it inside NC's space: here it is NCEngine running SR/G
+// at H = (1, ..., 1) with that schedule, over a probe-only view.
 
 #ifndef NC_BASELINES_MPRO_H_
 #define NC_BASELINES_MPRO_H_
@@ -24,8 +25,11 @@ namespace nc {
 
 // Runs MPro for the top-k using the global probe `schedule` (a permutation
 // of the predicates; pass an empty vector for the identity schedule).
-// Requires random access on every predicate; never performs sorted
-// access.
+// Requires random access on every predicate. Once the arguments are
+// valid it narrows `sources` to the probe-only view: every sorted cost
+// becomes kImpossibleCost, which SourceSet::Reset does not undo for a
+// live source. So it never performs sorted access, and the engine seeds
+// the object universe.
 Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
                const std::vector<PredicateId>& schedule, TopKResult* out);
 

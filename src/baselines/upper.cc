@@ -1,13 +1,86 @@
 #include "baselines/upper.h"
 
+#include <algorithm>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/candidate_table.h"
 #include "common/check.h"
-#include "core/bound_heap.h"
+#include "common/numeric.h"
+#include "core/engine.h"
 
 namespace nc {
+
+namespace {
+
+// Upper's select rule over the engine's necessary choices: the unseen
+// sentinel is offered sorted reads only, a candidate its probes (and
+// reads of its unevaluated streams, which Upper leaves alone).
+class UpperPolicy final : public SelectPolicy {
+ public:
+  explicit UpperPolicy(std::vector<double> expected)
+      : expected_(std::move(expected)) {}
+
+  void Reset(const SourceSet&) override { rr_sorted_ = 0; }
+
+  Access Select(std::span<const Access> alternatives,
+                const EngineView& view) override {
+    const SourceSet& sources = *view.sources;
+    const size_t m = sources.num_predicates();
+    if (view.target_state == nullptr) {
+      // Discover a candidate: round-robin over the sorted-capable lists.
+      const auto nearer_the_cursor = [&](const Access& a, const Access& b) {
+        return (a.predicate + m - rr_sorted_) % m <
+               (b.predicate + m - rr_sorted_) % m;
+      };
+      const Access& read = *std::min_element(
+          alternatives.begin(), alternatives.end(), nearer_the_cursor);
+      rr_sorted_ = (read.predicate + 1) % m;
+      return read;
+    }
+    // Probe the predicate with the best expected bound-drop per cost; the
+    // drop is negative once a ceiling falls below its expectation.
+    const Access* best = nullptr;
+    double best_rate = 0.0;
+    for (const Access& a : alternatives) {
+      if (a.type != AccessType::kRandom) continue;
+      const PredicateId i = a.predicate;
+      const double cost = sources.cost_model().random_cost[i];
+      const double drop = sources.last_seen(i) - expected_[i];
+      const double rate = cost > 0.0 ? drop / cost : drop * 1e12;
+      if (best == nullptr || rate > best_rate) {
+        best = &a;
+        best_rate = rate;
+      }
+    }
+    // Upper requires a probe on every predicate, and only a death takes
+    // one away - with its stream, so a candidate offered a read is
+    // offered that predicate's probe too.
+    NC_CHECK(best != nullptr);
+    return *best;
+  }
+
+  std::string SaveState() const override {
+    return std::to_string(rr_sorted_);
+  }
+
+  Status RestoreState(const std::string& state) override {
+    uint64_t cursor = 0;
+    if (!state.empty() && !ParseUInt64(state, &cursor)) {
+      return Status::InvalidArgument("malformed Upper policy state");
+    }
+    rr_sorted_ = static_cast<size_t>(cursor);
+    return Status::OK();
+  }
+
+ private:
+  std::vector<double> expected_;
+  size_t rr_sorted_ = 0;  // The list the next discovery read tries first.
+};
+
+}  // namespace
 
 Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
                 const std::vector<double>& expected_scores, TopKResult* out) {
@@ -29,61 +102,10 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     }
   }
 
-  // Without sorted access no object can be discovered: probe the whole
-  // universe.
-  RankedPool ranked(&scoring, sources->num_objects(),
-                    !sources->cost_model().any_sorted());
-  const auto settle = [&](const Status& refusal) {
-    return SettleRefusal(refusal, *sources, scoring, k, {},
-                         &ranked.candidates(), out);
-  };
-
-  PredicateId rr_sorted = 0;
-  while (true) {
-    const std::span<const Score> ceilings = sources->last_seen();
-    const std::span<const RankedPool::Entry> top = ranked.TopK(k, ceilings);
-    const std::optional<const Candidate*> target =
-        ranked.FirstIncomplete(top);
-    if (!target.has_value()) {
-      RankedPool::Answer(top, out);
-      return Status::OK();
-    }
-
-    if (*target == nullptr) {
-      // Discover a candidate: round-robin over the sorted-capable lists.
-      for (size_t tries = 0; tries < m; ++tries) {
-        const PredicateId i = rr_sorted % m;
-        rr_sorted = (rr_sorted + 1) % m;
-        if (!sources->has_sorted(i) || sources->exhausted(i)) continue;
-        std::optional<SortedHit> hit;
-        const Status status = sources->TrySortedAccess(i, &hit);
-        if (!status.ok()) return settle(status);
-        NC_CHECK(hit.has_value());
-        ranked.Discover(i, hit->object, hit->score, {}, sources->last_seen());
-        break;
-      }
-    } else {
-      // Probe the predicate with the best expected bound-drop per cost;
-      // the drop is negative once a ceiling falls below its expectation.
-      const Candidate* c = *target;
-      PredicateId best = m;
-      double best_rate = 0.0;
-      for (PredicateId i = 0; i < m; ++i) {
-        if (c->IsEvaluated(i)) continue;
-        const double cost = sources->cost_model().random_cost[i];
-        const double drop = ceilings[i] - expected[i];
-        const double rate = cost > 0.0 ? drop / cost : drop * 1e12;
-        if (best == m || rate > best_rate) {
-          best = i;
-          best_rate = rate;
-        }
-      }
-      Score score = 0.0;
-      const Status status = sources->TryRandomAccess(best, c->id, &score);
-      if (!status.ok()) return settle(status);
-      ranked.Probe(c->id, best, score);
-    }
-  }
+  UpperPolicy policy(std::move(expected));
+  EngineOptions options;
+  options.k = k;
+  return RunNC(sources, &scoring, &policy, options, out);
 }
 
 }  // namespace nc

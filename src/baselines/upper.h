@@ -11,7 +11,8 @@
 //    virtual unseen object, perform a round-robin sorted access.
 //
 // E[p_i] comes from samples (the optimizer's machinery); pass empty
-// expectations for the uninformed default of 0.5.
+// expectations for the uninformed default of 0.5. Section 8 puts Upper
+// inside NC's space: it runs NCEngine with this select rule as policy.
 
 #ifndef NC_BASELINES_UPPER_H_
 #define NC_BASELINES_UPPER_H_

@@ -282,6 +282,21 @@ TEST(MProBehaviorTest, ProbesFewerThanExhaustive) {
   EXPECT_LT(sources.stats().TotalRandom(), 3u * 1000u);
 }
 
+TEST(MProBehaviorTest, NarrowsTheSourcesToAProbeOnlyView) {
+  // MPro never reads a stream, even where the scenario offers one: it
+  // removes sorted access from the sources and probes the universe.
+  const Dataset data = MakeData(55, 200, 3);
+  AverageFunction avg(3);
+  SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
+  TopKResult result;
+  ASSERT_TRUE(RunMPro(&sources, avg, 5, {}, &result).ok());
+  EXPECT_EQ(result, BruteForceTopK(data, avg, 5));
+  for (PredicateId i = 0; i < 3; ++i) {
+    EXPECT_FALSE(sources.has_sorted(i)) << "p" << i;
+  }
+  EXPECT_EQ(sources.stats().TotalSorted(), 0u);
+}
+
 TEST(UpperBehaviorTest, DiscoversViaSortedWhenAvailable) {
   const Dataset data = MakeData(49, 300, 2);
   AverageFunction avg(2);

@@ -208,12 +208,18 @@ TEST(FaultToleranceTest, SourceDeathMidRunReturnsBestEffort) {
 
 // The baselines' published control loops cannot steer around a dead
 // predicate, but a source that fails for good surfaces as kUnavailable
-// instead of aborting the process.
+// instead of aborting the process. MPro and Upper run NCEngine, which
+// degrades around the death and certifies what the survivors established.
 TEST(FaultToleranceTest, BaselinesReturnUnavailableWhenASourceDies) {
   const Dataset data = MakeData(16, 80, 3);
   AverageFunction avg(3);
   FaultProfile deadly;
   deadly.die_after_attempts = 3;
+  std::vector<Score> row(3);
+  const auto truth = [&](ObjectId u) {
+    for (PredicateId i = 0; i < 3; ++i) row[i] = data.score(u, i);
+    return avg.Evaluate(row);
+  };
   for (const AlgorithmInfo& info : AllBaselines()) {
     FaultInjector injector(/*seed=*/6);
     injector.set_profile(1, deadly);
@@ -221,9 +227,28 @@ TEST(FaultToleranceTest, BaselinesReturnUnavailableWhenASourceDies) {
     sources.set_fault_injector(&injector);
     TopKResult result;
     const Status status = info.run(&sources, avg, 5, &result);
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
-        << info.name << ": " << status;
     EXPECT_TRUE(sources.source_down(1)) << info.name;
+    if (info.name != "MPro" && info.name != "Upper") {
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+          << info.name << ": " << status;
+      continue;
+    }
+    ASSERT_TRUE(status.ok()) << info.name << ": " << status;
+    ASSERT_TRUE(result.certificate.has_value()) << info.name;
+    const AnytimeCertificate& cert = *result.certificate;
+    EXPECT_EQ(cert.reason, TerminationReason::kSourceFailure) << info.name;
+    ASSERT_EQ(cert.intervals.size(), result.entries.size()) << info.name;
+    std::vector<bool> returned(data.num_objects(), false);
+    for (size_t r = 0; r < result.entries.size(); ++r) {
+      const ObjectId u = result.entries[r].object;
+      returned[u] = true;
+      EXPECT_LE(cert.intervals[r].lower, truth(u)) << info.name << " u" << u;
+      EXPECT_GE(cert.intervals[r].upper, truth(u)) << info.name << " u" << u;
+    }
+    for (ObjectId u = 0; u < data.num_objects(); ++u) {
+      if (returned[u]) continue;
+      EXPECT_LE(truth(u), cert.excluded_ceiling) << info.name << " u" << u;
+    }
   }
 }
 

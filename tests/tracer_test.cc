@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/mpro.h"
+#include "baselines/upper.h"
 #include "core/adaptive.h"
 #include "core/engine.h"
 #include "core/parallel_executor.h"
@@ -248,6 +250,14 @@ TEST(QueryTracerTest, AttachingToTheSourcesTracesTheWholeRun) {
              RunParallelNC(sources, avg, &policy, options, &result);
          *out = result.topk;
          return status;
+       }},
+      {"RunMPro", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         return RunMPro(sources, avg, 5, {}, out);
+       }},
+      {"RunUpper", "probe",
+       [&](SourceSet* sources, TopKResult* out) {
+         return RunUpper(sources, avg, 5, {}, out);
        }},
   };
 
