@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "common/build_info.h"
 #include "common/check.h"
 #include "core/planner.h"
 #include "core/reference.h"
@@ -75,7 +76,7 @@ inline void AddJsonRow(const std::string& algorithm, const RunStats& stats) {
 
 // Schema of the BENCH_*.json envelope; bump when the row shape changes
 // so the perf trajectory stays comparable across changes, together with
-// the value CI's `Validate BENCH_*.json` step requires.
+// the value CI's micro-bench step requires.
 inline constexpr int kBenchJsonSchemaVersion = 2;
 
 // UTC wall-clock in ISO 8601 ("2026-01-31T12:34:56Z").
@@ -86,18 +87,6 @@ inline std::string IsoTimestampUtc() {
   char buffer[32];
   std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%SZ", &utc);
   return buffer;
-}
-
-// How this binary was compiled, so numbers from sanitizer CI runs are
-// never mistaken for release measurements.
-inline const char* BuildType() {
-#if defined(NC_SANITIZE_BUILD)
-  return "Sanitize";
-#elif defined(NDEBUG)
-  return "Release";
-#else
-  return "Debug";
-#endif
 }
 
 // The one JSON emitter every bench binary funnels through: writes
@@ -120,7 +109,9 @@ inline void WriteBenchJsonDoc(const std::string& file_base,
   w.Key("bench").String(bench_name);
   w.Key("schema_version").Int(kBenchJsonSchemaVersion);
   w.Key("timestamp").String(IsoTimestampUtc());
-  w.Key("build_type").String(BuildType());
+  // How this binary was compiled, so numbers from sanitizer CI runs are
+  // never mistaken for release measurements.
+  w.Key("build_type").String(BuildFlavor());
   body(w);
   w.EndObject();
   std::ofstream file(file_name);

@@ -15,8 +15,8 @@ namespace nc {
 // tree was built outside git.
 const char* BuildVersion();
 
-// "Sanitize", "Release", or "Debug" (mirrors bench/bench_util.h's
-// BuildType so servers and benches report the same vocabulary).
+// "Sanitize", "Release", or "Debug": /healthz and the BENCH_*.json
+// envelope's build_type report the same vocabulary.
 const char* BuildFlavor();
 
 // True when the build was configured with NC_SANITIZE=ON

@@ -1,8 +1,8 @@
 // A small strict JSON parser for the repo's own machine artifacts.
 //
 // obs/json.h writes JSON; this reads it back, e.g. the per-scenario
-// (cost, accesses) baseline that `ncplaybook` loads from a
-// BENCH_PLAYBOOK.json (playbook/runner.h, LoadBaseline). It covers
+// (cost, accesses) baseline that `ncplaybook` loads from an earlier
+// run's packet (playbook/runner.h, LoadBaseline). It covers
 // exactly RFC 8259: objects, arrays, strings (with escapes), numbers,
 // booleans, null. Numbers parse through common/numeric.h, so a
 // comma-decimal locale can never corrupt a document (the same guarantee

@@ -675,66 +675,52 @@ std::string PlaybookReport::ToJson() const {
   std::ostringstream os;
   obs::JsonWriter json(&os);
   json.BeginObject();
-  json.Key("schema_version");
-  json.Int(1);
-  json.Key("summary");
-  json.BeginObject();
-  json.Key("total");
-  json.UInt(total);
-  json.Key("executed");
-  json.UInt(executed);
-  json.Key("passed");
-  json.UInt(passed);
-  json.Key("flagged");
-  json.UInt(flagged);
-  json.Key("skipped");
-  json.UInt(skipped);
-  json.Key("violations");
-  json.UInt(violations);
-  json.Key("anomalies");
-  json.UInt(anomalies);
-  json.Key("stopped_early");
-  json.Bool(stopped_early);
-  json.Key("stop_reason");
-  json.String(stop_reason);
-  json.Key("wall_seconds");
-  json.Number(wall_seconds);
+  json.Key("schema_version").Int(1);
+  json.Key("summary").BeginObject();
+  json.Key("total").UInt(total);
+  json.Key("executed").UInt(executed);
+  json.Key("passed").UInt(passed);
+  json.Key("flagged").UInt(flagged);
+  json.Key("skipped").UInt(skipped);
+  json.Key("violations").UInt(violations);
+  json.Key("anomalies").UInt(anomalies);
+  json.Key("stopped_early").Bool(stopped_early);
+  json.Key("stop_reason").String(stop_reason);
+  json.Key("wall_seconds").Number(wall_seconds);
   json.EndObject();
-  json.Key("flagged_variants");
-  json.BeginArray();
+  json.Key("flagged_variants").BeginArray();
   for (const VariantVerdict& verdict : verdicts) {
     if (!verdict.executed || !verdict.flagged()) continue;
     json.BeginObject();
-    json.Key("name");
-    json.String(verdict.spec.name);
-    json.Key("signature");
-    json.String(verdict.spec.Signature());
-    json.Key("repro");
-    json.String(ReproCommand(verdict));
-    json.Key("status");
-    json.String(verdict.run_status.ToString());
-    json.Key("violations");
-    json.BeginArray();
+    json.Key("name").String(verdict.spec.name);
+    json.Key("signature").String(verdict.spec.Signature());
+    json.Key("repro").String(ReproCommand(verdict));
+    json.Key("status").String(verdict.run_status.ToString());
+    json.Key("violations").BeginArray();
     for (const Violation& violation : verdict.violations) {
       json.BeginObject();
-      json.Key("oracle");
-      json.String(OracleName(violation.oracle));
-      json.Key("detail");
-      json.String(violation.detail);
+      json.Key("oracle").String(OracleName(violation.oracle));
+      json.Key("detail").String(violation.detail);
       json.EndObject();
     }
     json.EndArray();
-    json.Key("anomaly");
-    json.String(verdict.anomaly);
-    json.Key("cost");
-    json.Number(verdict.accrued_cost);
-    json.Key("accesses");
-    json.UInt(verdict.accesses);
-    json.Key("spec");
-    json.String(verdict.spec.Serialize());
+    json.Key("anomaly").String(verdict.anomaly);
+    json.Key("cost").Number(verdict.accrued_cost);
+    json.Key("accesses").UInt(verdict.accesses);
+    json.Key("spec").String(verdict.spec.Serialize());
     json.EndObject();
   }
   json.EndArray();
+  // The packet doubles as the baseline a later run diffs against.
+  json.Key("baseline").BeginObject();
+  for (const VariantVerdict& verdict : verdicts) {
+    if (!verdict.executed || verdict.flagged()) continue;
+    json.Key(verdict.spec.name).BeginObject();
+    json.Key("cost").Number(verdict.accrued_cost);
+    json.Key("accesses").UInt(verdict.accesses);
+    json.EndObject();
+  }
+  json.EndObject();
   json.EndObject();
   os << "\n";
   return os.str();

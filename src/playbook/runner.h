@@ -28,8 +28,8 @@
 // max flagged variants, stop-on-first-anomaly). The PlaybookReport is
 // the "engineer packet": for every flagged variant it records the exact
 // repro command line, the violated oracles, the anomaly diff against a
-// recorded BENCH_PLAYBOOK.json baseline, and the full serialized spec -
-// enough to reproduce without the generator.
+// recorded baseline, and the full serialized spec - enough to reproduce
+// without the generator. Its JSON form is also the next run's baseline.
 
 #ifndef NC_PLAYBOOK_RUNNER_H_
 #define NC_PLAYBOOK_RUNNER_H_
@@ -112,7 +112,7 @@ struct StopConditions {
   bool stop_on_first_anomaly = false;
 };
 
-// Recorded expectation for one scenario name (from BENCH_PLAYBOOK.json).
+// Recorded expectation for one scenario name (from a packet's baseline).
 // Runs are deterministic on the simulated cost clock, so cost and access
 // counts must reproduce exactly.
 struct BaselineEntry {
@@ -158,7 +158,8 @@ struct PlaybookReport {
   // Human packet: summary line + one block per flagged variant.
   std::string ToText() const;
   // Machine packet (obs::JsonWriter): summary + flagged variants, each
-  // with its repro command and full serialized spec.
+  // with its repro command and full serialized spec, + the "baseline"
+  // map of every executed, unflagged variant's (cost, accesses).
   std::string ToJson() const;
 };
 
@@ -183,7 +184,7 @@ class PlaybookRunner {
 };
 
 // Extracts the top-level {"baseline": {"<name>": {"cost": c, "accesses":
-// a}}} member of a BENCH_PLAYBOOK.json document (parsed by
+// a}}} member of a PlaybookReport::ToJson packet (parsed by
 // obs::ParseJson). InvalidArgument when the document is not one valid
 // JSON document or its baseline object is malformed: a missing field, an
 // unknown one, or an access count that is not a non-negative integer.

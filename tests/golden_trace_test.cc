@@ -345,9 +345,9 @@ void AppendStops(const Dataset& data, const CostModel& cost,
   }
 }
 
-// Two in flight: the makespan runs ahead of the Eq. 1 clock. Eight in
-// flight with speculation: several issues per epoch, so a budget can bar
-// one mid-epoch.
+// One in flight: the window's sequential path. Two: the makespan runs
+// ahead of the Eq. 1 clock. Eight with speculation: several issues per
+// epoch, so a budget can bar one mid-epoch.
 Status RunParallel(SourceSet* sources, const ScoringFunction& scoring,
                    size_t k, size_t concurrency, ParallelResult* out) {
   SRGPolicy policy(SRGConfig::Default(3));
@@ -391,7 +391,7 @@ std::string StopsMatrix() {
                     return engine.Run(r);
                   },
                   &out);
-      for (const size_t concurrency : {size_t{2}, size_t{8}}) {
+      for (const size_t concurrency : {size_t{1}, size_t{2}, size_t{8}}) {
         AppendStops(data, cost, *scoring, k, /*exact_scores=*/true,
                     cell + " parallel c=" + std::to_string(concurrency),
                     /*parallel=*/true,
@@ -402,13 +402,13 @@ std::string StopsMatrix() {
       }
     }
   }
-  // The unbudgeted runs: the parallel executor at both widths, under the
-  // jitter its budgets are sized with, and Framework TG drawing every
-  // access at random from its legal pool.
+  // The unbudgeted runs: the parallel executor at all three widths,
+  // under the jitter its budgets are sized with, and Framework TG drawing
+  // every access at random from its legal pool.
   for (const ScoringFunction* scoring : functions) {
     for (const size_t k : {size_t{1}, size_t{10}}) {
       const std::string cell = cell_of(scoring, k);
-      for (const size_t concurrency : {size_t{2}, size_t{8}}) {
+      for (const size_t concurrency : {size_t{1}, size_t{2}, size_t{8}}) {
         SourceSet sources(&data, cost);
         sources.EnableTrace();
         sources.set_latency_jitter(3.0, /*seed=*/17);

@@ -1,5 +1,5 @@
 // The strict JSON parser (obs/json_parse.h) that reads the repo's own
-// machine artifacts back, e.g. the playbook baseline in BENCH_PLAYBOOK.json:
+// machine artifacts back, e.g. the baseline in a playbook packet:
 // RFC 8259 values, escapes, and rejection of malformed or hostile input
 // with a byte offset in the error.
 

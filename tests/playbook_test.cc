@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -285,6 +286,31 @@ TEST(PlaybookDeterminismTest, SameSeedSameVariantsAndVerdicts) {
   }
 }
 
+// The pinned-seed soak: 60 ChaosDefaults() variants (faults, budgets,
+// fleets, kills, and variants served by a QueryServer) pass every
+// oracle, and a second generator regenerates them byte for byte.
+TEST(PlaybookDeterminismTest, PinnedSeedSoakPassesEveryOracle) {
+  constexpr uint64_t kSeed = 20260809;
+  const std::vector<ScenarioSpec> variants =
+      VariantGenerator(VariantAxes::ChaosDefaults(), kSeed).Generate(60);
+  const std::vector<ScenarioSpec> again =
+      VariantGenerator(VariantAxes::ChaosDefaults(), kSeed).Generate(60);
+  ASSERT_EQ(again.size(), variants.size());
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_EQ(again[i].Serialize(), variants[i].Serialize()) << "variant " << i;
+  }
+
+  const PlaybookReport report = PlaybookRunner().Run(variants);
+  EXPECT_EQ(report.executed, variants.size());
+  EXPECT_EQ(report.flagged, 0u) << report.ToText();
+  // Not quietly engine-only: the server path ran too.
+  size_t served = 0;
+  for (const VariantVerdict& verdict : report.verdicts) {
+    if (verdict.executed && verdict.spec.workers > 0) ++served;
+  }
+  EXPECT_GT(served, 0u);
+}
+
 bool HasOracle(const VariantVerdict& verdict, Oracle oracle) {
   for (const Violation& v : verdict.violations) {
     if (v.oracle == oracle) return true;
@@ -405,17 +431,27 @@ TEST(PlaybookBaselineTest, BaselineDivergenceIsAnAnomaly) {
   const VariantVerdict observed = probe.RunOne(spec);
   ASSERT_FALSE(observed.flagged());
 
+  // The packet is the baseline: its JSON loads back to exactly the
+  // observed (cost, accesses), which replays clean.
   RunnerOptions exact;
-  exact.baseline["baselined"] = {observed.accrued_cost, observed.accesses};
+  ASSERT_TRUE(LoadBaseline(probe.Run({spec}).ToJson(), &exact.baseline).ok());
+  ASSERT_EQ(exact.baseline.size(), 1u);
+  EXPECT_EQ(exact.baseline["baselined"].cost, observed.accrued_cost);
+  EXPECT_EQ(exact.baseline["baselined"].accesses, observed.accesses);
   EXPECT_FALSE(PlaybookRunner(std::move(exact)).RunOne(spec).flagged());
 
   RunnerOptions shifted;
   shifted.baseline["baselined"] = {observed.accrued_cost + 7.0,
                                    observed.accesses};
-  const VariantVerdict verdict =
-      PlaybookRunner(std::move(shifted)).RunOne(spec);
-  EXPECT_TRUE(verdict.flagged());
-  EXPECT_FALSE(verdict.anomaly.empty());
+  const PlaybookReport report =
+      PlaybookRunner(std::move(shifted)).Run({spec});
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  EXPECT_TRUE(report.verdicts[0].flagged());
+  EXPECT_FALSE(report.verdicts[0].anomaly.empty());
+  // A flagged variant leaves no baseline entry.
+  std::map<std::string, BaselineEntry> flagged_baseline;
+  ASSERT_TRUE(LoadBaseline(report.ToJson(), &flagged_baseline).ok());
+  EXPECT_TRUE(flagged_baseline.empty());
 }
 
 // Stop conditions: max_failures caps the flagged count and the remainder

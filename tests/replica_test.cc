@@ -1,9 +1,9 @@
 // Replica fleet layer (replica/replica.h + the SourceSet fleet path):
 // configuration validation, the differential guarantee that every
 // routing/hedging configuration returns the single-source engine's exact
-// top-k on fault-free runs, failover when a replica dies mid-query,
-// hedged sorted access billing, half-open probe interaction with
-// failover, Reset replay, and checkpoint/resume with fleet state.
+// top-k, with a healthy or a flaky primary, failover when a replica dies
+// mid-query, hedged sorted access billing, half-open probe interaction
+// with failover, Reset replay, and checkpoint/resume with fleet state.
 
 #include <gtest/gtest.h>
 
@@ -181,10 +181,11 @@ TEST(ReplicaDifferentialTest, DefaultSingleReplicaIsCostBitIdentical) {
   }
 }
 
-// Every routing policy crossed with hedging on/off returns the
-// single-source engine's exact answer on fault-free runs: replicas vary
-// cost and latency, never data, so sorted order and the l_i bounds - and
-// with them Theorems 1 and 2 - are untouched.
+// Every routing policy crossed with hedging on/off, and with a healthy or
+// a flaky primary (30% transient attempts at 1.5x cost, behind retries
+// and a breaker), returns the single-source engine's exact answer:
+// replicas vary cost, latency and failures, never data, so sorted order
+// and the l_i bounds - and with them Theorems 1 and 2 - are untouched.
 TEST(ReplicaDifferentialTest, EveryRoutingAndHedgingConfigMatchesTopK) {
   const Dataset data = MakeData(33);
   const CostModel cost = CostModel::Uniform(3, 1.0, 1.5);
@@ -197,21 +198,39 @@ TEST(ReplicaDifferentialTest, EveryRoutingAndHedgingConfigMatchesTopK) {
       RoutingPolicy::kPrimaryOnly, RoutingPolicy::kRoundRobin,
       RoutingPolicy::kLeastLatency, RoutingPolicy::kCheapestHealthy};
   const double hedge_delays[] = {0.0, 0.4};
+  size_t transient_failures = 0;
   for (const RoutingPolicy routing : policies) {
     for (const double delay : hedge_delays) {
-      ReplicaFleet fleet(17);
-      for (PredicateId i = 0; i < 3; ++i) {
-        ASSERT_TRUE(
-            fleet.Configure(i, ThreeReplicas(routing, delay, 1.5)).ok());
+      for (const bool flaky : {false, true}) {
+        ReplicaSetConfig config = ThreeReplicas(routing, delay, 1.5);
+        if (flaky) {
+          config.replicas[0].cost_multiplier = 1.5;
+          config.replicas[0].faults.transient_rate = 0.3;
+        }
+        ReplicaFleet fleet(17);
+        for (PredicateId i = 0; i < 3; ++i) {
+          ASSERT_TRUE(fleet.Configure(i, config).ok());
+        }
+        SourceSet fleeted(&data, cost);
+        RetryPolicy retry;
+        retry.max_attempts = 4;
+        fleeted.set_retry_policy(retry, /*jitter_seed=*/5);
+        CircuitBreakerPolicy breaker;
+        breaker.failure_threshold = 6;
+        breaker.cooldown = 8.0;
+        ASSERT_TRUE(fleeted.set_circuit_breaker(breaker).ok());
+        ASSERT_TRUE(fleeted.set_replica_fleet(&fleet).ok());
+        const TopKResult got = RunEngine(&fleeted, avg, 5);
+        const std::string label = std::string(RoutingPolicyName(routing)) +
+                                  " hedge=" + std::to_string(delay) +
+                                  (flaky ? " flaky" : "");
+        ExpectSameResult(got, expected, label);
+        transient_failures += fleeted.stats().transient_failures;
       }
-      SourceSet fleeted(&data, cost);
-      ASSERT_TRUE(fleeted.set_replica_fleet(&fleet).ok());
-      const TopKResult got = RunEngine(&fleeted, avg, 5);
-      const std::string label = std::string(RoutingPolicyName(routing)) +
-                                " hedge=" + std::to_string(delay);
-      ExpectSameResult(got, expected, label);
     }
   }
+  // The flaky primary's faults fired.
+  EXPECT_GT(transient_failures, 0u);
 }
 
 // The same guarantee extends to certified anytime answers: with identical

@@ -8,15 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <map>
@@ -29,6 +23,7 @@
 
 #include "core/reference.h"
 #include "data/generator.h"
+#include "loopback_http.h"
 #include "obs/json_parse.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
@@ -103,71 +98,43 @@ class TwoReplicaStack : public WorkerStack {
   SourceSet sources_;
 };
 
-// --- Minimal HTTP client (loopback GET) -----------------------------------
+// --- Scrape checks ----------------------------------------------------------
 
-std::string HttpGet(uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string Body(const std::string& response) {
-  const size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? "" : response.substr(split + 4);
-}
-
-// Like HttpGet but tolerant of a closing endpoint: returns false instead
-// of failing expectations when the connection is refused or reset. Used
-// by the mid-drain scrape test, which races the server's shutdown by
-// design.
-bool TryHttpGet(uint16_t port, const std::string& path,
-                std::string* response) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
+// One exposition sample line, "name{labels} value", in the grammar
+// [a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf).
+bool IsSample(const std::string& line) {
+  size_t at = line.find_first_not_of(
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:0123456789");
+  if (at == 0 || at == std::string::npos ||
+      (line[0] >= '0' && line[0] <= '9')) {
     return false;
   }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return false;
+  if (line[at] == '{') {
+    at = line.find('}', at);
+    if (at == std::string::npos) return false;
+    ++at;
   }
-  response->clear();
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    response->append(buffer, static_cast<size_t>(n));
+  if (line.compare(at, 1, " ") != 0) return false;
+  const std::string value = line.substr(at + 1);
+  return value == "NaN" || value == "+Inf" || value == "-Inf" ||
+         (!value.empty() &&
+          value.find_first_not_of("0123456789.eE+-") == std::string::npos);
+}
+
+// Checks every line of a /metrics body: "# TYPE" lines, and one sample
+// per other non-empty line. Returns the families the TYPE lines name.
+std::set<std::string> ExpectExposition(const std::string& body) {
+  std::set<std::string> families;
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.insert(line.substr(7, line.find(' ', 7) - 7));
+    } else if (!line.empty()) {
+      EXPECT_TRUE(IsSample(line)) << line;
+    }
   }
-  ::close(fd);
-  return !response->empty();
+  return families;
 }
 
 // Extracts `"key":<uint>` from one JSONL line; false when absent.
@@ -308,6 +275,8 @@ TEST(ServerObsTest, MultiWorkerStreamingTracesStitchPerRequest) {
 
 // --- The live introspection endpoint ---------------------------------------
 
+// The executable spec of docs/SERVER.md's curl recipe: what an operator
+// scrapes from a live cache-on, profiler-on server.
 TEST(ServerObsTest, ScrapeEndpointsServeLiveState) {
   const Dataset data = MakeData(81);
   const AverageFunction avg(2);
@@ -316,6 +285,10 @@ TEST(ServerObsTest, ScrapeEndpointsServeLiveState) {
   config.num_workers = 2;
   config.planner = SmallPlanner();
   config.stats_port = 0;  // Ephemeral.
+  // The repeated k = 5 queries below overlap fully, so the shared cache
+  // serves hits from the second one on.
+  config.enable_cache = true;
+  config.enable_profiler = true;
   QueryServer server(&avg, config, [&](size_t) {
     return std::make_unique<PlainStack>(&data, cost);
   });
@@ -336,26 +309,19 @@ TEST(ServerObsTest, ScrapeEndpointsServeLiveState) {
     EXPECT_EQ(response.get().outcome, ServeOutcome::kCompleted);
   }
 
-  // /metrics: the Prometheus mirror of what was just served, and basic
-  // exposition grammar (every sample line is "name{labels} value").
+  // /metrics: the Prometheus mirror of what was just served, in the
+  // exposition grammar: "# TYPE" lines, and one "name{labels} value"
+  // sample per other line.
   const std::string metrics = Body(HttpGet(port, "/metrics"));
   EXPECT_NE(metrics.find("nc_server_queries_total{outcome=\"completed\"} 6"),
             std::string::npos);
   EXPECT_NE(metrics.find("nc_server_service_us_count"), std::string::npos);
   EXPECT_NE(metrics.find("nc_accesses_total{algorithm=\"server\""),
             std::string::npos);
-  std::istringstream grammar(metrics);
-  std::string line;
-  while (std::getline(grammar, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# TYPE ", 0) == 0) continue;
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    ASSERT_GT(space, 0u) << line;
-    // The value parses as a number.
-    char* end = nullptr;
-    (void)std::strtod(line.c_str() + space + 1, &end);
-    ASSERT_EQ(*end, '\0') << line;
+  const std::set<std::string> families = ExpectExposition(metrics);
+  for (const char* family : {"nc_server_queries_total", "nc_server_service_us",
+                             "nc_accesses_total"}) {
+    EXPECT_TRUE(families.count(family)) << family;
   }
 
   // /varz: the JSON snapshot agrees with the server's own accessors.
@@ -377,6 +343,19 @@ TEST(ServerObsTest, ScrapeEndpointsServeLiveState) {
   EXPECT_NE(varz.find("\"worker\":1"), std::string::npos);
   // The direct accessor returns the same document shape.
   EXPECT_EQ(server.VarzJson().rfind("{", 0), 0u);
+  // The cache section shows the live shared state.
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::ParseJson(varz, &doc).ok()) << varz;
+  const obs::JsonValue* cache = doc.Find("cache");
+  ASSERT_NE(cache, nullptr);
+  bool cache_enabled = false;
+  EXPECT_TRUE(cache->GetBool("enabled", &cache_enabled) && cache_enabled);
+  for (const char* key : {"entries", "bytes", "hits", "hit_rate"}) {
+    double value = 0.0;
+    EXPECT_TRUE(cache->GetNumber(key, &value) && value > 0.0) << key;
+  }
+  const obs::JsonValue* streams = cache->Find("streams");
+  EXPECT_TRUE(streams != nullptr && !streams->array.empty());
 
   EXPECT_NE(HttpGet(port, "/nope").find("404"), std::string::npos);
 
@@ -861,16 +840,7 @@ TEST(ServerObsTest, ScrapesStayWellFormedDuringGracefulDrain) {
       const std::string body = Body(response);
       if (!body.empty()) {
         saw_metrics_mid_drain = true;
-        std::istringstream grammar(body);
-        std::string line;
-        while (std::getline(grammar, line)) {
-          if (line.empty() || line.rfind("# TYPE ", 0) == 0) continue;
-          const size_t space = line.rfind(' ');
-          ASSERT_NE(space, std::string::npos) << line;
-          char* end = nullptr;
-          (void)std::strtod(line.c_str() + space + 1, &end);
-          ASSERT_EQ(*end, '\0') << line;
-        }
+        ExpectExposition(body);
       }
     }
     if (TryHttpGet(port, "/varz", &response)) {

@@ -9,55 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <string>
+
+#include "loopback_http.h"
 
 namespace nc::server {
 namespace {
-
-// Sends `raw` to 127.0.0.1:port and returns the full response text.
-std::string RawRequest(uint16_t port, const std::string& raw) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  size_t sent = 0;
-  while (sent < raw.size()) {
-    const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buffer[2048];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string Get(uint16_t port, const std::string& path) {
-  return RawRequest(port, "GET " + path + " HTTP/1.0\r\n\r\n");
-}
-
-// The response body (after the blank line).
-std::string Body(const std::string& response) {
-  const size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? "" : response.substr(split + 4);
-}
 
 TEST(StatsServerTest, ServesRegisteredHandlersOnEphemeralPort) {
   StatsServer server;
@@ -77,7 +34,7 @@ TEST(StatsServerTest, ServesRegisteredHandlersOnEphemeralPort) {
   const uint16_t port = server.port();
   ASSERT_GT(port, 0);
 
-  const std::string hello = Get(port, "/hello");
+  const std::string hello = HttpGet(port, "/hello");
   EXPECT_NE(hello.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(hello.find("Content-Type: text/plain"), std::string::npos);
   EXPECT_NE(hello.find("Content-Length: 3"), std::string::npos);
@@ -85,8 +42,8 @@ TEST(StatsServerTest, ServesRegisteredHandlersOnEphemeralPort) {
   EXPECT_EQ(Body(hello), "hi\n");
 
   // Handlers run per request (fresh evaluation, not a cached body).
-  EXPECT_EQ(Body(Get(port, "/count")), "1\n");
-  EXPECT_EQ(Body(Get(port, "/count")), "2\n");
+  EXPECT_EQ(Body(HttpGet(port, "/count")), "1\n");
+  EXPECT_EQ(Body(HttpGet(port, "/count")), "2\n");
 
   server.Stop();
   EXPECT_FALSE(server.running());
@@ -100,7 +57,7 @@ TEST(StatsServerTest, QueryStringsAreStrippedForDispatch) {
     return response;
   });
   ASSERT_TRUE(server.Start(0).ok());
-  EXPECT_EQ(Body(Get(server.port(), "/metrics?format=prometheus")), "ok");
+  EXPECT_EQ(Body(HttpGet(server.port(), "/metrics?format=prometheus")), "ok");
   server.Stop();
 }
 
@@ -108,7 +65,7 @@ TEST(StatsServerTest, UnknownPathIs404) {
   StatsServer server;
   server.Handle("/known", [] { return HttpResponse{}; });
   ASSERT_TRUE(server.Start(0).ok());
-  const std::string response = Get(server.port(), "/unknown");
+  const std::string response = HttpGet(server.port(), "/unknown");
   EXPECT_NE(response.find("HTTP/1.0 404 Not Found"), std::string::npos);
   server.Stop();
 }
@@ -118,10 +75,10 @@ TEST(StatsServerTest, NonGetIs405AndGarbageIs400) {
   server.Handle("/metrics", [] { return HttpResponse{}; });
   ASSERT_TRUE(server.Start(0).ok());
   const uint16_t port = server.port();
-  EXPECT_NE(RawRequest(port, "POST /metrics HTTP/1.0\r\n\r\n")
+  EXPECT_NE(HttpRequest(port, "POST /metrics HTTP/1.0\r\n\r\n")
                 .find("HTTP/1.0 405"),
             std::string::npos);
-  EXPECT_NE(RawRequest(port, "garbage\r\n\r\n").find("HTTP/1.0 400"),
+  EXPECT_NE(HttpRequest(port, "garbage\r\n\r\n").find("HTTP/1.0 400"),
             std::string::npos);
   server.Stop();
 }
@@ -136,7 +93,7 @@ TEST(StatsServerTest, HandlerStatusAndContentTypePropagate) {
     return response;
   });
   ASSERT_TRUE(server.Start(0).ok());
-  const std::string response = Get(server.port(), "/varz");
+  const std::string response = HttpGet(server.port(), "/varz");
   EXPECT_NE(response.find("HTTP/1.0 503 Service Unavailable"),
             std::string::npos);
   EXPECT_NE(response.find("Content-Type: application/json"),
@@ -152,13 +109,13 @@ TEST(StatsServerTest, LifecycleIsIdempotentAndRestartable) {
   ASSERT_TRUE(server.Start(0).ok());
   EXPECT_EQ(server.Start(0).code(), StatusCode::kFailedPrecondition);
   const uint16_t first_port = server.port();
-  EXPECT_NE(Get(first_port, "/x").find("200 OK"), std::string::npos);
+  EXPECT_NE(HttpGet(first_port, "/x").find("200 OK"), std::string::npos);
   server.Stop();
   server.Stop();  // Idempotent.
 
   // Restart binds a fresh port and serves again.
   ASSERT_TRUE(server.Start(0).ok());
-  EXPECT_NE(Get(server.port(), "/x").find("200 OK"), std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "/x").find("200 OK"), std::string::npos);
   server.Stop();
 }
 

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -322,6 +323,70 @@ TEST(TelemetryHubTest, ServiceSeededRoutingDoesNotPerturbAnswers) {
   run(&hub, &with_hub);
   EXPECT_EQ(with_hub, without_hub);
   EXPECT_EQ(with_hub, BruteForceTopK(data, avg, 5));
+}
+
+// Hedging under a heavy tail (three replicas, 5% of requests straggle at
+// 20x): every fixed delay > 0 cuts the pooled p99 below primary-only,
+// every answer stays exact, and no fixed delay beats HedgePolicy::adaptive
+// on both p99 and Eq. 1 cost. Each point runs a warm-up query into the
+// hub, then the measured one across Reset(), as a session's second query.
+TEST(TelemetryHubTest, AdaptiveHedgeIsNotDominatedByAnyFixedDelay) {
+  GeneratorOptions g;
+  g.num_objects = 200;
+  g.num_predicates = 3;
+  g.seed = 2026;
+  const Dataset data = GenerateDataset(g);
+  AverageFunction avg(3);
+  const TopKResult expected = BruteForceTopK(data, avg, 10);
+  ReplicaEndpoint heavy_tail;
+  heavy_tail.latency.jitter = 0.3;
+  heavy_tail.latency.tail_probability = 0.05;
+  heavy_tail.latency.tail_multiplier = 20.0;
+
+  // The measured query's pooled p99 latency and Eq. 1 cost.
+  const auto run = [&](bool adaptive, double delay) {
+    ReplicaSetConfig config;
+    config.replicas = {heavy_tail, heavy_tail, heavy_tail};
+    config.hedge.adaptive = adaptive;
+    config.hedge.delay = delay;
+    ReplicaFleet fleet(97);
+    for (PredicateId i = 0; i < 3; ++i) {
+      EXPECT_TRUE(fleet.Configure(i, config).ok());
+    }
+    SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
+    EXPECT_TRUE(sources.set_replica_fleet(&fleet).ok());
+    TelemetryHub hub;
+    sources.set_telemetry_hub(&hub);
+    SRGPolicy policy(SRGConfig::Default(3));
+    EngineOptions options;
+    options.k = 10;
+    TopKResult result;
+    EXPECT_TRUE(RunNC(&sources, &avg, &policy, options, &result).ok());
+    sources.Reset();
+    EXPECT_TRUE(RunNC(&sources, &avg, &policy, options, &result).ok());
+    EXPECT_EQ(result, expected) << "adaptive " << adaptive << " delay "
+                                << delay;
+    std::vector<double> samples;
+    for (PredicateId i = 0; i < 3; ++i) {
+      const std::vector<double>& s = fleet.latency_samples(i);
+      samples.insert(samples.end(), s.begin(), s.end());
+    }
+    return std::make_pair(Percentile(samples, 0.99), sources.accrued_cost());
+  };
+
+  const double primary_only_p99 = run(false, 0.0).first;
+  const auto adaptive = run(true, 0.0);
+  EXPECT_LT(adaptive.first, primary_only_p99);
+  for (const double delay : {1.2, 1.5, 2.0, 4.0}) {
+    const auto fixed = run(false, delay);
+    EXPECT_LT(fixed.first, primary_only_p99) << "delay " << delay;
+    const bool dominates = fixed.first <= adaptive.first &&
+                           fixed.second <= adaptive.second && fixed != adaptive;
+    EXPECT_FALSE(dominates)
+        << "delay " << delay << ": (p99, cost) (" << fixed.first << ", "
+        << fixed.second << ") vs adaptive (" << adaptive.first << ", "
+        << adaptive.second << ")";
+  }
 }
 
 TEST(TelemetryHubTest, DisabledHubIsInert) {

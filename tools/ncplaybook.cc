@@ -6,7 +6,9 @@
 //       Generate N seeded chaos variants and run them under the invariant
 //       oracles. Exit 0 when every executed variant passes, 1 when any is
 //       flagged (the engineer packet names each one with its repro
-//       command), 2 on usage errors.
+//       command), 2 on usage errors. The --packet FILE a clean run
+//       writes is the --baseline FILE of the next: every variant's
+//       (cost, accesses) must then reproduce exactly.
 //   ncplaybook gen --seed S --count N [--only NAME]
 //       Print the generated variants as canonical "ncplay 1" documents.
 //   ncplaybook run --spec FILE [--baseline FILE] [--packet FILE]
@@ -142,24 +144,15 @@ bool WritePacket(const std::string& path, const PlaybookReport& report) {
   return out.good();
 }
 
-int ReportOutcome(const PlaybookReport& report, const CliOptions& options) {
-  std::cout << report.ToText();
-  if (!WritePacket(options.packet_path, report)) return 2;
-  return report.flagged == 0 ? 0 : 1;
-}
-
-int RunSoak(const CliOptions& options) {
-  const std::vector<ScenarioSpec> variants = GenerateVariants(options);
-  if (variants.empty()) {
-    std::cerr << "ncplaybook: no variants to run\n";
-    return 2;
-  }
+// Runs `variants` under the oracles, diffed against the packet an
+// earlier soak wrote when --baseline names one, and reports: exit 0 when
+// every executed variant passes, 1 when any is flagged, 2 when the
+// baseline cannot be read or the packet cannot be written.
+int RunVariants(const CliOptions& options, std::string repro_prefix,
+                const std::vector<ScenarioSpec>& variants) {
   RunnerOptions runner_options;
   runner_options.stop = options.stop;
-  runner_options.repro_prefix =
-      "ncplaybook soak --seed " + std::to_string(options.seed) +
-      " --count " + std::to_string(options.count) +
-      (options.engine_only ? " --engine-only" : "");
+  runner_options.repro_prefix = std::move(repro_prefix);
   if (!options.baseline_path.empty()) {
     std::ifstream in(options.baseline_path);
     if (!in) {
@@ -176,8 +169,24 @@ int RunSoak(const CliOptions& options) {
       return 2;
     }
   }
-  PlaybookRunner runner(std::move(runner_options));
-  return ReportOutcome(runner.Run(variants), options);
+  const PlaybookReport report =
+      PlaybookRunner(std::move(runner_options)).Run(variants);
+  std::cout << report.ToText();
+  if (!WritePacket(options.packet_path, report)) return 2;
+  return report.flagged == 0 ? 0 : 1;
+}
+
+int RunSoak(const CliOptions& options) {
+  const std::vector<ScenarioSpec> variants = GenerateVariants(options);
+  if (variants.empty()) {
+    std::cerr << "ncplaybook: no variants to run\n";
+    return 2;
+  }
+  return RunVariants(options,
+                     "ncplaybook soak --seed " + std::to_string(options.seed) +
+                         " --count " + std::to_string(options.count) +
+                         (options.engine_only ? " --engine-only" : ""),
+                     variants);
 }
 
 int RunGen(const CliOptions& options) {
@@ -201,21 +210,7 @@ int RunSpecFile(const CliOptions& options) {
     std::cerr << "ncplaybook: " << status.ToString() << "\n";
     return 2;
   }
-  RunnerOptions runner_options;
-  runner_options.stop = options.stop;
-  if (!options.baseline_path.empty()) {
-    std::ifstream baseline_in(options.baseline_path);
-    std::ostringstream baseline_buffer;
-    baseline_buffer << baseline_in.rdbuf();
-    const Status baseline_status =
-        LoadBaseline(baseline_buffer.str(), &runner_options.baseline);
-    if (!baseline_status.ok()) {
-      std::cerr << "ncplaybook: " << baseline_status.ToString() << "\n";
-      return 2;
-    }
-  }
-  PlaybookRunner runner(std::move(runner_options));
-  return ReportOutcome(runner.Run({spec}), options);
+  return RunVariants(options, /*repro_prefix=*/"", {spec});
 }
 
 int RunPrint(const CliOptions& options) {
