@@ -313,23 +313,7 @@ double TimeOnePlannedRunNs(const Dataset& data, const CostModel& cost,
 }
 
 bool SameAnswer(const TopKResult& a, const TopKResult& b) {
-  if (a.entries != b.entries) return false;
-  if (a.certificate.has_value() != b.certificate.has_value()) return false;
-  if (!a.certificate.has_value()) return true;
-  const AnytimeCertificate& ca = *a.certificate;
-  const AnytimeCertificate& cb = *b.certificate;
-  if (ca.reason != cb.reason || ca.epsilon != cb.epsilon ||
-      ca.excluded_ceiling != cb.excluded_ceiling ||
-      ca.intervals.size() != cb.intervals.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < ca.intervals.size(); ++i) {
-    if (ca.intervals[i].lower != cb.intervals[i].lower ||
-        ca.intervals[i].upper != cb.intervals[i].upper) {
-      return false;
-    }
-  }
-  return true;
+  return a == b && a.certificate == b.certificate;
 }
 
 void WriteProfilerReport() {

@@ -210,20 +210,8 @@ inline RunStats RunBaseline(const AlgorithmInfo& info, const Dataset& data,
   stats.cost = sources.accrued_cost();
   stats.sorted = sources.stats().TotalSorted();
   stats.random = sources.stats().TotalRandom();
-  if (info.exact_scores) {
-    stats.correct = result == BruteForceTopK(data, scoring, k);
-  } else {
-    // Set-only semantics: compare object sets.
-    const TopKResult oracle = BruteForceTopK(data, scoring, k);
-    stats.correct = result.entries.size() == oracle.entries.size();
-    for (const TopKEntry& e : result.entries) {
-      bool found = false;
-      for (const TopKEntry& o : oracle.entries) {
-        if (o.object == e.object) found = true;
-      }
-      stats.correct = stats.correct && found;
-    }
-  }
+  stats.correct =
+      CheckAnswer(data, scoring, k, result, info.exact_scores).empty();
   stats.report = obs::BuildRunReport(sources, nullptr, info.name, k);
   AddJsonRow(info.name, stats);
   if (ran != nullptr) *ran = true;

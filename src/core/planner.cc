@@ -10,6 +10,16 @@
 
 namespace nc {
 
+namespace {
+
+// The depth grid every search scheme walks, and HClimb's restart count
+// (Section 7.2). The optimizers take both as parameters for the search
+// scheme study in bench_search_schemes.
+constexpr double kGridStep = 0.1;
+constexpr size_t kHClimbRestarts = 4;
+
+}  // namespace
+
 const char* SearchSchemeName(SearchScheme scheme) {
   switch (scheme) {
     case SearchScheme::kNaive:
@@ -70,14 +80,14 @@ Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
   std::unique_ptr<DepthOptimizer> optimizer;
   switch (options_.scheme) {
     case SearchScheme::kNaive:
-      optimizer = std::make_unique<NaiveGridOptimizer>(options_.grid_step);
+      optimizer = std::make_unique<NaiveGridOptimizer>(kGridStep);
       break;
     case SearchScheme::kStrategies:
-      optimizer = std::make_unique<StrategiesOptimizer>(options_.grid_step);
+      optimizer = std::make_unique<StrategiesOptimizer>(kGridStep);
       break;
     case SearchScheme::kHClimb:
-      optimizer = std::make_unique<HClimbOptimizer>(
-          options_.hclimb_restarts, options_.grid_step, options_.seed);
+      optimizer = std::make_unique<HClimbOptimizer>(kHClimbRestarts,
+                                                    kGridStep, options_.seed);
       break;
   }
   // Depth search for one fixed schedule. After HClimb we always sweep the
@@ -91,7 +101,7 @@ Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
           OptimizerResult* result) -> Status {
     NC_RETURN_IF_ERROR(optimizer->Optimize(&estimator, probe_order, result));
     if (options_.scheme == SearchScheme::kHClimb) {
-      StrategiesOptimizer families(options_.grid_step);
+      StrategiesOptimizer families(kGridStep);
       OptimizerResult family_best;
       NC_RETURN_IF_ERROR(
           families.Optimize(&estimator, probe_order, &family_best));

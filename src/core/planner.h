@@ -42,9 +42,8 @@ struct PlannerOptions {
   // optimization overhead.
   size_t sample_replicas = 3;
   SampleMode sample_mode = SampleMode::kFromData;
+  // Searched on the 0.1 depth grid; HClimb restarts 4 times.
   SearchScheme scheme = SearchScheme::kHClimb;
-  double grid_step = 0.1;
-  size_t hclimb_restarts = 4;
   uint64_t seed = 7;
 
   // Section 7.2 approximates the joint (H, schedule) optimization in two

@@ -50,6 +50,9 @@ TerminationReason BudgetStopReason(const SourceSet& sources,
 struct ScoreInterval {
   Score lower = kMinScore;
   Score upper = kMaxScore;
+
+  friend bool operator==(const ScoreInterval&,
+                         const ScoreInterval&) = default;
 };
 
 // Precision guarantee attached to an early-terminated answer, in the
@@ -72,6 +75,11 @@ struct AnytimeCertificate {
   std::vector<ScoreInterval> intervals;
 
   std::string ToString() const;
+
+  // Exact, field by field: two runs that certify the same answer carry
+  // equal certificates, with no tolerance on any bound.
+  friend bool operator==(const AnytimeCertificate&,
+                         const AnytimeCertificate&) = default;
 };
 
 // The answer to a top-k query: entries ranked by descending score, ties by
@@ -86,7 +94,8 @@ struct TopKResult {
   std::string ToString() const;
 
   // Equality is over the ranked entries only: two runs that reach the
-  // same answer compare equal even if one terminated early.
+  // same answer compare equal even if one terminated early. Compare the
+  // certificates too (a.certificate == b.certificate) for the whole answer.
   friend bool operator==(const TopKResult& a, const TopKResult& b) {
     return a.entries == b.entries;
   }

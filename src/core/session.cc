@@ -57,9 +57,8 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
   NC_CHECK(sources != nullptr);
   NC_CHECK(out != nullptr);
   // A query counts as failed until it answers, so an error return never
-  // reports the previous query's outcome, exactness or audit.
+  // reports the previous query's outcome or audit.
   last_query_outcome_ = QueryOutcome::kError;
-  last_query_exact_ = false;
   last_cost_audit_ = obs::CostAudit{};
   // The session's hub outlives every per-query SourceSet rewind: attach
   // it before planning so a replica fleet starts warm (breakers, deaths,
@@ -100,15 +99,6 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
   NCEngine engine(sources, scoring_, &policy, engine_options);
   engine_ptr = &engine;
   const Status status = engine.Run(out);
-  last_query_exact_ = status.ok() && engine.last_run_exact();
-
-  // Accesses were spent (and may have failed) even when the query errors
-  // out, so the recovery telemetry is credited unconditionally.
-  const AccessStats& stats = sources->stats();
-  retried_attempts_ += stats.TotalRetried();
-  failed_accesses_ += stats.transient_failures + stats.timeout_failures +
-                      stats.abandoned_accesses;
-  source_deaths_ += stats.source_deaths;
 
   // The cost audit: the plan's full-scale Eq. 1 prediction against the
   // metered actuals of the run just finished (before any caller Reset).
@@ -142,7 +132,6 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
       case TerminationReason::kDeadline:
       case TerminationReason::kQuota:
         last_query_outcome_ = QueryOutcome::kBudgetExhausted;
-        ++budget_exhausted_queries_;
         break;
       case TerminationReason::kTheta:
         last_query_outcome_ = QueryOutcome::kApproximate;

@@ -118,27 +118,8 @@ class QuerySession {
   // before the first one or when the run errored out pre-execution).
   const obs::CostAudit& last_cost_audit() const { return last_cost_audit_; }
 
-  // Fault-recovery telemetry accumulated across completed queries (the
-  // caller rewinds the sources between queries, so each query's access
-  // stats are credited once). Retries are attempts repeated after a
-  // transient failure or timeout; failed_accesses counts those failures;
-  // source_deaths counts permanent losses.
-  size_t retried_attempts() const { return retried_attempts_; }
-  size_t failed_accesses() const { return failed_accesses_; }
-  size_t source_deaths() const { return source_deaths_; }
-
-  // False when the most recent Query failed or returned an approximate
-  // answer (best-effort, degraded, or theta-approximate).
-  bool last_query_exact() const { return last_query_exact_; }
-
   // Disposition of the most recent Query; kNone before the first one.
   QueryOutcome last_query_outcome() const { return last_query_outcome_; }
-
-  // Queries that ended early because a budget, deadline, or per-predicate
-  // quota barred further accesses (answered with a certificate).
-  size_t budget_exhausted_queries() const {
-    return budget_exhausted_queries_;
-  }
 
  private:
   static std::string PlanKey(const CostModel& model, size_t k);
@@ -156,11 +137,6 @@ class QuerySession {
   obs::CostAudit last_cost_audit_;
   size_t plans_computed_ = 0;
   size_t cache_hits_ = 0;
-  size_t retried_attempts_ = 0;
-  size_t failed_accesses_ = 0;
-  size_t source_deaths_ = 0;
-  size_t budget_exhausted_queries_ = 0;
-  bool last_query_exact_ = true;
   QueryOutcome last_query_outcome_ = QueryOutcome::kNone;
 };
 

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "access/source.h"
@@ -32,15 +33,6 @@ namespace nc::playbook {
 namespace {
 
 constexpr const char* kMetricsAlgorithm = "playbook";
-
-Score TrueScore(const Dataset& data, const ScoringFunction& scoring,
-                ObjectId u) {
-  std::vector<Score> row(data.num_predicates());
-  for (PredicateId i = 0; i < data.num_predicates(); ++i) {
-    row[i] = data.score(u, i);
-  }
-  return scoring.Evaluate(row);
-}
 
 // One scenario's fully configured source stack, engine and server mode
 // alike: the injector / fleet / hub a SourceSet needs, owned in
@@ -118,6 +110,19 @@ double FleetLatencyFactor(const ScenarioSpec& spec) {
   return factor;
 }
 
+// A baseline entry's spec_hash: 64-bit FNV-1a of the spec's canonical
+// "ncplay 1" text.
+std::string SpecHash(const ScenarioSpec& spec) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : spec.Serialize()) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
+}
+
 void AddViolation(VariantVerdict* verdict, Oracle oracle,
                   std::string detail) {
   verdict->violations.push_back(Violation{oracle, std::move(detail)});
@@ -125,87 +130,24 @@ void AddViolation(VariantVerdict* verdict, Oracle oracle,
 
 // --- The oracles ------------------------------------------------------
 
-// Fault-free + unlimited budget: the answer IS the brute-force answer.
-// Scores compare exactly (both sides evaluate F on the same rows);
-// object identity is left to the score comparison because equal-score
-// ties may legitimately rank either way.
-void CheckDifferential(const Dataset& data, const ScoringFunction& scoring,
-                       const ScenarioSpec& spec, const TopKResult& result,
-                       bool exact, VariantVerdict* verdict) {
-  if (!spec.fault_free() || !spec.budget.unlimited()) return;
-  if (!exact) {
+// The answer is true to the data (CheckAnswer): an uncertified answer is
+// THE top-k whatever the faults and budget were, so a broken promise is
+// kDifferential; a certified one keeps its certificate's promises, else
+// kCertificate. A fault-free unlimited run must also reach that exact
+// answer rather than certify a partial one.
+void CheckTruth(const Dataset& data, const ScoringFunction& scoring,
+                const ScenarioSpec& spec, const TopKResult& result,
+                bool exact, VariantVerdict* verdict) {
+  if (spec.fault_free() && spec.budget.unlimited() && !exact) {
     AddViolation(verdict, Oracle::kDifferential,
                  "fault-free unlimited run not reported exact");
-    return;
   }
-  const TopKResult oracle = BruteForceTopK(data, scoring, spec.k);
-  if (result.entries.size() != oracle.entries.size()) {
-    AddViolation(verdict, Oracle::kDifferential,
-                 "result size " + std::to_string(result.entries.size()) +
-                     " != oracle size " +
-                     std::to_string(oracle.entries.size()));
-    return;
-  }
-  for (size_t r = 0; r < result.entries.size(); ++r) {
-    if (result.entries[r].score != oracle.entries[r].score) {
-      AddViolation(verdict, Oracle::kDifferential,
-                   "rank " + std::to_string(r) + " score " +
-                       FormatDouble(result.entries[r].score) +
-                       " != oracle " +
-                       FormatDouble(oracle.entries[r].score));
-    }
-  }
-}
-
-// A certificate's promises hold against ground truth: intervals contain
-// the true scores, the excluded ceiling dominates every non-returned
-// object, and epsilon bounds the rank error.
-void CheckCertificate(const Dataset& data, const ScoringFunction& scoring,
-                      const TopKResult& result, double tol,
-                      VariantVerdict* verdict) {
-  if (!result.certificate.has_value()) return;
-  const AnytimeCertificate& cert = *result.certificate;
-  if (cert.intervals.size() != result.entries.size()) {
-    AddViolation(verdict, Oracle::kCertificate,
-                 std::to_string(cert.intervals.size()) +
-                     " intervals for " +
-                     std::to_string(result.entries.size()) + " entries");
-    return;
-  }
-  std::unordered_set<ObjectId> returned;
-  Score min_true_returned = kMaxScore;
-  for (size_t r = 0; r < result.entries.size(); ++r) {
-    const ObjectId u = result.entries[r].object;
-    const Score truth = TrueScore(data, scoring, u);
-    if (!(cert.intervals[r].lower <= truth + tol) ||
-        !(cert.intervals[r].upper + tol >= truth)) {
-      AddViolation(verdict, Oracle::kCertificate,
-                   "object " + std::to_string(u) + " truth " +
-                       FormatDouble(truth) + " outside interval [" +
-                       FormatDouble(cert.intervals[r].lower) + ", " +
-                       FormatDouble(cert.intervals[r].upper) + "]");
-    }
-    min_true_returned = std::min(min_true_returned, truth);
-    returned.insert(u);
-  }
-  for (ObjectId u = 0; u < data.num_objects(); ++u) {
-    if (returned.count(u) != 0) continue;
-    const Score truth = TrueScore(data, scoring, u);
-    if (!(truth <= cert.excluded_ceiling + tol)) {
-      AddViolation(verdict, Oracle::kCertificate,
-                   "excluded object " + std::to_string(u) + " truth " +
-                       FormatDouble(truth) + " above ceiling " +
-                       FormatDouble(cert.excluded_ceiling));
-    }
-    if (!result.entries.empty() && std::isfinite(cert.epsilon) &&
-        !(truth <= (1.0 + cert.epsilon) * min_true_returned + tol)) {
-      AddViolation(verdict, Oracle::kCertificate,
-                   "excluded object " + std::to_string(u) +
-                       " breaks the epsilon bound: truth " +
-                       FormatDouble(truth) + " vs (1+" +
-                       FormatDouble(cert.epsilon) + ")*" +
-                       FormatDouble(min_true_returned));
-    }
+  std::string broken = CheckAnswer(data, scoring, spec.k, result);
+  if (!broken.empty()) {
+    AddViolation(verdict,
+                 result.certificate.has_value() ? Oracle::kCertificate
+                                                : Oracle::kDifferential,
+                 std::move(broken));
   }
 }
 
@@ -415,26 +357,11 @@ VariantVerdict PlaybookRunner::RunEngineVariant(
         AddViolation(&verdict, Oracle::kResume,
                      "resume failed: " + resume_status.ToString());
       } else {
-        if (resumed.entries.size() != result.entries.size()) {
+        if (!(resumed == result) ||
+            resumed.certificate != result.certificate) {
           AddViolation(&verdict, Oracle::kResume,
-                       "resumed size " +
-                           std::to_string(resumed.entries.size()) +
-                           " != original " +
-                           std::to_string(result.entries.size()));
-        } else {
-          for (size_t r = 0; r < resumed.entries.size(); ++r) {
-            if (resumed.entries[r].object != result.entries[r].object ||
-                resumed.entries[r].score != result.entries[r].score) {
-              AddViolation(&verdict, Oracle::kResume,
-                           "rank " + std::to_string(r) +
-                               " diverged after resume");
-            }
-          }
-        }
-        if (resumed.certificate.has_value() !=
-            result.certificate.has_value()) {
-          AddViolation(&verdict, Oracle::kResume,
-                       "certificate presence diverged after resume");
+                       "answer or certificate diverged after resume: " + resumed.ToString() +
+                           " != " + result.ToString());
         }
         if (resume_stack.sources.accrued_cost() !=
             stack.sources.accrued_cost()) {
@@ -465,8 +392,7 @@ VariantVerdict PlaybookRunner::RunEngineVariant(
 
   if (options_.tamper) options_.tamper(spec, &result);
 
-  CheckDifferential(data, *scoring, spec, result, verdict.exact, &verdict);
-  CheckCertificate(data, *scoring, result, options_.tolerance, &verdict);
+  CheckTruth(data, *scoring, spec, result, verdict.exact, &verdict);
   CheckBilling(stack.sources, options_.tolerance, &verdict);
   CheckBudget(spec, cost, verdict.accrued_cost, verdict.elapsed_time,
               &stack.sources.stats(), options_.tolerance, &verdict);
@@ -527,10 +453,7 @@ VariantVerdict PlaybookRunner::RunServerVariant(
 
   if (options_.tamper) options_.tamper(spec, &response.result);
 
-  CheckDifferential(data, *scoring, spec, response.result, verdict.exact,
-                    &verdict);
-  CheckCertificate(data, *scoring, response.result, options_.tolerance,
-                   &verdict);
+  CheckTruth(data, *scoring, spec, response.result, verdict.exact, &verdict);
   // Eq. 1 conservation through the server's registry: the query's
   // recorded per-series costs must sum back to what the response billed.
   const double metric_cost = server.metrics().CounterSum(
@@ -561,7 +484,8 @@ VariantVerdict PlaybookRunner::RunOne(const ScenarioSpec& spec) const {
   }
   if (verdict.executed && !options_.baseline.empty()) {
     const auto it = options_.baseline.find(spec.name);
-    if (it != options_.baseline.end()) {
+    if (it != options_.baseline.end() &&
+        it->second.spec_hash == SpecHash(spec)) {
       const BaselineEntry& expected = it->second;
       if (!NearlyEqual(verdict.accrued_cost, expected.cost,
                        options_.tolerance) ||
@@ -718,6 +642,7 @@ std::string PlaybookReport::ToJson() const {
     json.Key(verdict.spec.name).BeginObject();
     json.Key("cost").Number(verdict.accrued_cost);
     json.Key("accesses").UInt(verdict.accesses);
+    json.Key("spec_hash").String(SpecHash(verdict.spec));
     json.EndObject();
   }
   json.EndObject();
@@ -744,13 +669,16 @@ Status LoadBaseline(const std::string& json,
                                      name + "\"");
     }
     BaselineEntry entry;
-    bool saw_cost = false, saw_accesses = false;
+    bool saw_cost = false, saw_accesses = false, saw_hash = false;
     for (const auto& [field, value] : fields.object) {
-      if (!value.is_number()) {
+      if (field == "spec_hash" ? !value.is_string() : !value.is_number()) {
         return Status::InvalidArgument("malformed baseline field for \"" +
                                        name + "\"");
       }
-      if (field == "cost") {
+      if (field == "spec_hash") {
+        entry.spec_hash = value.string;
+        saw_hash = true;
+      } else if (field == "cost") {
         entry.cost = value.number;
         saw_cost = true;
       } else if (field == "accesses") {
@@ -767,13 +695,25 @@ Status LoadBaseline(const std::string& json,
                                        "\"");
       }
     }
-    if (!saw_cost || !saw_accesses) {
+    if (!saw_cost || !saw_accesses || !saw_hash) {
       return Status::InvalidArgument("baseline entry \"" + name +
-                                     "\" missing cost or accesses");
+                                     "\" missing cost, accesses or spec_hash");
     }
     baseline[name] = entry;
   }
   *out = std::move(baseline);
+  return Status::OK();
+}
+
+Status MatchBaseline(const std::map<std::string, BaselineEntry>& baseline,
+                     const std::vector<ScenarioSpec>& variants) {
+  for (const ScenarioSpec& spec : variants) {
+    const auto it = baseline.find(spec.name);
+    if (it != baseline.end() && it->second.spec_hash != SpecHash(spec)) {
+      return Status::FailedPrecondition(
+          "baseline entry \"" + spec.name + "\" was recorded for another spec");
+    }
+  }
   return Status::OK();
 }
 

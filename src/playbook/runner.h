@@ -6,13 +6,16 @@
 // the invariant oracles, every one of which is a promise the rest of the
 // codebase already makes:
 //
-//   kDifferential - fault-free, unlimited-budget variants must answer
-//       bit-identically to BruteForceTopK (instance-optimality's floor:
-//       whatever the cost model, faults aside, the answer is THE answer).
-//   kCertificate  - a returned AnytimeCertificate must hold against
-//       ground truth: intervals contain true scores, the excluded
-//       ceiling dominates every non-returned object, epsilon bounds the
-//       rank error in the (1 + eps) * score(y) >= score(z) sense.
+//   kDifferential - every answer without a certificate, whatever its
+//       faults, budget or server, is THE top-k: its ranked scores and
+//       every reported score bit-equal to BruteForceTopK's (CheckAnswer,
+//       core/reference.h). A fault-free, unlimited-budget variant must
+//       also reach that exact answer.
+//   kCertificate  - a returned AnytimeCertificate keeps CheckAnswer's
+//       promises against ground truth: intervals contain true scores, the
+//       excluded ceiling dominates every non-returned object, epsilon
+//       bounds the rank error in the (1 + eps) * score(y) >= score(z)
+//       sense.
 //   kBilling      - Eq. 1 conservation: the per-predicate AccessStats
 //       cost cells sum to accrued_cost(), and RecordRunMetrics
 //       re-aggregates to the same totals in a MetricsRegistry.
@@ -21,15 +24,17 @@
 //       included), and never exceeds a predicate quota.
 //   kResume       - a variant killed at kill_at_access must, when its
 //       checkpoint is resumed on a freshly configured stack, replay to
-//       the bit-identical answer, cost, elapsed time, access count, and
-//       attempt trace.
+//       the bit-identical answer and certificate, cost, elapsed time,
+//       access count, and attempt trace.
 //
 // Runs stop early on the configured StopConditions (wall-clock cap,
 // max flagged variants, stop-on-first-anomaly). The PlaybookReport is
 // the "engineer packet": for every flagged variant it records the exact
 // repro command line, the violated oracles, the anomaly diff against a
 // recorded baseline, and the full serialized spec - enough to reproduce
-// without the generator. Its JSON form is also the next run's baseline.
+// without the generator. Its JSON form is also the next run's baseline,
+// each entry keyed by variant name and stamped with a hash of the spec
+// it was recorded for.
 
 #ifndef NC_PLAYBOOK_RUNNER_H_
 #define NC_PLAYBOOK_RUNNER_H_
@@ -84,7 +89,7 @@ struct VariantVerdict {
   Status run_status;
   std::vector<Violation> violations;
   // Non-empty when the observed (cost, accesses) diverged from the
-  // recorded baseline for this scenario name.
+  // baseline recorded for this scenario name and spec.
   std::string anomaly;
 
   // Observed outcome (valid when executed and run_status.ok()).
@@ -114,21 +119,26 @@ struct StopConditions {
 
 // Recorded expectation for one scenario name (from a packet's baseline).
 // Runs are deterministic on the simulated cost clock, so cost and access
-// counts must reproduce exactly.
+// counts must reproduce exactly - for the same spec: a variant is only
+// compared with an entry whose spec_hash is its own.
 struct BaselineEntry {
   double cost = 0.0;
   size_t accesses = 0;
+  // 64-bit FNV-1a of the recorded spec's Serialize() text, in 16 hex
+  // digits.
+  std::string spec_hash;
 };
 
 struct RunnerOptions {
   StopConditions stop;
-  // Floating-point slack for the certificate / billing / budget oracles
-  // (never for the bit-identity ones).
+  // Floating-point slack for the billing / budget / baseline oracles.
+  // The answer oracles do not use it (CheckAnswer).
   double tolerance = 1e-9;
   // Echoed into each flagged variant's repro line as
   // "<repro_prefix> --only <variant-name>". Leave empty to omit.
   std::string repro_prefix;
-  // Per-scenario-name expectations to diff against (anomaly oracle).
+  // Per-scenario-name expectations to diff against (anomaly oracle);
+  // entries recorded for another spec are not compared.
   std::map<std::string, BaselineEntry> baseline;
   // TEST HOOK: invoked on every executed result before the oracles run.
   // Tests corrupt the result here (e.g. widen a certificate interval) to
@@ -159,7 +169,8 @@ struct PlaybookReport {
   std::string ToText() const;
   // Machine packet (obs::JsonWriter): summary + flagged variants, each
   // with its repro command and full serialized spec, + the "baseline"
-  // map of every executed, unflagged variant's (cost, accesses).
+  // map of every executed, unflagged variant's (cost, accesses,
+  // spec_hash).
   std::string ToJson() const;
 };
 
@@ -184,12 +195,19 @@ class PlaybookRunner {
 };
 
 // Extracts the top-level {"baseline": {"<name>": {"cost": c, "accesses":
-// a}}} member of a PlaybookReport::ToJson packet (parsed by
-// obs::ParseJson). InvalidArgument when the document is not one valid
-// JSON document or its baseline object is malformed: a missing field, an
-// unknown one, or an access count that is not a non-negative integer.
+// a, "spec_hash": "h"}}} member of a PlaybookReport::ToJson packet
+// (parsed by obs::ParseJson). InvalidArgument when the document is not
+// one valid JSON document or its baseline object is malformed: a missing
+// field, an unknown one, or an access count that is not a non-negative
+// integer.
 Status LoadBaseline(const std::string& json,
                     std::map<std::string, BaselineEntry>* out);
+
+// FailedPrecondition naming the first of `variants` whose name has an
+// entry in `baseline` recorded for another spec - a packet from another
+// soak, whose entries would be diffed against unrelated variants.
+Status MatchBaseline(const std::map<std::string, BaselineEntry>& baseline,
+                     const std::vector<ScenarioSpec>& variants);
 
 }  // namespace nc::playbook
 

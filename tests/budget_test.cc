@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "access/budget.h"
@@ -31,47 +31,6 @@ Dataset MakeData(uint64_t seed, size_t n = 160, size_t m = 3) {
   g.num_predicates = m;
   g.seed = seed;
   return GenerateDataset(g);
-}
-
-Score TrueScore(const Dataset& data, const ScoringFunction& scoring,
-                ObjectId u) {
-  std::vector<Score> row(data.num_predicates());
-  for (PredicateId i = 0; i < data.num_predicates(); ++i) {
-    row[i] = data.score(u, i);
-  }
-  return scoring.Evaluate(row);
-}
-
-// The certificate's promises, checked against ground truth the run never
-// saw: every interval contains its object's true score, the excluded
-// ceiling dominates every non-returned object, and (1 + epsilon) *
-// score(y) >= score(z) for every returned y and excluded z.
-void CheckCertificate(const Dataset& data, const ScoringFunction& scoring,
-                      const TopKResult& result) {
-  ASSERT_TRUE(result.certificate.has_value());
-  const AnytimeCertificate& cert = *result.certificate;
-  ASSERT_EQ(cert.intervals.size(), result.entries.size());
-
-  std::unordered_set<ObjectId> returned;
-  Score min_true_returned = kMaxScore;
-  for (size_t r = 0; r < result.entries.size(); ++r) {
-    const ObjectId u = result.entries[r].object;
-    const Score truth = TrueScore(data, scoring, u);
-    EXPECT_LE(cert.intervals[r].lower, truth + kTol) << "object " << u;
-    EXPECT_GE(cert.intervals[r].upper + kTol, truth) << "object " << u;
-    min_true_returned = std::min(min_true_returned, truth);
-    returned.insert(u);
-  }
-
-  for (ObjectId u = 0; u < data.num_objects(); ++u) {
-    if (returned.count(u) != 0) continue;
-    const Score truth = TrueScore(data, scoring, u);
-    EXPECT_LE(truth, cert.excluded_ceiling + kTol) << "excluded " << u;
-    if (!result.entries.empty() && std::isfinite(cert.epsilon)) {
-      EXPECT_LE(truth, (1.0 + cert.epsilon) * min_true_returned + kTol)
-          << "excluded " << u;
-    }
-  }
 }
 
 TEST(QueryBudgetTest, ValidateRejectsMalformedBudgets) {
@@ -131,8 +90,9 @@ TEST(QueryBudgetTest, CostCapHoldsForEveryBaseline) {
         } else {
           EXPECT_GE(sources.stats().budget_refusals, 1u) << info.name;
         }
-        CheckCertificate(data, avg, result);
       }
+      EXPECT_EQ(CheckAnswer(data, avg, 5, result, info.exact_scores), "")
+          << info.name << " cap " << cap;
       if (cap == 5.0) {
         // k = 5 cannot settle within 5 unit accesses for any of them.
         EXPECT_TRUE(result.certificate.has_value()) << info.name;
@@ -144,7 +104,6 @@ TEST(QueryBudgetTest, CostCapHoldsForEveryBaseline) {
 TEST(QueryBudgetTest, CostCapHoldsForNCEngine) {
   const Dataset data = MakeData(22);
   AverageFunction avg(3);
-  const TopKResult oracle = BruteForceTopK(data, avg, 5);
   for (const double cap : {4.0, 30.0, 1e6}) {
     SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
     QueryBudget budget;
@@ -160,15 +119,11 @@ TEST(QueryBudgetTest, CostCapHoldsForNCEngine) {
     if (engine.last_run_truncated()) {
       ASSERT_TRUE(result.certificate.has_value());
       EXPECT_EQ(result.certificate->reason, TerminationReason::kCostBudget);
-      CheckCertificate(data, avg, result);
     } else {
       // Cap never reached: the exact answer, no certificate.
       EXPECT_FALSE(result.certificate.has_value());
-      ASSERT_EQ(result.entries.size(), oracle.entries.size());
-      for (size_t r = 0; r < result.entries.size(); ++r) {
-        EXPECT_DOUBLE_EQ(result.entries[r].score, oracle.entries[r].score);
-      }
     }
+    EXPECT_EQ(CheckAnswer(data, avg, 5, result), "") << "cap " << cap;
   }
   // cap = 4 cannot have completed a top-5 over 160 objects.
   SourceSet tight(&data, CostModel::Uniform(3, 1.0, 1.0));
@@ -203,7 +158,7 @@ TEST(QueryBudgetTest, DeadlineTruncatesWithCertificate) {
   EXPECT_LE(sources.elapsed_time(), budget.deadline + 1.0 + kTol);
   ASSERT_TRUE(result.certificate.has_value());
   EXPECT_EQ(result.certificate->reason, TerminationReason::kDeadline);
-  CheckCertificate(data, avg, result);
+  EXPECT_EQ(CheckAnswer(data, avg, 4, result), "");
 }
 
 // Per-predicate quotas: the NC engine steers around a quota-spent
@@ -228,8 +183,8 @@ TEST(QueryBudgetTest, QuotaIsNeverOvershot) {
     EXPECT_LE(stats.sorted_count[0] + stats.random_count[0], quota[0]);
     if (result.certificate.has_value()) {
       EXPECT_EQ(result.certificate->reason, TerminationReason::kQuota);
-      CheckCertificate(data, avg, result);
     }
+    EXPECT_EQ(CheckAnswer(data, avg, 3, result), "");
   }
   // The rigid published loops settle the run with a kQuota certificate at
   // the first barred access; MPro and Upper steer around the spent
@@ -248,8 +203,9 @@ TEST(QueryBudgetTest, QuotaIsNeverOvershot) {
     if (result.certificate.has_value()) {
       EXPECT_EQ(result.certificate->reason, TerminationReason::kQuota)
           << info.name;
-      CheckCertificate(data, avg, result);
     }
+    EXPECT_EQ(CheckAnswer(data, avg, 5, result, info.exact_scores), "")
+        << info.name;
   }
 }
 
@@ -273,8 +229,8 @@ TEST(QueryBudgetTest, CostCapHoldsForParallelExecutor) {
       EXPECT_FALSE(result.exact);
       EXPECT_EQ(result.topk.certificate->reason,
                 TerminationReason::kCostBudget);
-      CheckCertificate(data, avg, result.topk);
     }
+    EXPECT_EQ(CheckAnswer(data, avg, 5, result.topk), "") << "cap " << cap;
   }
   // cap = 8 cannot settle a top-5; the run must have truncated.
   SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
@@ -319,6 +275,89 @@ TEST(QueryBudgetTest, GenerousBudgetChangesNothing) {
   EXPECT_FALSE(budgeted.certificate.has_value());
   EXPECT_EQ(budgeted.entries, unbudgeted.entries);
   EXPECT_DOUBLE_EQ(sources.accrued_cost(), unbudgeted_cost);
+}
+
+// The oracle every check above stands on (CheckAnswer): the brute-force
+// answer, a lower-bounding set-only answer and sound certificates keep
+// every promise, and each broken promise is reported.
+TEST(CheckAnswerTest, ReportsEveryBrokenPromise) {
+  const Dataset data = MakeData(27, 40, 2);
+  AverageFunction avg(2);
+  constexpr size_t kK = 4;
+  const TopKResult exact = BruteForceTopK(data, avg, kK);
+  const std::vector<TopKEntry> best =
+      BruteForceTopK(data, avg, kK + 2).entries;
+  const auto edited = [](TopKResult answer, const auto& edit) {
+    edit(&answer);
+    return answer;
+  };
+  // The exact answer certified by degenerate intervals, with the
+  // (k+1)-th score as its ceiling.
+  TopKResult certified = exact;
+  certified.certificate = AnytimeCertificate{
+      TerminationReason::kCostBudget, 0.0, best[kK].score, {}};
+  for (const TopKEntry& e : exact.entries) {
+    certified.certificate->intervals.push_back({e.score, e.score});
+  }
+  // The (k+1)-th object in place of the k-th: sound only because epsilon
+  // covers the excluded k-th.
+  const TopKResult swapped = edited(certified, [&](TopKResult* a) {
+    a->entries.back() = best[kK];
+    a->certificate->intervals.back() = {best[kK].score, best[kK].score};
+    a->certificate->excluded_ceiling = best[kK - 1].score;
+    a->certificate->epsilon = best[kK - 1].score / best[kK].score - 1.0;
+  });
+  for (const TopKResult& sound : {exact, certified, swapped}) {
+    EXPECT_EQ(CheckAnswer(data, avg, kK, sound), "") << sound.ToString();
+  }
+  const TopKResult lower_bounds = edited(exact, [](TopKResult* a) {
+    for (TopKEntry& e : a->entries) e.score /= 2.0;
+  });
+  EXPECT_EQ(CheckAnswer(data, avg, kK, lower_bounds, /*exact_scores=*/false),
+            "");
+
+  const struct {
+    const char* promise;
+    TopKResult answer;
+    bool exact_scores;
+  } broken[] = {
+      {"a wrong score",
+       edited(exact, [](TopKResult* a) { a->entries[1].score += 0.25; }),
+       true},
+      {"two ranks swapped",
+       edited(exact,
+              [](TopKResult* a) { std::swap(a->entries[0], a->entries[1]); }),
+       true},
+      {"an object outside the top-k",
+       edited(exact, [&](TopKResult* a) { a->entries.back() = best[kK]; }),
+       true},
+      {"an interval that misses the true score",
+       edited(certified,
+              [](TopKResult* a) {
+                a->certificate->intervals[2].lower += 0.125;
+                a->certificate->intervals[2].upper += 0.125;
+              }),
+       true},
+      {"a ceiling below an excluded object",
+       edited(certified,
+              [&](TopKResult* a) {
+                a->certificate->excluded_ceiling = best[kK + 1].score;
+              }),
+       true},
+      {"an epsilon too small",
+       edited(swapped, [](TopKResult* a) { a->certificate->epsilon = 0.0; }),
+       true},
+      {"a set-only answer with an outsider",
+       edited(lower_bounds,
+              [&](TopKResult* a) {
+                a->entries.back() = TopKEntry{best[kK].object, 0.0};
+              }),
+       false},
+  };
+  for (const auto& c : broken) {
+    EXPECT_NE(CheckAnswer(data, avg, kK, c.answer, c.exact_scores), "")
+        << c.promise;
+  }
 }
 
 }  // namespace

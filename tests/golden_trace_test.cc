@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,7 +212,7 @@ std::string ReplayMatrix() {
 // engine and the parallel executor under a cost cap, a deadline and a
 // per-predicate quota. Each budget is sized from the same run unbudgeted,
 // over n = 150 objects and 3 predicates with unequal unit costs. Every
-// answer is checked against the data (ExpectTruthful).
+// answer is checked against the data (CheckAnswer).
 
 Dataset StopsCorpus() {
   GeneratorOptions g;
@@ -236,48 +235,6 @@ void AppendParallel(const ParallelResult& result, std::string* out) {
   *out += "makespan " + FormatHexDouble(result.elapsed_time) + " issued " +
           std::to_string(result.accesses_issued) + " wasted " +
           std::to_string(result.wasted_accesses) + "\n";
-}
-
-// The answer is true to the data. A certificate's intervals contain the
-// true scores and its excluded ceiling bounds every object not returned;
-// an answer without one is the brute-force top-k (its object set, for a
-// set-only algorithm, whose scores are lower bounds).
-void ExpectTruthful(const Dataset& data, const ScoringFunction& scoring,
-                    size_t k, bool exact_scores, const TopKResult& result,
-                    const std::string& label) {
-  if (!result.certificate.has_value()) {
-    const TopKResult expected = BruteForceTopK(data, scoring, k);
-    if (exact_scores) {
-      EXPECT_EQ(result, expected) << label;
-      return;
-    }
-    std::set<ObjectId> got;
-    std::set<ObjectId> want;
-    for (const TopKEntry& e : result.entries) got.insert(e.object);
-    for (const TopKEntry& e : expected.entries) want.insert(e.object);
-    EXPECT_EQ(got, want) << label;
-    return;
-  }
-  const AnytimeCertificate& cert = *result.certificate;
-  ASSERT_EQ(cert.intervals.size(), result.entries.size()) << label;
-  const size_t n = data.num_objects();
-  std::vector<Score> row(data.num_predicates());
-  const auto truth = [&](ObjectId u) {
-    for (PredicateId i = 0; i < row.size(); ++i) row[i] = data.score(u, i);
-    return scoring.Evaluate(row);
-  };
-  std::vector<bool> returned(n, false);
-  for (size_t j = 0; j < result.entries.size(); ++j) {
-    const ObjectId u = result.entries[j].object;
-    returned[u] = true;
-    EXPECT_LE(cert.intervals[j].lower, truth(u)) << label << " u" << u;
-    EXPECT_GE(cert.intervals[j].upper, truth(u)) << label << " u" << u;
-  }
-  for (ObjectId u = 0; u < n; ++u) {
-    if (!returned[u]) {
-      EXPECT_LE(truth(u), cert.excluded_ceiling) << label << " u" << u;
-    }
-  }
 }
 
 // The budgets, sized from an unbudgeted run: half its cost as a cap,
@@ -340,7 +297,8 @@ void AppendStops(const Dataset& data, const CostModel& cost,
     AppendStop(case_label, status, sources, answer, out);
     if (parallel) AppendParallel(presult, out);
     if (status.ok()) {
-      ExpectTruthful(data, scoring, k, exact_scores, answer, case_label);
+      EXPECT_EQ(CheckAnswer(data, scoring, k, answer, exact_scores), "")
+          << case_label;
     }
   }
 }
@@ -420,8 +378,7 @@ std::string StopsMatrix() {
         AppendStop(label, status, sources, result.topk, &out);
         AppendParallel(result, &out);
         EXPECT_TRUE(status.ok()) << label << ": " << status;
-        ExpectTruthful(data, *scoring, k, /*exact_scores=*/true, result.topk,
-                       label);
+        EXPECT_EQ(CheckAnswer(data, *scoring, k, result.topk), "") << label;
       }
       SourceSet sources(&data, cost);
       sources.EnableTrace();
@@ -436,7 +393,7 @@ std::string StopsMatrix() {
       AppendStop(label, status, sources, result, &out);
       out += "width " + FormatHexDouble(report.mean_choice_width) + "\n";
       EXPECT_TRUE(status.ok()) << label << ": " << status;
-      ExpectTruthful(data, *scoring, k, /*exact_scores=*/true, result, label);
+      EXPECT_EQ(CheckAnswer(data, *scoring, k, result), "") << label;
     }
   }
   return out;

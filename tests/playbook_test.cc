@@ -20,6 +20,10 @@
 namespace nc::playbook {
 namespace {
 
+// The pinned soak: 60 ChaosDefaults() variants at this seed, 18 of them
+// served by a QueryServer and 33 answered without a certificate.
+constexpr uint64_t kPinnedSeed = 20260809;
+
 // A small, fast, fault-free spec the oracle tests execute in-process.
 ScenarioSpec SmallSpec(const std::string& name) {
   ScenarioSpec s;
@@ -290,11 +294,10 @@ TEST(PlaybookDeterminismTest, SameSeedSameVariantsAndVerdicts) {
 // fleets, kills, and variants served by a QueryServer) pass every
 // oracle, and a second generator regenerates them byte for byte.
 TEST(PlaybookDeterminismTest, PinnedSeedSoakPassesEveryOracle) {
-  constexpr uint64_t kSeed = 20260809;
   const std::vector<ScenarioSpec> variants =
-      VariantGenerator(VariantAxes::ChaosDefaults(), kSeed).Generate(60);
+      VariantGenerator(VariantAxes::ChaosDefaults(), kPinnedSeed).Generate(60);
   const std::vector<ScenarioSpec> again =
-      VariantGenerator(VariantAxes::ChaosDefaults(), kSeed).Generate(60);
+      VariantGenerator(VariantAxes::ChaosDefaults(), kPinnedSeed).Generate(60);
   ASSERT_EQ(again.size(), variants.size());
   for (size_t i = 0; i < variants.size(); ++i) {
     EXPECT_EQ(again[i].Serialize(), variants[i].Serialize()) << "variant " << i;
@@ -351,6 +354,29 @@ TEST(PlaybookOracleTest, TamperedAnswerIsCaughtWithWorkingRepro) {
   EXPECT_FALSE(clean.RunOne(spec).flagged());
 }
 
+// The differential oracle judges every answer without a certificate,
+// whatever its faults, budget or server: a wrong first score in each one
+// flags exactly the pinned soak's uncertified variants.
+TEST(PlaybookOracleTest, EveryUncertifiedAnswerIsJudged) {
+  const std::vector<ScenarioSpec> variants =
+      VariantGenerator(VariantAxes::ChaosDefaults(), kPinnedSeed).Generate(60);
+  RunnerOptions options;
+  options.tamper = [](const ScenarioSpec&, TopKResult* result) {
+    if (!result->certificate.has_value()) result->entries.at(0).score += 1.0;
+  };
+  const PlaybookReport report = PlaybookRunner(std::move(options)).Run(variants);
+  size_t uncertified = 0;
+  for (const VariantVerdict& verdict : report.verdicts) {
+    ASSERT_TRUE(verdict.run_status.ok()) << verdict.spec.name;
+    EXPECT_EQ(verdict.flagged(), !verdict.certified) << verdict.spec.name;
+    EXPECT_EQ(HasOracle(verdict, Oracle::kDifferential), !verdict.certified)
+        << verdict.spec.name;
+    if (!verdict.certified) ++uncertified;
+  }
+  EXPECT_EQ(uncertified, 33u);
+  EXPECT_EQ(report.flagged, uncertified);
+}
+
 // Inject a corrupt certificate into a budget-truncated run: the
 // certificate oracle must reject the broken excluded-score ceiling.
 TEST(PlaybookOracleTest, TamperedCertificateIsCaught) {
@@ -376,14 +402,17 @@ TEST(PlaybookOracleTest, TamperedCertificateIsCaught) {
 TEST(PlaybookBaselineTest, LoadBaselineParsesBenchDocument) {
   const std::string json =
       "{\"bench\": \"playbook\", \"schema_version\": 2,\n"
-      " \"baseline\": {\"alpha\": {\"cost\": 12.5, \"accesses\": 34},\n"
-      "                \"beta\": {\"cost\": 0.25, \"accesses\": 2}}}\n";
+      " \"baseline\": {\"alpha\": {\"cost\": 12.5, \"accesses\": 34,\n"
+      "                          \"spec_hash\": \"0123456789abcdef\"},\n"
+      "                \"beta\": {\"cost\": 0.25, \"accesses\": 2,\n"
+      "                         \"spec_hash\": \"fedcba9876543210\"}}}\n";
   std::map<std::string, BaselineEntry> baseline;
   const Status status = LoadBaseline(json, &baseline);
   ASSERT_TRUE(status.ok()) << status;
   ASSERT_EQ(baseline.size(), 2u);
   EXPECT_EQ(baseline.at("alpha").cost, 12.5);
   EXPECT_EQ(baseline.at("alpha").accesses, 34u);
+  EXPECT_EQ(baseline.at("alpha").spec_hash, "0123456789abcdef");
   EXPECT_EQ(baseline.at("beta").cost, 0.25);
   EXPECT_EQ(baseline.at("beta").accesses, 2u);
 
@@ -392,6 +421,15 @@ TEST(PlaybookBaselineTest, LoadBaselineParsesBenchDocument) {
   EXPECT_FALSE(LoadBaseline("{\"baseline\": [1, 2]}", &untouched).ok());
   EXPECT_FALSE(
       LoadBaseline("{\"baseline\": {\"a\": {\"cost\": }}}", &untouched).ok());
+  // An entry must name the spec it was recorded for, as a string.
+  EXPECT_FALSE(
+      LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2}}}",
+                   &untouched)
+          .ok());
+  EXPECT_FALSE(LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, "
+                            "\"accesses\": 2, \"spec_hash\": 7}}}",
+                            &untouched)
+                   .ok());
 
   // Only the top-level member counts: a nested "baseline" key or a
   // scenario named "baseline" does not hide it.
@@ -405,21 +443,22 @@ TEST(PlaybookBaselineTest, LoadBaselineParsesBenchDocument) {
   };
   load_a(
       "{\"meta\":{\"baseline\":{}},"
-      "\"baseline\":{\"a\":{\"cost\":1,\"accesses\":2}}}");
+      "\"baseline\":{\"a\":{\"cost\":1,\"accesses\":2,\"spec_hash\":\"h\"}}}");
   load_a(
       "{\"rows\": [{\"name\": \"baseline\", \"cost\": 3}],\n"
-      " \"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2}}}\n");
+      " \"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2, "
+      "\"spec_hash\": \"h\"}}}\n");
   // Text after the document, and access counts that are not
   // non-negative integers, are rejected.
   EXPECT_FALSE(LoadBaseline("{\"baseline\": {}} {}", &untouched).ok());
-  EXPECT_FALSE(
-      LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, \"accesses\": -1}}}",
-                   &untouched)
-          .ok());
-  EXPECT_FALSE(
-      LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, \"accesses\": 2.7}}}",
-                   &untouched)
-          .ok());
+  EXPECT_FALSE(LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, "
+                            "\"accesses\": -1, \"spec_hash\": \"h\"}}}",
+                            &untouched)
+                   .ok());
+  EXPECT_FALSE(LoadBaseline("{\"baseline\": {\"a\": {\"cost\": 1, "
+                            "\"accesses\": 2.7, \"spec_hash\": \"h\"}}}",
+                            &untouched)
+                   .ok());
   EXPECT_TRUE(untouched.empty());
 }
 
@@ -433,16 +472,18 @@ TEST(PlaybookBaselineTest, BaselineDivergenceIsAnAnomaly) {
 
   // The packet is the baseline: its JSON loads back to exactly the
   // observed (cost, accesses), which replays clean.
+  std::map<std::string, BaselineEntry> recorded;
+  ASSERT_TRUE(LoadBaseline(probe.Run({spec}).ToJson(), &recorded).ok());
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded["baselined"].cost, observed.accrued_cost);
+  EXPECT_EQ(recorded["baselined"].accesses, observed.accesses);
   RunnerOptions exact;
-  ASSERT_TRUE(LoadBaseline(probe.Run({spec}).ToJson(), &exact.baseline).ok());
-  ASSERT_EQ(exact.baseline.size(), 1u);
-  EXPECT_EQ(exact.baseline["baselined"].cost, observed.accrued_cost);
-  EXPECT_EQ(exact.baseline["baselined"].accesses, observed.accesses);
+  exact.baseline = recorded;
   EXPECT_FALSE(PlaybookRunner(std::move(exact)).RunOne(spec).flagged());
 
   RunnerOptions shifted;
-  shifted.baseline["baselined"] = {observed.accrued_cost + 7.0,
-                                   observed.accesses};
+  shifted.baseline = recorded;
+  shifted.baseline["baselined"].cost += 7.0;
   const PlaybookReport report =
       PlaybookRunner(std::move(shifted)).Run({spec});
   ASSERT_EQ(report.verdicts.size(), 1u);
@@ -452,6 +493,35 @@ TEST(PlaybookBaselineTest, BaselineDivergenceIsAnAnomaly) {
   std::map<std::string, BaselineEntry> flagged_baseline;
   ASSERT_TRUE(LoadBaseline(report.ToJson(), &flagged_baseline).ok());
   EXPECT_TRUE(flagged_baseline.empty());
+}
+
+// A packet from another soak: variant names do not depend on the seed, so
+// the pinned soak's chaos-0000 entry names another spec than `ncplaybook
+// gen --seed 1 --count 1`'s chaos-0000. The runner does not diff against
+// it, and MatchBaseline, on which ncplaybook exits 2, names the variant.
+TEST(PlaybookBaselineTest, EntryRecordedForAnotherSpecIsNotCompared) {
+  const ScenarioSpec soaked =
+      VariantGenerator(VariantAxes::ChaosDefaults(), kPinnedSeed)
+          .Generate(60)
+          .at(0);
+  const std::vector<ScenarioSpec> one =
+      VariantGenerator(VariantAxes::ChaosDefaults(), 1).Generate(1);
+  ASSERT_EQ(one.at(0).name, soaked.name);
+
+  RunnerOptions options;
+  ASSERT_TRUE(
+      LoadBaseline(PlaybookRunner().Run({soaked}).ToJson(), &options.baseline)
+          .ok());
+  ASSERT_EQ(options.baseline.count(soaked.name), 1u);
+  EXPECT_TRUE(MatchBaseline(options.baseline, {soaked}).ok());
+  const Status foreign = MatchBaseline(options.baseline, one);
+  EXPECT_EQ(foreign.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(foreign.message().find(soaked.name), std::string::npos)
+      << foreign;
+
+  const VariantVerdict verdict =
+      PlaybookRunner(std::move(options)).RunOne(one.at(0));
+  EXPECT_FALSE(verdict.flagged()) << verdict.anomaly;
 }
 
 // Stop conditions: max_failures caps the flagged count and the remainder

@@ -336,23 +336,8 @@ void RunPlanned(const Dataset& data, Profiler* profiler, double max_cost,
 }
 
 void ExpectBitIdentical(const TopKResult& a, const TopKResult& b) {
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (size_t i = 0; i < a.entries.size(); ++i) {
-    EXPECT_EQ(a.entries[i].object, b.entries[i].object);
-    EXPECT_EQ(a.entries[i].score, b.entries[i].score);
-  }
-  ASSERT_EQ(a.certificate.has_value(), b.certificate.has_value());
-  if (!a.certificate.has_value()) return;
-  EXPECT_EQ(a.certificate->reason, b.certificate->reason);
-  EXPECT_EQ(a.certificate->epsilon, b.certificate->epsilon);
-  EXPECT_EQ(a.certificate->excluded_ceiling, b.certificate->excluded_ceiling);
-  ASSERT_EQ(a.certificate->intervals.size(), b.certificate->intervals.size());
-  for (size_t i = 0; i < a.certificate->intervals.size(); ++i) {
-    EXPECT_EQ(a.certificate->intervals[i].lower,
-              b.certificate->intervals[i].lower);
-    EXPECT_EQ(a.certificate->intervals[i].upper,
-              b.certificate->intervals[i].upper);
-  }
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.certificate, b.certificate);
 }
 
 TEST(ProfilerTest, DifferentialAnswersBitIdenticalProfilerOnOrOff) {

@@ -8,7 +8,8 @@
 //       flagged (the engineer packet names each one with its repro
 //       command), 2 on usage errors. The --packet FILE a clean run
 //       writes is the --baseline FILE of the next: every variant's
-//       (cost, accesses) must then reproduce exactly.
+//       (cost, accesses) must then reproduce exactly. A baseline entry
+//       recorded for another spec under a variant's name is an error.
 //   ncplaybook gen --seed S --count N [--only NAME]
 //       Print the generated variants as canonical "ncplay 1" documents.
 //   ncplaybook run --spec FILE [--baseline FILE] [--packet FILE]
@@ -147,7 +148,8 @@ bool WritePacket(const std::string& path, const PlaybookReport& report) {
 // Runs `variants` under the oracles, diffed against the packet an
 // earlier soak wrote when --baseline names one, and reports: exit 0 when
 // every executed variant passes, 1 when any is flagged, 2 when the
-// baseline cannot be read or the packet cannot be written.
+// baseline cannot be read, holds an entry recorded for another spec under
+// one of the variants' names, or the packet cannot be written.
 int RunVariants(const CliOptions& options, std::string repro_prefix,
                 const std::vector<ScenarioSpec>& variants) {
   RunnerOptions runner_options;
@@ -162,8 +164,8 @@ int RunVariants(const CliOptions& options, std::string repro_prefix,
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const Status status =
-        LoadBaseline(buffer.str(), &runner_options.baseline);
+    Status status = LoadBaseline(buffer.str(), &runner_options.baseline);
+    if (status.ok()) status = MatchBaseline(runner_options.baseline, variants);
     if (!status.ok()) {
       std::cerr << "ncplaybook: " << status.ToString() << "\n";
       return 2;
